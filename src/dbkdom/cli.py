@@ -5,7 +5,8 @@ Subcommands:
 * ``gamma``    classify one instance and print the result
 * ``sweep``    classify a parameter grid, one row per instance
 * ``verify``   check a candidate dominating set and print the certificate
-* ``problems`` empirical search for violations of two open conjectures
+* ``problems`` empirical search for violations of two open conjectures,
+  rendered from the reports in ``dbkdom.problems``
 * ``export``   write the arc list of one instance (edge list or DOT)
 
 Exit codes: 0 success/exact/valid, 1 invalid set or counterexample found,
@@ -28,14 +29,15 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .construct import classify, gcd_condition, prefix_condition
-from .digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
-                      VertexSet, export_graph)
-from .domination import bounds, verify
-from .modular import ceil_div
-from .oracle import (ABSENT, FOUND, INCONCLUSIVE, DEFAULT_LIMITS,
-                     OracleLimits, coverage_table, exists_dominating_of_size,
-                     min_dominating)
+from .construct import classify
+from .digraph import FAMILIES, GeneralizedDigraph, VertexSet, export_graph
+from .domination import verify
+# unused here; perfbench/tracing.py wraps these names on this module
+from .oracle import coverage_table, exists_dominating_of_size  # noqa: F401
+from .oracle import DEFAULT_LIMITS, DEFAULT_TABLE_CEILING, OracleLimits
+from .problems import (CONSISTENT, COUNTEREXAMPLE, INCONCLUSIVE_VERDICT,
+                       PROBLEM_DEBRUIJN, PROBLEMS, debruijn_necessity_report,
+                       kautz_upper_report)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -45,14 +47,6 @@ EXIT_INCONCLUSIVE = 4
 
 CSV_COLUMNS = ("family", "n", "d", "k", "lower", "upper", "gamma", "method",
                "witness", "ms")
-
-PROBLEM_DEBRUIJN = "debruijn-necessity"
-PROBLEM_KAUTZ = "kautz-upper"
-PROBLEMS = (PROBLEM_DEBRUIJN, PROBLEM_KAUTZ)
-
-CONSISTENT = "consistent"
-COUNTEREXAMPLE = "counterexample"
-INCONCLUSIVE_VERDICT = "inconclusive"
 
 # config keys the CLI understands; anything else is a typo worth rejecting
 CONFIG_KEYS = frozenset({"oracle_budget", "oracle_max_n", "format", "jobs",
@@ -136,13 +130,21 @@ def _setting(args, config: dict, key: str, default):
     return default
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def resolve_limits(args, config: dict) -> OracleLimits:
     budget = _setting(args, config, "oracle_budget", None)
     max_n = _setting(args, config, "oracle_max_n", DEFAULT_LIMITS.max_n)
-    if budget is not None and not isinstance(budget, int):
+    if budget is not None and not _is_int(budget):
         raise UsageError("oracle_budget must be an integer")
-    if not isinstance(max_n, int):
+    if not _is_int(max_n):
         raise UsageError("oracle_max_n must be an integer")
+    if max_n > DEFAULT_TABLE_CEILING:
+        raise UsageError(f"oracle_max_n must be at most the coverage table "
+                         f"ceiling {DEFAULT_TABLE_CEILING}, got {max_n}")
     return OracleLimits(max_nodes=budget, max_n=max_n)
 
 
@@ -213,12 +215,6 @@ def classify_row(family: str, n: int, d: int, k: int,
     return row
 
 
-def _sweep_worker(task: tuple) -> dict:
-    family, n, d, k, max_nodes, max_n = task
-    return classify_row(family, n, d, k,
-                        OracleLimits(max_nodes=max_nodes, max_n=max_n))
-
-
 def row_to_csv_fields(row: dict) -> list[str]:
     def cell(value):
         return "" if value is None else str(value)
@@ -278,15 +274,16 @@ def sweep_rows(families: list[str], ns: list[int], ds: list[int],
                ) -> list[dict]:
     """All rows of the grid in output order; instances with n < d are
     skipped because neither family is defined there."""
-    tasks = [(family, n, d, k, limits.max_nodes, limits.max_n)
+    tasks = [(family, n, d, k, limits)
              for family in sorted(families)
              for n in ns for d in ds for k in ks
              if n >= d]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunk = max(1, len(tasks) // (jobs * 8))
-            return list(pool.map(_sweep_worker, tasks, chunksize=chunk))
-    return [_sweep_worker(task) for task in tasks]
+            return list(pool.map(classify_row, *zip(*tasks),
+                                 chunksize=chunk))
+    return [classify_row(*task) for task in tasks]
 
 
 def cmd_sweep(args) -> int:
@@ -295,7 +292,7 @@ def cmd_sweep(args) -> int:
     limits = resolve_limits(args, config)
     ranges = _resolve_ranges(args, config, {"n": None, "d": None, "k": None})
     jobs = _setting(args, config, "jobs", 1)
-    if not isinstance(jobs, int) or jobs < 1:
+    if not _is_int(jobs) or jobs < 1:
         raise UsageError("jobs must be a positive integer")
     families = FAMILIES if args.family == "both" else (args.family,)
     rows = sweep_rows(list(families), ranges["n"], ranges["d"], ranges["k"],
@@ -332,125 +329,6 @@ def cmd_verify(args) -> int:
                       ";".join(map(str, cert["uncovered"])) or "-"))
         _emit(_render_kv_table(pairs), args.out)
     return EXIT_OK if cert["valid"] else EXIT_INVALID
-
-
-def _certificate(g: GeneralizedDigraph, dset: VertexSet, k: int) -> dict:
-    cert = verify(g, dset, k)
-    if not cert.valid:
-        raise RuntimeError(
-            f"claimed witness failed verification on {g} k={k}; "
-            "refusing to report an unverified counterexample")
-    return cert.to_dict()
-
-
-def debruijn_necessity_report(ns: list[int], ds: list[int], ks: list[int],
-                              limits: OracleLimits = DEFAULT_LIMITS) -> dict:
-    """Is the gcd condition necessary for the lower bound to be attained?
-
-    For every instance where the smallest conceivable size L is achieved,
-    the report checks whether the cheap gcd condition fired.  An instance
-    achieving L without the condition is a counterexample to necessity and
-    carries a verified certificate.  Instances where the exact value is out
-    of reach are reported inconclusive, never as support.
-    """
-    rows = []
-    counts = {CONSISTENT: 0, COUNTEREXAMPLE: 0, INCONCLUSIVE_VERDICT: 0}
-    for n in ns:
-        for d in ds:
-            if n < d:
-                continue
-            for k in ks:
-                g = GeneralizedDigraph.debruijn(n, d)
-                lower = bounds(g, k).lower
-                fired = gcd_condition(n, d, k) is not None
-                row = {"family": DEBRUIJN, "n": n, "d": d, "k": k,
-                       "lower": lower, "condition": fired}
-                if fired:
-                    # sufficiency is verified elsewhere; a fired condition
-                    # settles gamma = lower, so necessity cannot fail here
-                    row["gamma"] = lower
-                    row["verdict"] = CONSISTENT
-                elif limits.allows(n):
-                    table = coverage_table(g, k)
-                    result = exists_dominating_of_size(
-                        g, k, lower, table=table, max_nodes=limits.max_nodes)
-                    if result.status == FOUND:
-                        row["gamma"] = lower
-                        row["verdict"] = COUNTEREXAMPLE
-                        row["certificate"] = _certificate(
-                            g, result.witness, k)
-                    elif result.status == ABSENT:
-                        row["gamma"] = lower + 1
-                        row["verdict"] = CONSISTENT
-                    else:
-                        row["gamma"] = None
-                        row["verdict"] = INCONCLUSIVE_VERDICT
-                else:
-                    row["gamma"] = None
-                    row["verdict"] = INCONCLUSIVE_VERDICT
-                counts[row["verdict"]] += 1
-                rows.append(row)
-    return {
-        "problem": PROBLEM_DEBRUIJN,
-        "question": ("does attaining the lower bound imply the gcd "
-                     "condition fires?"),
-        "envelope": {"n": ns, "d": ds, "k": ks},
-        "rows": rows,
-        "counts": counts,
-    }
-
-
-def kautz_upper_report(ns: list[int], ds: list[int], ks: list[int],
-                       limits: OracleLimits = DEFAULT_LIMITS) -> dict:
-    """Does every instance missed by the prefix condition sit at the
-    ceil(n / (d**k + d**(k-1))) upper value?
-
-    Instances satisfying the prefix condition are vacuously consistent.
-    For the rest the exact value is computed and compared with the upper
-    bound; a strictly smaller exact value is a counterexample and carries
-    a verified certificate of that smaller dominating set.
-    """
-    rows = []
-    counts = {CONSISTENT: 0, COUNTEREXAMPLE: 0, INCONCLUSIVE_VERDICT: 0}
-    for n in ns:
-        for d in ds:
-            if n < d:
-                continue
-            for k in ks:
-                g = GeneralizedDigraph.kautz(n, d)
-                upper = ceil_div(n, d ** k + d ** (k - 1))
-                fired = prefix_condition(n, d, k)
-                row = {"family": KAUTZ, "n": n, "d": d, "k": k,
-                       "upper": upper, "condition": fired}
-                if fired:
-                    row["gamma"] = None
-                    row["verdict"] = CONSISTENT
-                elif limits.allows(n):
-                    result = min_dominating(g, k, max_nodes=limits.max_nodes)
-                    if result.status == FOUND:
-                        row["gamma"] = result.gamma
-                        if result.gamma == upper:
-                            row["verdict"] = CONSISTENT
-                        else:
-                            row["verdict"] = COUNTEREXAMPLE
-                            row["certificate"] = _certificate(
-                                g, result.witness, k)
-                    else:
-                        row["gamma"] = None
-                        row["verdict"] = INCONCLUSIVE_VERDICT
-                else:
-                    row["gamma"] = None
-                    row["verdict"] = INCONCLUSIVE_VERDICT
-                counts[row["verdict"]] += 1
-                rows.append(row)
-    return {
-        "problem": PROBLEM_KAUTZ,
-        "question": ("do instances that miss the prefix condition always "
-                     "attain ceil(n / (d**k + d**(k-1)))?"),
-        "envelope": {"n": ns, "d": ds, "k": ks},
-        "rows": rows,
-        "counts": counts,
-    }
 
 
 def _problem_table(report: dict) -> str:

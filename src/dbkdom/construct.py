@@ -7,8 +7,10 @@ conceivable size exists:
 * de Bruijn side: a run of length lower+1 starting at an "anchor" vertex
   always dominates, so the domination number is the lower bound or one more.
   A run of length exactly lower dominates when the congruence
-  (d-1)*x == lower - h (mod n) is solvable for some small offset h; two
-  cheaper gcd tests and a remainder window test imply the same conclusion.
+  (d-1)*x == lower - h (mod n) is solvable for some small offset h.  Two
+  gcd tests and a remainder window test are the paper's sufficient
+  conditions; each implies that congruence, so they are reported but never
+  decide a value on their own (tests pin both implications).
 * Kautz side: the prefix run {0..c-1} with c = ceil(n/(d**k + d**(k-1)))
   always dominates, and a layer-size test certifies when the prefix of
   length exactly lower suffices.  At radius one the two bounds coincide, so
@@ -37,9 +39,6 @@ from .oracle import (ABSENT, DEFAULT_LIMITS, FOUND, OracleLimits,
                      min_dominating)
 
 METHOD_CONGRUENCE = "congruence"
-METHOD_GCD_DIVISIBILITY = "gcd_divisibility"
-METHOD_GCD_RESIDUE = "gcd_residue"
-METHOD_REMAINDER_WINDOW = "remainder_window"
 METHOD_PREFIX_COVER = "prefix_cover"
 METHOD_RADIUS_ONE = "radius_one"
 METHOD_ORACLE = "oracle"
@@ -47,8 +46,7 @@ METHOD_BRACKET = "bracket"
 METHOD_INCONCLUSIVE = "inconclusive"
 
 METHODS = frozenset({
-    METHOD_CONGRUENCE, METHOD_GCD_DIVISIBILITY, METHOD_GCD_RESIDUE,
-    METHOD_REMAINDER_WINDOW, METHOD_PREFIX_COVER, METHOD_RADIUS_ONE,
+    METHOD_CONGRUENCE, METHOD_PREFIX_COVER, METHOD_RADIUS_ONE,
     METHOD_ORACLE, METHOD_BRACKET, METHOD_INCONCLUSIVE,
 })
 
@@ -179,57 +177,54 @@ def build_anchor_run(n: int, d: int, k: int) -> VertexSet:
                          "anchor run of length lower+1")
 
 
-def congruence_witness(n: int, d: int, k: int) -> CongruenceWitness | None:
-    """Search for a dominating run of length exactly the lower bound L.
+def _first_offset(n: int, d: int, k: int) -> int | None:
+    """The smallest admissible offset h, or None when there is none.
 
-    Tries offsets h = 0, 1, ... while h * geometric_sum(d, k-1) stays within
-    the slack S*L - n, solving (d-1)*x == L - h (mod n) at each step.  The
-    first solvable offset wins and the smallest solution x is used, so the
-    witness is deterministic.  Returns None when no admissible offset gives
-    a solvable congruence.
+    (d-1)*x == L - h (mod n) is solvable exactly when gcd(d-1, n) divides
+    L - h, so the smallest solvable offset is L mod gcd(d-1, n).  It is
+    admissible when h * geometric_sum(d, k-1) fits the slack S*L - n; a
+    larger offset needs more slack, so if this one does not fit none does.
     """
-    _check_instance(n, d, k)
     s = geometric_sum(d, k)
     lower = ceil_div(n, s)
-    sk1 = geometric_sum(d, k - 1)
-    slack = s * lower - n
-    g = GeneralizedDigraph.debruijn(n, d)
-    h = 0
-    while h * sk1 <= slack:
-        solutions = solve_linear_congruence(d - 1, lower - h, n)
-        if solutions:
-            x = solutions[0]
-            run = _verified_run(g, x, lower, k,
-                                f"congruence run (h={h}, x={x})")
-            return CongruenceWitness(x=x, h=h, run=run)
-        h += 1
-    return None
+    h = lower % math.gcd(d - 1, n)
+    return h if h * geometric_sum(d, k - 1) <= s * lower - n else None
+
+
+def congruence_witness(n: int, d: int, k: int) -> CongruenceWitness | None:
+    """The dominating run of length exactly the lower bound L, if any.
+
+    Uses the smallest offset h whose congruence (d-1)*x == L - h (mod n) is
+    solvable while h * geometric_sum(d, k-1) stays within the slack S*L - n,
+    and the smallest solution x, so the witness is deterministic.  Returns
+    None when no admissible offset gives a solvable congruence.
+    """
+    _check_instance(n, d, k)
+    h = _first_offset(n, d, k)
+    if h is None:
+        return None
+    lower = ceil_div(n, geometric_sum(d, k))
+    x = solve_linear_congruence(d - 1, lower - h, n)[0]
+    run = _verified_run(GeneralizedDigraph.debruijn(n, d), x, lower, k,
+                        f"congruence run (h={h}, x={x})")
+    return CongruenceWitness(x=x, h=h, run=run)
 
 
 def gcd_condition(n: int, d: int, k: int) -> str | None:
-    """Cheap arithmetic tests implying a dominating run of length L exists.
+    """The paper's gcd tests for a dominating run of length L; arithmetic only.
 
     Returns 'divisibility' when S divides n and gcd(d-1, n) divides n/S,
     'residue' when the residue L mod gcd(d-1, n), taken as the offset h,
-    fits the slack, and None otherwise.  A fired tag is cross-checked
-    against congruence_witness, which it logically implies.
+    fits the slack, and None otherwise.  Either tag fires exactly when
+    congruence_witness finds a run, which the tests pin.
     """
     _check_instance(n, d, k)
+    if _first_offset(n, d, k) is None:
+        return None
     s = geometric_sum(d, k)
-    lower = ceil_div(n, s)
-    r = math.gcd(d - 1, n)
-    tag = None
-    if n % s == 0 and (n // s) % r == 0:
-        tag = GCD_DIVISIBILITY
-    else:
-        q = lower % r
-        if q * geometric_sum(d, k - 1) <= s * lower - n:
-            tag = GCD_RESIDUE
-    if tag is not None and congruence_witness(n, d, k) is None:
-        raise ConstructionError(
-            f"gcd condition {tag!r} fired for n={n} d={d} k={k} but the "
-            "congruence search found nothing; the implication is broken")
-    return tag
+    if n % s == 0 and (n // s) % math.gcd(d - 1, n) == 0:
+        return GCD_DIVISIBILITY
+    return GCD_RESIDUE
 
 
 def remainder_window(n: int, d: int, k: int) -> bool:
@@ -361,11 +356,14 @@ def classify(g: GeneralizedDigraph, k: int,
              limits: OracleLimits = DEFAULT_LIMITS) -> GammaResult:
     """Best effort exact value, falling back to a two-sided bracket.
 
-    de Bruijn order: congruence run, gcd tests, remainder window, then the
-    oracle deciding lower vs lower+1.  Kautz order: the radius-one closed
-    form, the prefix condition, then the oracle scanning upward from the
-    lower bound.  The oracle runs only inside ``limits``; a budget abort
-    degrades the answer to a bracket tagged inconclusive.
+    This is the one place an instance is decided.  de Bruijn order: the
+    congruence run, then the oracle deciding lower vs lower+1.  The gcd
+    tests and the remainder window are reported in ``conditions`` only:
+    each implies the congruence run, so they never decide a value.  Kautz
+    order: the radius-one closed form, the prefix condition, then the
+    oracle scanning upward from the lower bound.  The oracle runs only
+    inside ``limits``; a budget abort degrades the answer to a bracket
+    tagged inconclusive.
     """
     if k < 1:
         raise ValueError(f"radius must be >= 1, got {k}")
@@ -376,26 +374,15 @@ def classify(g: GeneralizedDigraph, k: int,
         assert upper is not None
         witness = congruence_witness(n, d, k)
         tag = gcd_condition(n, d, k)
-        window = remainder_window(n, d, k)
         conditions = {
             "congruence": witness is not None,
             "gcd_divisibility": tag == GCD_DIVISIBILITY,
             "gcd_residue": tag == GCD_RESIDUE,
-            "remainder_window": window,
+            "remainder_window": remainder_window(n, d, k),
         }
         if witness is not None:
             return _exact(g, k, b, upper, b.lower, METHOD_CONGRUENCE,
                           witness.run, conditions)
-        # the gcd tags imply a congruence witness, so they cannot fire here;
-        # kept in the pipeline to honor the documented precedence
-        if tag is not None:  # pragma: no cover
-            method = (METHOD_GCD_DIVISIBILITY if tag == GCD_DIVISIBILITY
-                      else METHOD_GCD_RESIDUE)
-            raise ConstructionError(
-                f"gcd condition fired without a congruence witness ({method})")
-        if window:
-            return _exact(g, k, b, upper, b.lower, METHOD_REMAINDER_WINDOW,
-                          build_window_run(n, d, k), conditions)
         if limits.allows(n):
             table = coverage_table(g, k)
             result = exists_dominating_of_size(

@@ -1,0 +1,120 @@
+"""Empirical reports on the paper's two open problems, read off ``classify``.
+
+* debruijn-necessity: does attaining the lower bound imply that a gcd
+  condition fires?
+* kautz-upper: do Kautz instances missed by the prefix condition always
+  attain the ceil(n / (d**k + d**(k-1))) upper value?
+
+Each report classifies every instance of its envelope once and maps the
+result to a verdict, so the reports decide nothing ``classify`` does not.
+A counterexample carries a verified certificate; an instance whose exact
+value is out of reach is inconclusive, never support.
+"""
+
+from __future__ import annotations
+
+from .construct import GammaResult, classify
+from .digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, VertexSet
+from .domination import verify
+from .oracle import DEFAULT_LIMITS, OracleLimits
+
+PROBLEM_DEBRUIJN = "debruijn-necessity"
+PROBLEM_KAUTZ = "kautz-upper"
+PROBLEMS = (PROBLEM_DEBRUIJN, PROBLEM_KAUTZ)
+
+CONSISTENT = "consistent"
+COUNTEREXAMPLE = "counterexample"
+INCONCLUSIVE_VERDICT = "inconclusive"
+
+
+def _certificate(g: GeneralizedDigraph, dset: VertexSet, k: int) -> dict:
+    cert = verify(g, dset, k)
+    if not cert.valid:
+        raise RuntimeError(
+            f"claimed witness failed verification on {g} k={k}; "
+            "refusing to report an unverified counterexample")
+    return cert.to_dict()
+
+
+def _classified(family: str, ns: list[int], ds: list[int], ks: list[int],
+                limits: OracleLimits):
+    """classify results over the envelope in (n, d, k) order; instances
+    with n < d are skipped because neither family is defined there."""
+    for n in ns:
+        for d in ds:
+            if n < d:
+                continue
+            for k in ks:
+                yield classify(GeneralizedDigraph(family=family, n=n, d=d),
+                               k, limits)
+
+
+def _row(result: GammaResult, bound: str, condition: bool,
+         gamma: int | None, verdict: str) -> dict:
+    g = result.graph
+    row = {"family": g.family, "n": g.n, "d": g.d, "k": result.k,
+           bound: getattr(result, bound), "condition": condition,
+           "gamma": gamma, "verdict": verdict}
+    if verdict == COUNTEREXAMPLE:
+        row["certificate"] = _certificate(g, result.witness, result.k)
+    return row
+
+
+def _report(problem: str, question: str, rows: list[dict],
+            ns: list[int], ds: list[int], ks: list[int]) -> dict:
+    counts = {CONSISTENT: 0, COUNTEREXAMPLE: 0, INCONCLUSIVE_VERDICT: 0}
+    for row in rows:
+        counts[row["verdict"]] += 1
+    return {"problem": problem, "question": question,
+            "envelope": {"n": ns, "d": ds, "k": ks},
+            "rows": rows, "counts": counts}
+
+
+def debruijn_necessity_report(ns: list[int], ds: list[int], ks: list[int],
+                              limits: OracleLimits = DEFAULT_LIMITS) -> dict:
+    """Is the gcd condition necessary for the lower bound to be attained?
+
+    An instance whose exact value is the lower bound L while neither gcd
+    test fired is a counterexample to necessity and carries a verified
+    certificate of its size-L witness.
+    """
+    rows = []
+    for result in _classified(DEBRUIJN, ns, ds, ks, limits):
+        fired = (result.conditions["gcd_divisibility"]
+                 or result.conditions["gcd_residue"])
+        if result.gamma is None:
+            verdict = INCONCLUSIVE_VERDICT
+        elif result.gamma == result.lower and not fired:
+            verdict = COUNTEREXAMPLE
+        else:
+            verdict = CONSISTENT
+        rows.append(_row(result, "lower", fired, result.gamma, verdict))
+    return _report(PROBLEM_DEBRUIJN,
+                   "does attaining the lower bound imply the gcd "
+                   "condition fires?", rows, ns, ds, ks)
+
+
+def kautz_upper_report(ns: list[int], ds: list[int], ks: list[int],
+                       limits: OracleLimits = DEFAULT_LIMITS) -> dict:
+    """Does every instance missed by the prefix condition sit at the
+    ceil(n / (d**k + d**(k-1))) upper value?
+
+    Instances satisfying the prefix condition are vacuously consistent and
+    report no gamma.  For the rest an exact value strictly below the upper
+    bound is a counterexample and carries a verified certificate of that
+    smaller dominating set.
+    """
+    rows = []
+    for result in _classified(KAUTZ, ns, ds, ks, limits):
+        fired = result.conditions["prefix_cover"]
+        gamma = None if fired else result.gamma
+        if fired or gamma == result.upper:
+            verdict = CONSISTENT
+        elif gamma is None:
+            verdict = INCONCLUSIVE_VERDICT
+        else:
+            verdict = COUNTEREXAMPLE
+        rows.append(_row(result, "upper", fired, gamma, verdict))
+    return _report(PROBLEM_KAUTZ,
+                   "do instances that miss the prefix condition always "
+                   "attain ceil(n / (d**k + d**(k-1)))?", rows, ns, ds, ks)

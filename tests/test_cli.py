@@ -13,6 +13,7 @@ import pytest
 import dbkdom
 from dbkdom.cli import (CSV_COLUMNS, EXIT_BRACKET, EXIT_INCONCLUSIVE,
                         EXIT_INVALID, EXIT_OK, EXIT_USAGE, main)
+from dbkdom.oracle import DEFAULT_TABLE_CEILING
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -248,6 +249,27 @@ class TestConfig:
         report = json.loads(out)
         assert report["envelope"]["n"] == list(range(2, 9))
         assert report["counts"]["consistent"] == 7
+
+    @pytest.mark.parametrize("key", ["oracle_budget", "oracle_max_n", "jobs"])
+    def test_boolean_values_rejected(self, tmp_path, key):
+        # JSON true is a Python int; taken as one it became a 1-node budget
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: True}))
+        code, out, err = run_cli("sweep", "--family", "kautz", "-n", "7",
+                                 "-d", "2", "-k", "2", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert key in err and out == ""
+
+    def test_oracle_max_n_above_table_ceiling_rejected(self):
+        # the coverage table refuses larger orders, so such a limit would
+        # only turn rows into errors
+        argv = ("sweep", "--family", "kautz", "-n", "5001", "-d", "2",
+                "-k", "2", "--oracle-max-n")
+        code, out, err = run_cli(*argv, str(DEFAULT_TABLE_CEILING + 1))
+        assert code == EXIT_USAGE
+        assert str(DEFAULT_TABLE_CEILING) in err and out == ""
+        code, _, _ = run_cli(*argv, str(DEFAULT_TABLE_CEILING))
+        assert code == EXIT_BRACKET
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_is_dominating
+from dbkdom import construct
 from dbkdom.construct import (AnchorWitness, ConstructionError, GammaResult,
                               build_anchor_run, build_lower_prefix,
                               build_prefix_cover, build_window_run, classify,
@@ -15,7 +16,8 @@ from dbkdom.construct import (AnchorWitness, ConstructionError, GammaResult,
                               remainder_window)
 from dbkdom.digraph import GeneralizedDigraph, VertexSet
 from dbkdom.domination import bounds, verify
-from dbkdom.modular import ceil_div, geometric_sum, mod_interval
+from dbkdom.modular import (ceil_div, geometric_sum, mod_interval,
+                            solve_linear_congruence)
 from dbkdom.oracle import OracleLimits
 
 
@@ -37,6 +39,26 @@ def brute_congruence(n, d, k):
                 return h, x
         h += 1
     return None
+
+
+def first_offset(n, d, k):
+    """Arithmetic reference for the length-L run: the first offset h whose
+    congruence is solvable within the slack, found by the h loop."""
+    s = geometric_sum(d, k)
+    lower = ceil_div(n, s)
+    slack = s * lower - n
+    h = 0
+    while h * geometric_sum(d, k - 1) <= slack:
+        if solve_linear_congruence(d - 1, lower - h, n):
+            return h
+        h += 1
+    return None
+
+
+def wide_envelope():
+    """d 2..7, k 1..5, d <= n < 3000: the envelope the lemma tests cover."""
+    return [(n, d, k) for d in range(2, 8) for k in range(1, 6)
+            for n in range(d, 3000)]
 
 
 class TestFindAnchor:
@@ -154,14 +176,13 @@ class TestGcdCondition:
 
     def test_tags_equivalent_to_congruence_search(self):
         # both gcd tests reduce to "the first solvable offset is admissible",
-        # so they fire exactly when the congruence search succeeds
-        for n in range(2, 90):
-            for d in (2, 3, 4, 5):
-                if n < d:
-                    continue
-                for k in (1, 2, 3):
-                    fired = gcd_condition(n, d, k) is not None
-                    assert fired == (congruence_witness(n, d, k) is not None)
+        # so they fire exactly when the congruence search succeeds; classify
+        # relies on this and never decides a value by a gcd tag
+        envelope = wide_envelope()
+        assert len(envelope) == 89865
+        for n, d, k in envelope:
+            fired = gcd_condition(n, d, k) is not None
+            assert fired == (first_offset(n, d, k) is not None), (n, d, k)
 
 
 class TestRemainderWindow:
@@ -179,14 +200,13 @@ class TestRemainderWindow:
             build_window_run(40, 3, 3)
 
     def test_window_implies_congruence(self):
-        # the window q bounds force the first solvable offset into range
-        for n in range(2, 90):
-            for d in (2, 3, 4, 5):
-                if n < d:
-                    continue
-                for k in (1, 2, 3):
-                    if remainder_window(n, d, k):
-                        assert congruence_witness(n, d, k) is not None
+        # the window q bounds force the first solvable offset into range;
+        # classify relies on this and never decides a value by the window
+        firing = [inst for inst in wide_envelope()
+                  if remainder_window(*inst)]
+        assert len(firing) == 41981
+        for n, d, k in firing:
+            assert first_offset(n, d, k) is not None, (n, d, k)
 
     def test_window_instances_attain_lower(self):
         for (n, d, k) in ((41, 3, 3), (20, 2, 2), (8, 2, 2), (15, 2, 2)):
@@ -328,6 +348,20 @@ class TestClassify:
         assert result.gamma == 2
         assert result.method == "prefix_cover"
         assert result.witness.members() == [0, 1]
+
+    @pytest.mark.parametrize("n, d, k", [(7, 2, 2), (20000, 3, 3)])
+    def test_congruence_row_verified_once(self, monkeypatch, n, d, k):
+        calls = []
+        original = construct.verify
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(construct, "verify", counting)
+        result = classify(GeneralizedDigraph.debruijn(n, d), k)
+        assert result.method == "congruence"
+        assert len(calls) == 1
 
     def test_oracle_decides_upper_value(self):
         # no condition fires and no size-1 set exists, so the anchor run
