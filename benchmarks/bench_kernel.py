@@ -7,7 +7,7 @@ witnesses.  Run from the repository root:
     python benchmarks/bench_kernel.py [--repeat N]
 
 The compiled block is skipped (with a note) when the extension is not
-built, e.g. after installing with DBKDOM_PURE workflows in mind.
+built.
 """
 
 from __future__ import annotations

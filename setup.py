@@ -1,8 +1,9 @@
 """Build script.
 
-The compiled cover-search kernel is optional: when Cython or a C compiler is
-unavailable the package installs without it and falls back to the pure Python
-kernel at import time.
+The compiled cover-search kernel (src/dbkdom/_cover_ext.c) is plain C
+against the CPython API and builds with any C compiler. It is optional:
+when no compiler is available, or the build fails, the package installs
+without it and falls back to the pure Python kernel at import time.
 """
 
 from setuptools import Extension, setup
@@ -27,22 +28,10 @@ class OptionalBuildExt(build_ext):
                   "the pure Python kernel will be used")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("warning: Cython not found; building without the compiled kernel")
-        return []
-    return cythonize(
-        [
-            Extension(
-                "dbkdom._cover_ext",
-                ["src/dbkdom/_cover_ext.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension("dbkdom._cover_ext", ["src/dbkdom/_cover_ext.c"],
+                  extra_compile_args=["-O3"]),
+    ],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

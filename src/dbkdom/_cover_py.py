@@ -30,6 +30,9 @@ class KernelTable:
             raise ValueError(f"unknown family code {family}")
         if n < 1 or d < 1 or k < 0:
             raise ValueError("need n >= 1, d >= 1, k >= 0")
+        if d > n:
+            # the ring step below wraps base + i with a single subtraction
+            raise ValueError(f"need d <= n, got n={n}, d={d}")
         self.family = family
         self.n = n
         self.d = d
@@ -84,10 +87,17 @@ class KernelTable:
                 rest ^= low
         return coverers
 
+    def _check_vertex(self, v: int) -> None:
+        # a negative v would otherwise index from the end
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range [0, {self.n})")
+
     def ball_mask(self, v: int) -> int:
+        self._check_vertex(v)
         return self.balls[v]
 
     def coverer_list(self, v: int) -> list[int]:
+        self._check_vertex(v)
         return list(self.coverers[v])
 
     def search(self, size: int,

@@ -142,6 +142,11 @@ def resolve_limits(args, config: dict) -> OracleLimits:
         raise UsageError("oracle_budget must be an integer")
     if not _is_int(max_n):
         raise UsageError("oracle_max_n must be an integer")
+    # OracleLimits reads a negative budget as 'oracle off', the kernels as
+    # 'unlimited'; neither is documented, so refuse it
+    for key, value in (("oracle_budget", budget), ("oracle_max_n", max_n)):
+        if value is not None and value < 0:
+            raise UsageError(f"{key} must be >= 0, got {value}")
     if max_n > DEFAULT_TABLE_CEILING:
         raise UsageError(f"oracle_max_n must be at most the coverage table "
                          f"ceiling {DEFAULT_TABLE_CEILING}, got {max_n}")
@@ -173,8 +178,12 @@ def _resolve_ranges(args, config: dict, defaults: dict) -> dict:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(
+                f"cannot write --out {out_path}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 

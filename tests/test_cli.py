@@ -100,6 +100,15 @@ class TestGamma:
         assert out == ""
         assert json.loads(target.read_text())["n"] == 8
 
+    def test_unwritable_out_file_is_usage_error(self, tmp_path):
+        # exit 1 would read as an invalid set or a counterexample
+        target = tmp_path / "missing" / "row.txt"
+        code, out, err = run_cli("gamma", "--family", "debruijn",
+                                 "-n", "40", "-d", "3", "-k", "3",
+                                 "--out", str(target))
+        assert code == EXIT_USAGE
+        assert str(target) in err and out == ""
+
 
 class TestUsageErrors:
     BAD = [
@@ -270,6 +279,19 @@ class TestConfig:
         assert str(DEFAULT_TABLE_CEILING) in err and out == ""
         code, _, _ = run_cli(*argv, str(DEFAULT_TABLE_CEILING))
         assert code == EXIT_BRACKET
+
+    @pytest.mark.parametrize("key", ["oracle_budget", "oracle_max_n"])
+    def test_negative_limits_rejected(self, tmp_path, key):
+        # a negative budget used to switch the oracle off without a word
+        argv = ("gamma", "--family", "kautz", "-n", "31", "-d", "2", "-k", "2")
+        code, out, err = run_cli(*argv, "--" + key.replace("_", "-"), "-5")
+        assert code == EXIT_USAGE
+        assert key in err and out == ""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: -5}))
+        code, out, err = run_cli(*argv, "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert key in err and out == ""
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

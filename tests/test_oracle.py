@@ -1,8 +1,12 @@
 """Exhaustive search oracle: tables, fixed-size decisions, minimums."""
 
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +19,44 @@ from dbkdom.oracle import (ABSENT, FOUND, INCONCLUSIVE, CoverageTable,
                            coverage_table, exists_dominating_of_size,
                            kernel_backend, min_dominating)
 
-try:
-    from dbkdom import _cover_ext
-except ImportError:
-    _cover_ext = None
+ROOT = Path(__file__).resolve().parents[1]
 
-needs_ext = pytest.mark.skipif(_cover_ext is None,
-                               reason="compiled kernel not built")
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The compiled kernel, built from this checkout into a temp dir.
+
+    Skips only when there is no C compiler.  setup.py turns a failed build
+    into a warning so that installs fall back to the pure kernel; here a
+    compiler without a module is a failure, shown with the build output.
+    """
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"C compiler {cc!r} not on PATH")
+    out = tmp_path_factory.mktemp("cover_ext")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out)],
+        cwd=ROOT, capture_output=True, text=True)
+    path = out / "dbkdom" / ("_cover_ext"
+                             + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not path.exists():
+        pytest.fail(f"{cc} is on PATH but setup.py built no {path.name}:\n"
+                    f"{build.stdout}\n{build.stderr}", pytrace=False)
+    # loaded from its path: sys.modules and src/ are left alone
+    spec = importlib.util.spec_from_file_location("dbkdom._cover_ext", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND == "compiled"
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def kernel(request):
+    """Each kernel module in turn."""
+    if request.param == "pure":
+        return _cover_py
+    return request.getfixturevalue("compiled")
 
 
 class TestCoverageTable:
@@ -193,47 +228,59 @@ class TestKernelParity:
     """The pure and compiled kernels run the same algorithm; their outputs
     must be indistinguishable, node counts included."""
 
+    # n = 63..129 span one to three 64-bit words in the compiled bitsets
     GRID = [(f, n, d, k)
             for f in (0, 1)
-            for n in (2, 3, 7, 12, 23, 31, 40, 55)
+            for n in (2, 3, 7, 12, 23, 31, 40, 55, 63, 64, 65, 129)
             for d in (2, 3, 5)
             for k in (1, 2, 3)
             if n >= d]
 
-    @needs_ext
-    def test_tables_identical(self):
+    def test_tables_identical(self, compiled):
         for f, n, d, k in self.GRID:
             pure = _cover_py.KernelTable(f, n, d, k)
-            fast = _cover_ext.KernelTable(f, n, d, k)
+            fast = compiled.KernelTable(f, n, d, k)
             assert pure.max_ball == fast.max_ball
             for v in range(n):
                 assert pure.ball_mask(v) == fast.ball_mask(v), (f, n, d, k, v)
                 assert pure.coverer_list(v) == list(fast.coverer_list(v))
 
-    @needs_ext
-    def test_searches_identical(self):
+    def test_searches_identical(self, compiled):
         for f, n, d, k in self.GRID:
             pure = _cover_py.KernelTable(f, n, d, k)
-            fast = _cover_ext.KernelTable(f, n, d, k)
+            fast = compiled.KernelTable(f, n, d, k)
             cap = min(n, 8)
             for size in range(cap + 1):
-                ps, pw, pn = pure.search(size)
-                fs, fw, fn = fast.search(size)
-                assert (ps, pn) == (fs, fn), (f, n, d, k, size)
-                assert (pw is None) == (fw is None)
-                if pw is not None:
-                    assert list(pw) == list(fw)
+                for budget in (None, 1, 50):
+                    ps, pw, pn = pure.search(size, budget)
+                    fs, fw, fn = fast.search(size, budget)
+                    assert (ps, pn) == (fs, fn), (f, n, d, k, size, budget)
+                    assert (pw is None) == (fw is None)
+                    if pw is not None:
+                        assert list(pw) == list(fw)
 
-    @needs_ext
-    def test_budgeted_searches_identical(self):
+    def test_budgeted_searches_identical(self, compiled):
         for budget in (1, 2, 5, 50, 1000):
             pure = _cover_py.KernelTable(1, 31, 2, 2)
-            fast = _cover_ext.KernelTable(1, 31, 2, 2)
+            fast = compiled.KernelTable(1, 31, 2, 2)
             ps, pw, pn = pure.search(5, budget)
             fs, fw, fn = fast.search(5, budget)
             assert (ps, pn) == (fs, fn)
             if pw is not None:
                 assert list(pw) == list(fw)
+
+    @pytest.mark.parametrize("args", [(0, 3, 5, 1), (1, 2, 4000, 1)])
+    def test_degree_above_order_rejected(self, kernel, args):
+        with pytest.raises(ValueError, match="d <= n"):
+            kernel.KernelTable(*args)
+
+    def test_vertex_out_of_range_rejected(self, kernel):
+        table = kernel.KernelTable(0, 10, 2, 1)
+        for v in (-1, 10):
+            with pytest.raises(ValueError, match="out of range"):
+                table.ball_mask(v)
+            with pytest.raises(ValueError, match="out of range"):
+                table.coverer_list(v)
 
 
 class TestBackendSelection:
