@@ -1,0 +1,70 @@
+"""Time `dbkdom gamma` against the order n, in fresh processes.
+
+Each run starts a new interpreter, so the time includes the process start
+and the import, as a user of the command pays them.  Both families run at
+d=3, k=3 for n = 10**3 .. 10**7; the package comes from `src/` of the
+checkout holding this script.  Run from anywhere:
+
+    python benchmarks/bench_gamma.py [--repeat N] [--max-n N]
+
+Each row gives the fastest of the repeats and the row `gamma` printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+FAMILIES = ("debruijn", "kautz")
+ORDERS = [10 ** e for e in range(3, 8)]
+D, K = 3, 3
+
+
+def run_gamma(family: str, n: int) -> tuple[float, dict]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable, "-m", "dbkdom.cli", "gamma", "--family", family,
+           "-n", str(n), "-d", str(D), "-k", str(K), "--format", "json"]
+    started = time.perf_counter()
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - started
+    # a bracket exits non-zero by contract, so only a missing row is a failure
+    if proc.stdout.strip() == "":
+        raise RuntimeError(f"{' '.join(cmd)} failed:\n{proc.stderr}")
+    return elapsed, json.loads(proc.stdout)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="runs per row; the fastest is reported")
+    parser.add_argument("--max-n", type=int, default=ORDERS[-1],
+                        help="skip orders above this")
+    args = parser.parse_args()
+
+    print(f"dbkdom gamma, d={D} k={K}, fastest of {args.repeat} fresh "
+          f"processes, python {sys.version.split()[0]}")
+    print(f"{'family':<9} {'n':>9} {'seconds':>8}  {'method':<12} value")
+    for family in FAMILIES:
+        for n in ORDERS:
+            if n > args.max_n:
+                continue
+            times = []
+            for _ in range(args.repeat):
+                elapsed, row = run_gamma(family, n)
+                times.append(elapsed)
+            value = (row["gamma"] if row["gamma"] is not None
+                     else "bracket {}..{}".format(*row["bracket"]))
+            print(f"{family:<9} {n:>9} {min(times):>8.3f}  "
+                  f"{row['method']:<12} {value}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -11,20 +11,28 @@ vertex is always a run of d consecutive residues, and the image of a run is
 again a run, which is what makes closed-form neighborhood iteration possible.
 The interval route (ModInterval arithmetic) and the set route (explicit
 member expansion) are implemented separately on purpose; tests adjudicate
-that they agree.
+that they agree.  The set route spreads every member v at once: it parses
+the membership bits in base 2**d (past int()'s base 36, the bits joined by
+d-1 zeros in base 2), which puts v's bit at position d*v, multiplies by
+2**d - 1 to fill the slots d*v .. d*v+d-1 of the arc formula, and folds
+that (d*n)-bit integer mod n in d chunks of n bits.  Each step is linear
+in n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .modular import ModInterval, mod_interval, run_mask
+from .modular import ModInterval
 
 DEBRUIJN = "debruijn"
 KAUTZ = "kautz"
 FAMILIES = (DEBRUIJN, KAUTZ)
 
 EXPORT_GUARD = 10 ** 7  # refuse to materialize more than this many arcs
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class VertexSet:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"ground set size must be >= 1, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
+        if self.mask < 0 or self.mask.bit_length() > self.n:
             raise ValueError("mask has bits outside [0, n)")
 
     @classmethod
@@ -94,11 +102,9 @@ class VertexSet:
         return self.mask.bit_count()
 
     def __iter__(self):
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        # one byte per vertex, lowest vertex first, each 0 or 1
+        flags = format(self.mask, "b").encode()[::-1].translate(_BIT_BYTES)
+        return compress(range(self.n), flags)
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         if self.n != other.n:
@@ -179,22 +185,28 @@ def set_out_neighborhood(g: GeneralizedDigraph, s: VertexSet) -> VertexSet:
     """Image of an arbitrary vertex set: the union of members' out-runs.
 
     This is the reference expansion route.  It never consults the interval
-    arithmetic above, so the two can be checked against each other.
+    arithmetic above, so the two can be checked against each other.  Every
+    member is expanded from the de Bruijn arc formula x -> d*x + i; a Kautz
+    vertex v steps like the de Bruijn vertex n-1-v with slot d-i, so the
+    Kautz set is reflected first.
     """
     if s.n != g.n:
         raise ValueError(f"ground set mismatch: {s.n} != {g.n}")
     n, d = g.n, g.d
-    debruijn = g.family == DEBRUIJN
-    width = min(n, d)
+    bits = format(s.mask, f"0{n}b")  # vertex n-1 first
+    if g.family == KAUTZ:
+        bits = bits[::-1]
+    if 1 << d <= 36:  # int() accepts bases up to 36
+        spread = int(bits, 1 << d)
+    else:
+        spread = int(("0" * (d - 1)).join(bits), 2)
+    spread *= (1 << d) - 1  # bit d*v -> bits d*v .. d*v + d - 1
+    full = (1 << n) - 1
     mask = 0
-    rest = s.mask
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        start = (d * v) % n if debruijn else (-d * v - d) % n
-        mask |= run_mask(start, width, n)
-        rest ^= low
-    return VertexSet(g.n, mask)
+    while spread:
+        mask |= spread & full
+        spread >>= n
+    return VertexSet(n, mask)
 
 
 def ball(g: GeneralizedDigraph, s: VertexSet, k: int) -> Ball:

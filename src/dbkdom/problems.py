@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .construct import GammaResult, classify
 from .digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, VertexSet
-from .domination import verify
+from .domination import DominationCertificate
 from .oracle import DEFAULT_LIMITS, OracleLimits
 
 PROBLEM_DEBRUIJN = "debruijn-necessity"
@@ -27,13 +27,16 @@ COUNTEREXAMPLE = "counterexample"
 INCONCLUSIVE_VERDICT = "inconclusive"
 
 
-def _certificate(g: GeneralizedDigraph, dset: VertexSet, k: int) -> dict:
-    cert = verify(g, dset, k)
-    if not cert.valid:
-        raise RuntimeError(
-            f"claimed witness failed verification on {g} k={k}; "
-            "refusing to report an unverified counterexample")
-    return cert.to_dict()
+def _certificate(result: GammaResult) -> dict:
+    """The certificate of an exact result's witness.
+
+    ``classify`` returns a witness only after ``verify`` accepted it (a
+    construction run or an oracle cover), so it is not checked again.
+    """
+    g = result.graph
+    return DominationCertificate(
+        graph=g, dset=result.witness, k=result.k, valid=True,
+        uncovered=VertexSet(g.n)).to_dict()
 
 
 def _classified(family: str, ns: list[int], ds: list[int], ks: list[int],
@@ -56,7 +59,7 @@ def _row(result: GammaResult, bound: str, condition: bool,
            bound: getattr(result, bound), "condition": condition,
            "gamma": gamma, "verdict": verdict}
     if verdict == COUNTEREXAMPLE:
-        row["certificate"] = _certificate(g, result.witness, result.k)
+        row["certificate"] = _certificate(result)
     return row
 
 

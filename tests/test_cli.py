@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import dbkdom
+from dbkdom import domination, problems
 from dbkdom.cli import (CSV_COLUMNS, EXIT_BRACKET, EXIT_INCONCLUSIVE,
                         EXIT_INVALID, EXIT_OK, EXIT_USAGE, main)
+from dbkdom.construct import classify
+from dbkdom.digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph
 from dbkdom.oracle import DEFAULT_TABLE_CEILING
 
 
@@ -345,6 +348,34 @@ class TestProblems:
         report = json.loads(out)
         assert report["counts"]["counterexample"] == 0
         assert report["counts"]["inconclusive"] >= 1
+
+    @pytest.mark.parametrize("report, family, ns, ds, ks", [
+        (problems.debruijn_necessity_report, DEBRUIJN,
+         list(range(2, 13)), [2, 3], [2]),
+        (problems.kautz_upper_report, KAUTZ, [31], [2], [2]),
+    ], ids=problems.PROBLEMS)
+    def test_counterexamples_not_verified_again(self, monkeypatch, report,
+                                                family, ns, ds, ks):
+        # verify expands one ball per call through this module global, so
+        # counting ball calls counts verify calls from every caller
+        calls = []
+        original = domination.ball
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(domination, "ball", counting)
+        payload = report(ns, ds, ks)
+        in_report = len(calls)
+        calls.clear()
+        for n in ns:
+            for d in ds:
+                for k in ks:
+                    if n >= d:
+                        classify(GeneralizedDigraph(family, n, d), k)
+        assert payload["counts"]["counterexample"] >= 1
+        assert in_report == len(calls)
 
     def test_table_format_lists_counterexamples(self):
         code, out, _ = run_cli("problems", "--problem", "kautz-upper",

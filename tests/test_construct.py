@@ -363,6 +363,25 @@ class TestClassify:
         assert result.method == "congruence"
         assert len(calls) == 1
 
+    def test_congruence_run_at_a_million(self, monkeypatch):
+        # n = 10**6, d = 3, k = 3: L = ceil(n / 40) = 25000, gcd(d-1, n) = 2
+        # divides L, so h = 0 and the smallest x with 2x == L (mod n) is 12500
+        calls = []
+        original = construct.verify
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(construct, "verify", counting)
+        n = 10 ** 6
+        result = classify(GeneralizedDigraph.debruijn(n, 3), 3)
+        assert result.gamma == 25000
+        assert result.method == "congruence"
+        assert result.witness == VertexSet.from_interval(
+            mod_interval(12500, 12500 + 25000 - 1, n))
+        assert len(calls) == 1
+
     def test_oracle_decides_upper_value(self):
         # no condition fires and no size-1 set exists, so the anchor run
         # of length lower+1 becomes the witness

@@ -1,5 +1,7 @@
 """Digraph families: arc rules, interval images, reference expansion."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,14 @@ class TestVertexSet:
             VertexSet.from_members(5, [5])
         with pytest.raises(ValueError):
             VertexSet.from_members(5, [-1])
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 65, 1000])
+    def test_mask_range_checked(self, n):
+        assert VertexSet(n, 0).is_empty()
+        assert VertexSet(n, (1 << n) - 1).is_full()
+        for mask in (1 << n, -1):
+            with pytest.raises(ValueError, match="outside"):
+                VertexSet(n, mask)
 
 
 class TestOutNeighbors:
@@ -212,6 +222,43 @@ class TestSetImage:
         members = data.draw(st.sets(st.integers(0, n - 1)))
         got = set_out_neighborhood(g, VertexSet.from_members(n, members))
         assert set(got.members()) == naive_image(family, n, d, members)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_reference_across_word_edges(self, family, d):
+        # d >= 6 exceeds int()'s base limit and takes the binary spread;
+        # the orders straddle the 64-bit word edges
+        rng = random.Random(d)
+        for n in sorted({d, d + 1, 63, 64, 65, 127, 128, 129, 200}):
+            g = GeneralizedDigraph(family=family, n=n, d=d)
+            for members in _sample_sets(n, rng):
+                got = set_out_neighborhood(
+                    g, VertexSet.from_members(n, members))
+                assert set(got) == naive_image(family, n, d, members), \
+                    (n, sorted(members))
+
+
+def _sample_sets(n, rng):
+    """Empty, full, the end singletons, a random singleton and random sets
+    of a few densities, over the ground set range(n)."""
+    yield set()
+    yield set(range(n))
+    yield {0}
+    yield {n - 1}
+    yield {rng.randrange(n)}
+    for density in (0.05, 0.3, 0.7):
+        yield {v for v in range(n) if rng.random() < density}
+
+
+class TestMembers:
+    @pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 128, 129, 200])
+    def test_matches_per_bit_test(self, n):
+        rng = random.Random(n)
+        for members in _sample_sets(n, rng):
+            s = VertexSet.from_members(n, members)
+            expected = [v for v in range(n) if (s.mask >> v) & 1]
+            assert s.members() == expected
+            assert list(iter(s)) == expected
 
 
 class TestBall:
