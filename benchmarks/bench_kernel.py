@@ -1,84 +1,155 @@
-"""Benchmark the pure-Python search kernel against the compiled one.
+"""Time the pure and compiled search kernels, table build and search apart.
 
-Both kernels implement the identical branch-and-bound algorithm, so the
-comparison is apples to apples: same tables, same node counts, same
-witnesses.  Run from the repository root:
+The two kernels return the same tables and the same (status, witness,
+nodes) for every search, so each case does the same work on both; the
+script checks that and stops on any difference.  Each case builds one
+coverage table and, unless it is table-only, runs one search on it.
 
-    python benchmarks/bench_kernel.py [--repeat N]
+    python benchmarks/bench_kernel.py [--repeat N] [--src LABEL=DIR ...]
 
-The compiled block is skipped (with a note) when the extension is not
-built.
+Each ``--src`` names a directory holding a ``dbkdom`` package (default:
+``current=src`` of the checkout holding this script).  Give it more than
+once to compare checkouts: the runs are interleaved repeat by repeat, so a
+slow phase of the machine hits every checkout alike.  A compiled kernel is
+timed when its extension is built in that directory.  The fastest of the
+repeats is printed and written to ``BENCH_kernel.json`` at the root of this
+checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import json
+import os
+import platform
+import sysconfig
 import time
+from pathlib import Path
 
-from dbkdom import _cover_py
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "BENCH_kernel.json"
 
-try:
-    from dbkdom import _cover_ext
-except ImportError:
-    _cover_ext = None
-
-# (family code, n, d, k, size): decision problems of increasing difficulty,
-# from a root-level prune to searches in the tens of thousands of nodes.
-# Family codes follow the kernel convention 0 = de Bruijn, 1 = Kautz.
+# (label, family code, n, d, k, size): decision problems of increasing
+# difficulty, from a root-level prune to searches in the tens of thousands
+# of nodes, then table-only builds (size None) at the oracle's table
+# ceiling.  Family codes follow the kernel convention 0 = de Bruijn,
+# 1 = Kautz.
 CASES = [
-    ("debruijn n=40 d=3 k=3 size=1 (pruned)", (0, 40, 3, 3, 1)),
-    ("debruijn n=59 d=2 k=2 size=9 (found)", (0, 59, 2, 2, 9)),
-    ("kautz    n=55 d=2 k=2 size=8 (absent)", (1, 55, 2, 2, 8)),
-    ("debruijn n=110 d=3 k=3 size=4 (found)", (0, 110, 3, 3, 4)),
-    ("debruijn n=230 d=3 k=2 size=18 (found)", (0, 230, 3, 2, 18)),
-    ("kautz    n=150 d=2 k=3 size=10 (absent)", (1, 150, 2, 3, 10)),
+    ("debruijn n=40 d=3 k=3 size=1 (pruned)", 0, 40, 3, 3, 1),
+    ("debruijn n=59 d=2 k=2 size=9 (found)", 0, 59, 2, 2, 9),
+    ("kautz    n=55 d=2 k=2 size=8 (absent)", 1, 55, 2, 2, 8),
+    ("debruijn n=110 d=3 k=3 size=4 (found)", 0, 110, 3, 3, 4),
+    ("debruijn n=230 d=3 k=2 size=18 (found)", 0, 230, 3, 2, 18),
+    ("kautz    n=150 d=2 k=3 size=10 (absent)", 1, 150, 2, 3, 10),
+    ("debruijn n=5000 d=2 k=2 (table only)", 0, 5000, 2, 2, None),
+    ("kautz    n=5000 d=2 k=2 (table only)", 1, 5000, 2, 2, None),
+    ("debruijn n=5000 d=5 k=4 (table only)", 0, 5000, 5, 4, None),
+    ("kautz    n=5000 d=5 k=4 (table only)", 1, 5000, 5, 4, None),
 ]
 
 
-def run_case(module, case, repeat):
-    code, n, d, k, size = case
+def load_kernels(src: Path) -> list:
+    """The kernel modules of the package in ``src``, loaded from their
+    files so that several checkouts can be timed in one process."""
+    package = src / "dbkdom"
+    files = [package / "_cover_py.py",
+             package / ("_cover_ext" + sysconfig.get_config_var("EXT_SUFFIX"))]
+    modules = []
+    for path in files:
+        if path.exists():
+            spec = importlib.util.spec_from_file_location(
+                f"dbkdom.{path.name.split('.')[0]}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            modules.append(module)
+    if not modules:
+        raise SystemExit(f"no kernel found in {package}")
+    return modules
+
+
+def run_once(module, case):
+    """Build and search seconds, the table and the search outcome as
+    (status, witness list, nodes), or None for a table-only case."""
+    _, code, n, d, k, size = case
     family = module.DEBRUIJN if code == 0 else module.KAUTZ
-    best = None
-    outcome = None
-    for _ in range(repeat):
-        started = time.perf_counter()
-        table = module.KernelTable(family, n, d, k)
-        outcome = table.search(size)
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best, outcome
+    started = time.perf_counter()
+    table = module.KernelTable(family, n, d, k)
+    built = time.perf_counter()
+    outcome = None if size is None else table.search(size)
+    searched = time.perf_counter()
+    if outcome is not None:
+        status, witness, nodes = outcome
+        outcome = (status, None if witness is None else list(witness), nodes)
+    return built - started, searched - built, table, outcome
+
+
+def same_table(a, b, n: int) -> bool:
+    return a.max_ball == b.max_ball and all(
+        a.ball_mask(v) == b.ball_mask(v)
+        and list(a.coverer_list(v)) == list(b.coverer_list(v))
+        for v in range(n))
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3,
-                        help="timed repetitions per case (best is kept)")
+                        help="timed repetitions per case (fastest is kept)")
+    parser.add_argument("--src", action="append", metavar="LABEL=DIR",
+                        help="time the kernels of the package in DIR under "
+                             "LABEL; repeat to compare checkouts")
     args = parser.parse_args()
 
-    print(f"pure kernel:     {_cover_py.BACKEND}")
-    if _cover_ext is None:
-        print("compiled kernel: NOT BUILT (pure timings only)")
-    else:
-        print(f"compiled kernel: {_cover_ext.BACKEND}")
-    print()
-    header = f"{'case':44} {'pure':>10} {'compiled':>10} {'speedup':>8}  nodes"
+    runs = {}
+    for spec in args.src or [f"current={ROOT / 'src'}"]:
+        label, _, directory = spec.partition("=")
+        runs[label] = load_kernels(Path(directory))
+
+    header = (f"{'case':42} {'run':>14} {'kernel':>8} {'build':>10} "
+              f"{'search':>10} {'nodes':>7}")
     print(header)
     print("-" * len(header))
+    rows = {label: [] for label in runs}
+    for case in CASES:
+        label, n, size = case[0], case[2], case[5]
+        builds, searches, nodes = {}, {}, None
+        first = None  # the first (table, outcome), which all must match
+        for repeat in range(args.repeat):
+            for run, modules in runs.items():
+                for module in modules:
+                    key = (run, module.BACKEND)
+                    build, search, table, outcome = run_once(module, case)
+                    builds[key] = min(builds.get(key, build), build)
+                    searches[key] = min(searches.get(key, search), search)
+                    if first is None:
+                        first = (table, outcome)
+                        nodes = None if outcome is None else outcome[2]
+                    if outcome != first[1] or (
+                            repeat == 0 and not same_table(table, first[0], n)):
+                        raise SystemExit(f"{run} {module.BACKEND} kernel "
+                                         f"differs on {label}")
+        for (run, backend), build in builds.items():
+            search = None if size is None else searches[run, backend]
+            rows[run].append({
+                "case": label, "kernel": backend,
+                "build_ms": round(build * 1000, 3),
+                "search_ms": None if search is None
+                else round(search * 1000, 3),
+                "nodes": nodes})
+            search_text = "-" if search is None else f"{search * 1000:.2f}ms"
+            print(f"{label:42} {run:>14} {backend:>8} {build * 1000:8.2f}ms "
+                  f"{search_text:>10} {'-' if nodes is None else nodes:>7}",
+                  flush=True)
 
-    for label, case in CASES:
-        pure_t, pure_out = run_case(_cover_py, case, args.repeat)
-        if _cover_ext is None:
-            print(f"{label:44} {pure_t * 1000:9.2f}ms {'-':>10} {'-':>8}  "
-                  f"{pure_out[2]}")
-            continue
-        ext_t, ext_out = run_case(_cover_ext, case, args.repeat)
-        if (pure_out[0], pure_out[1], pure_out[2]) != \
-                (ext_out[0], ext_out[1], ext_out[2]):
-            raise SystemExit(
-                f"kernel mismatch on {label}: pure={pure_out} ext={ext_out}")
-        speedup = pure_t / ext_t if ext_t > 0 else float("inf")
-        print(f"{label:44} {pure_t * 1000:9.2f}ms {ext_t * 1000:9.2f}ms "
-              f"{speedup:7.1f}x  {ext_out[2]}")
+    OUT.write_text(json.dumps({
+        "script": "benchmarks/bench_kernel.py",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "repeat": args.repeat,
+        "runs": rows,
+    }, indent=1) + "\n")
+    print(f"\nwrote {OUT.name}")
 
 
 if __name__ == "__main__":

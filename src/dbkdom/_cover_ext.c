@@ -1,9 +1,9 @@
 /* Compiled cover-search kernel.
  *
- * Mirror of _cover_py: same ball expansion, same coverer transpose, same
- * branching order and node accounting, so both backends return identical
- * (status, witness, nodes) triples.  Keep the two in lockstep when changing
- * either.
+ * Returns what _cover_py returns: identical tables (balls, coverers,
+ * max_ball) and, for every search, the identical (status, witness, nodes),
+ * from the same branching order, pruning and node accounting.  How each
+ * step is computed is each kernel's own; the parity tests pin the outputs.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
  * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat).

@@ -2,10 +2,11 @@
 
 Builds radius-k coverage bitmasks for every vertex of a formula-defined
 digraph and runs an exhaustive branch and bound search for a dominating set
-of a given size.  The compiled kernel in _cover_ext mirrors this module
-operation for operation (same expansion, same branching order, same node
-accounting), so the two backends return identical answers and can be
-cross-checked; keep them in lockstep when changing either.
+of a given size.  The compiled kernel in _cover_ext returns the same tables
+(balls, coverers, max_ball) and, for every search, the same (status,
+witness, nodes): the same branching order, pruning and node accounting.
+How each step is computed is each kernel's own affair; the outputs are the
+contract, and the parity tests pin them.
 """
 
 from __future__ import annotations
@@ -31,61 +32,68 @@ class KernelTable:
         if n < 1 or d < 1 or k < 0:
             raise ValueError("need n >= 1, d >= 1, k >= 0")
         if d > n:
-            # the ring step below wraps base + i with a single subtraction
+            # kept in step with the compiled kernel, which needs d <= n
             raise ValueError(f"need d <= n, got n={n}, d={d}")
         self.family = family
         self.n = n
         self.d = d
         self.k = k
-        self.balls = self._build_balls()
+        self.balls, self.coverers = self._build()
         self.max_ball = max(m.bit_count() for m in self.balls)
-        self.coverers = self._build_coverers()
+        self._bits = [1 << u for u in range(n)]
 
-    def _build_balls(self) -> list[int]:
-        # breadth-first by distance; each vertex is enqueued at most once
-        family, n, d, k = self.family, self.n, self.d, self.k
+    def _spans(self, v: int) -> list[tuple[int, int]]:
+        """Ball of v as sorted, disjoint, non-adjacent ranges [a, b).
+
+        Layer j of the ball (the vertices at walk length exactly j) is one
+        cyclic run.  de Bruijn: start d**j * v, length d**j.  Kautz: the
+        out-arcs of a run [s, s+m) fill [-d*(s+m), -d*s), so layer j+1
+        starts at -d*(start_j + len_j) and has length d * len_j.
+        """
+        family, n, d = self.family, self.n, self.d
+        runs = []
+        start, length = v, 1
+        for _ in range(self.k + 1):
+            if length >= n:
+                return [(0, n)]
+            end = start + length
+            if end <= n:
+                runs.append((start, end))
+            else:
+                runs.append((start, n))
+                runs.append((0, end - n))
+            if family == DEBRUIJN:
+                start = start * d % n
+            else:
+                start = -d * end % n
+            length *= d
+        runs.sort()
+        merged = [runs[0]]
+        for a, b in runs[1:]:
+            last_a, last_b = merged[-1]
+            if a <= last_b:
+                if b > last_b:
+                    merged[-1] = (last_a, b)
+            else:
+                merged.append((a, b))
+        return merged
+
+    def _build(self) -> tuple[list[int], list[list[int]]]:
+        # balls[v] is the OR of v's layer runs; coverers[y] lists the v with
+        # y in ball(v), ascending because v ascends and the ranges of one
+        # ball are disjoint
+        n = self.n
         balls = []
-        seen = bytearray(n)
+        coverers: list[list[int]] = [[] for _ in range(n)]
+        appends = [c.append for c in coverers]
         for v in range(n):
-            queue = [v]
-            seen[v] = 1
-            mask = 1 << v
-            head = 0
-            for _ in range(k):
-                tail = len(queue)
-                if head == tail:
-                    break
-                while head < tail:
-                    u = queue[head]
-                    head += 1
-                    if family == DEBRUIJN:
-                        base = (d * u) % n
-                    else:
-                        base = (-d * u - d) % n
-                    for i in range(d):
-                        y = base + i
-                        if y >= n:
-                            y -= n
-                        if not seen[y]:
-                            seen[y] = 1
-                            mask |= 1 << y
-                            queue.append(y)
+            mask = 0
+            for a, b in self._spans(v):
+                mask |= ((1 << (b - a)) - 1) << a
+                for add in appends[a:b]:
+                    add(v)
             balls.append(mask)
-            for u in queue:
-                seen[u] = 0
-        return balls
-
-    def _build_coverers(self) -> list[list[int]]:
-        # transpose of the ball table: coverers[v] lists u with v in ball(u),
-        # ascending because u ascends
-        coverers: list[list[int]] = [[] for _ in range(self.n)]
-        for u, mask in enumerate(self.balls):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                coverers[low.bit_length() - 1].append(u)
-                rest ^= low
-        return coverers
+        return balls, coverers
 
     def _check_vertex(self, v: int) -> None:
         # a negative v would otherwise index from the end
@@ -106,9 +114,15 @@ class KernelTable:
 
         Branches on the lowest uncovered vertex over its coverers in
         ascending order; coverers already tried at a node are banned in the
-        sibling subtrees, so no subset is explored twice.  Returns
+        sibling subtrees, so no subset is explored twice.  Every child is a
+        node: it is counted and the budget checked; a child that covers
+        everything ends the search; a child with picks left whose counting
+        bound (each pick covers at most max_ball vertices) still allows a
+        cover is expanded; any other child is a leaf, tested in place
+        without a call of its own.  Returns
         (status, witness, nodes) where the witness is the first cover found
-        by this fixed order (ascending members), or None.
+        by this fixed order (ascending members), or None.  A negative
+        ``max_nodes`` means no budget, like None.
         """
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
@@ -117,40 +131,51 @@ class KernelTable:
         balls = self.balls
         coverers = self.coverers
         max_ball = self.max_ball
-        budget = -1 if max_nodes is None else max_nodes
-        nodes = 0
+        bits = self._bits
+        unlimited = max_nodes is None or max_nodes < 0
+        # past 2**64 nodes the second test keeps an unlimited search going
+        cap = 1 << 64 if unlimited else max_nodes
+        nodes = 1  # the root
         chosen: list[int] = []
 
+        def expand(covered: int, banned: int, remaining: int) -> int:
+            # covered is short of full, remaining >= 1 and the counting
+            # bound holds: test every child in place, recurse into the rest
+            nonlocal nodes
+            v = (~covered & (covered + 1)).bit_length() - 1
+            left = remaining - 1
+            # the counting bound: with `left` picks to go a child needs this
+            # many covered vertices; a full child always has them, and with
+            # no picks left only a full child does
+            need = n - left * max_ball
+            for u in coverers[v]:
+                bit = bits[u]
+                if banned & bit:
+                    continue
+                nodes += 1
+                if nodes > cap and not unlimited:
+                    return INCONCLUSIVE
+                child = covered | balls[u]
+                banned |= bit
+                if child.bit_count() >= need:
+                    chosen.append(u)
+                    if child == full:
+                        return FOUND
+                    status = expand(child, banned, left)
+                    if status != ABSENT:
+                        return status
+                    chosen.pop()
+            return ABSENT
+
+        if cap < 1:
+            return INCONCLUSIVE, None, nodes
+        if size == 0 or size * max_ball < n:
+            return ABSENT, None, nodes
         limit = sys.getrecursionlimit()
         if size + 100 > limit:
             sys.setrecursionlimit(size + 200)
-
-        def dfs(covered: int, banned: int, remaining: int) -> int:
-            nonlocal nodes
-            nodes += 1
-            if 0 <= budget < nodes:
-                return INCONCLUSIVE
-            if covered == full:
-                return FOUND
-            if remaining == 0:
-                return ABSENT
-            if remaining * max_ball < n - covered.bit_count():
-                return ABSENT
-            low = (~covered & full)
-            v = (low & -low).bit_length() - 1
-            for u in coverers[v]:
-                if (banned >> u) & 1:
-                    continue
-                chosen.append(u)
-                r = dfs(covered | balls[u], banned | (1 << u), remaining - 1)
-                if r != ABSENT:
-                    return r
-                chosen.pop()
-                banned |= 1 << u
-            return ABSENT
-
         try:
-            status = dfs(0, 0, size)
+            status = expand(0, 0, size)
         finally:
             sys.setrecursionlimit(limit)
         if status == FOUND:

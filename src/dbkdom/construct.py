@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet
 from .domination import Bounds, bounds, verify
-from .modular import (ModInterval, ceil_div, geometric_sum, mod_interval,
+from .modular import (ModInterval, ceil_div, geometric_sum,
                       solve_linear_congruence)
 from .oracle import (ABSENT, DEFAULT_LIMITS, FOUND, OracleLimits,
                      coverage_table, exists_dominating_of_size,
@@ -146,18 +146,20 @@ def _verified_run(g: GeneralizedDigraph, start: int, length: int,
 def find_anchor(n: int, d: int, k: int) -> AnchorWitness:
     """Smallest vertex x with x + L - (d-2) <= d*x <= x + L (mod n).
 
-    L is the a priori lower bound.  Such a vertex always exists; the scan
-    not finding one would falsify the existence argument this package
-    builds on, hence the loud error.
+    L is the a priori lower bound.  The window holds d*x exactly when
+    (d-1)*x == L - h (mod n) for some h in [0, d-2], so x is the smallest
+    first solution over those offsets; h is unique because the d-1 values
+    L - h are distinct mod n >= d.  Such a vertex always exists (some L - h
+    is a multiple of gcd(d-1, n) <= d-1); none would falsify the existence
+    argument this package builds on, hence the loud error.
     """
     _check_instance(n, d, k)
     lower = ceil_div(n, geometric_sum(d, k))
-    for x in range(n):
-        window = mod_interval(x + lower - (d - 2), x + lower, n)
-        if (d * x) % n in window:
-            h = (x + lower - d * x) % n
-            # membership in the window pins h into [0, d-2]
-            return AnchorWitness(x=x, h=h)
+    firsts = [(xs[0], h) for h in range(d - 1)
+              if (xs := solve_linear_congruence(d - 1, lower - h, n))]
+    if firsts:
+        x, h = min(firsts)
+        return AnchorWitness(x=x, h=h)
     raise ConstructionError(
         f"no anchor vertex exists for n={n} d={d} k={k}; "
         "this contradicts the anchor existence argument")

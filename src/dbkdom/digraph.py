@@ -12,11 +12,11 @@ again a run, which is what makes closed-form neighborhood iteration possible.
 The interval route (ModInterval arithmetic) and the set route (explicit
 member expansion) are implemented separately on purpose; tests adjudicate
 that they agree.  The set route spreads every member v at once: it parses
-the membership bits in base 2**d (past int()'s base 36, the bits joined by
-d-1 zeros in base 2), which puts v's bit at position d*v, multiplies by
-2**d - 1 to fill the slots d*v .. d*v+d-1 of the arc formula, and folds
-that (d*n)-bit integer mod n in d chunks of n bits.  Each step is linear
-in n.
+the membership bits in base 2**d (past int()'s base 36, the bits written
+to every d-th place of a zero bytearray and read in base 2), which puts v's
+bit at position d*v, multiplies by 2**d - 1 to fill the slots
+d*v .. d*v+d-1 of the arc formula, and folds that (d*n)-bit integer mod n
+in d chunks of n bits.  Each step is linear in n.
 """
 
 from __future__ import annotations
@@ -198,8 +198,10 @@ def set_out_neighborhood(g: GeneralizedDigraph, s: VertexSet) -> VertexSet:
         bits = bits[::-1]
     if 1 << d <= 36:  # int() accepts bases up to 36
         spread = int(bits, 1 << d)
-    else:
-        spread = int(("0" * (d - 1)).join(bits), 2)
+    else:  # the same digits, d - 1 zeros apart, in base 2
+        buf = bytearray(b"0") * (d * n - d + 1)
+        buf[::d] = bits.encode()
+        spread = int(buf, 2)
     spread *= (1 << d) - 1  # bit d*v -> bits d*v .. d*v + d - 1
     full = (1 << n) - 1
     mask = 0

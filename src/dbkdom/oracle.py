@@ -9,7 +9,9 @@ inconclusive never is.
 
 The search kernel is compiled when the extension module built, with a pure
 Python fallback selected at import time.  Setting the environment variable
-DBKDOM_PURE to a nonempty value forces the fallback.
+DBKDOM_PURE to a nonempty value forces the fallback.  The two kernels build
+identical tables and return identical (status, witness, nodes) for every
+search, so no answer or node count depends on which one ran.
 """
 
 from __future__ import annotations

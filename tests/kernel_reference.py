@@ -1,0 +1,92 @@
+"""Test-only reference for the pure search kernel.
+
+The straightforward form of what ``_cover_py.KernelTable`` computes: balls
+by breadth-first expansion from the arc formulas, coverers as the transpose
+of the ball table, and a recursive search that makes every node a call of
+its own.  The kernel builds its tables from layer runs and tests leaf
+children in place; both must give the same tables and the same (status,
+witness, nodes) for every search.
+"""
+
+from __future__ import annotations
+
+import sys
+
+DEBRUIJN = 0
+
+FOUND = 0
+ABSENT = 1
+INCONCLUSIVE = 2
+
+
+class ReferenceTable:
+    def __init__(self, family: int, n: int, d: int, k: int):
+        self.n = n
+        self.balls = []
+        self.coverers: list[list[int]] = [[] for _ in range(n)]
+        for v in range(n):
+            members = self._ball(family, n, d, k, v)
+            digits = bytearray(b"0" * n)  # vertex n-1 first
+            for y in members:
+                digits[n - 1 - y] = ord("1")
+                self.coverers[y].append(v)
+            self.balls.append(int(digits, 2))
+        self.max_ball = max(m.bit_count() for m in self.balls)
+
+    @staticmethod
+    def _ball(family: int, n: int, d: int, k: int, v: int) -> set[int]:
+        seen = {v}
+        frontier = [v]
+        for _ in range(k):
+            nxt = []
+            for u in frontier:
+                base = d * u if family == DEBRUIJN else -d * u - d
+                for i in range(d):
+                    y = (base + i) % n
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return seen
+
+    def search(self, size: int, max_nodes: int | None = None):
+        n = self.n
+        full = (1 << n) - 1
+        balls, coverers, max_ball = self.balls, self.coverers, self.max_ball
+        budget = -1 if max_nodes is None else max_nodes
+        nodes = 0
+        chosen: list[int] = []
+
+        def dfs(covered: int, banned: int, remaining: int) -> int:
+            nonlocal nodes
+            nodes += 1
+            if 0 <= budget < nodes:
+                return INCONCLUSIVE
+            if covered == full:
+                return FOUND
+            if remaining == 0:
+                return ABSENT
+            if remaining * max_ball < n - covered.bit_count():
+                return ABSENT
+            low = ~covered & full
+            v = (low & -low).bit_length() - 1
+            for u in coverers[v]:
+                if (banned >> u) & 1:
+                    continue
+                chosen.append(u)
+                r = dfs(covered | balls[u], banned | (1 << u), remaining - 1)
+                if r != ABSENT:
+                    return r
+                chosen.pop()
+                banned |= 1 << u
+            return ABSENT
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, size + 200))
+        try:
+            status = dfs(0, 0, size)
+        finally:
+            sys.setrecursionlimit(limit)
+        if status == FOUND:
+            return FOUND, sorted(chosen), nodes
+        return status, None, nodes

@@ -55,6 +55,17 @@ def first_offset(n, d, k):
     return None
 
 
+def scan_anchor(n, d, k):
+    """Arithmetic reference for the anchor: the first x whose offset
+    h = x + L - d*x (mod n) lies in [0, d-2], found by scanning x."""
+    lower = ceil_div(n, geometric_sum(d, k))
+    for x in range(n):
+        h = (x + lower - d * x) % n
+        if h <= d - 2:
+            return AnchorWitness(x=x, h=h)
+    return None
+
+
 def wide_envelope():
     """d 2..7, k 1..5, d <= n < 3000: the envelope the lemma tests cover."""
     return [(n, d, k) for d in range(2, 8) for k in range(1, 6)
@@ -93,6 +104,10 @@ class TestFindAnchor:
         for x in range(anchor.x):
             earlier = mod_interval(x + lower - (d - 2), x + lower, n)
             assert (d * x) % n not in earlier
+
+    def test_matches_reference_scan_on_wide_envelope(self):
+        for n, d, k in wide_envelope():
+            assert find_anchor(n, d, k) == scan_anchor(n, d, k), (n, d, k)
 
     def test_validation(self):
         with pytest.raises(ValueError):

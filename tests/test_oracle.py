@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import naive_ball, naive_gamma, naive_is_dominating
+from kernel_reference import ReferenceTable
 from dbkdom import _cover_py
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph
 from dbkdom.domination import bounds, verify
@@ -225,8 +226,8 @@ class TestMinDominating:
 
 
 class TestKernelParity:
-    """The pure and compiled kernels run the same algorithm; their outputs
-    must be indistinguishable, node counts included."""
+    """The pure and compiled kernels return identical tables and identical
+    (status, witness, nodes) for every search, node counts included."""
 
     # n = 63..129 span one to three 64-bit words in the compiled bitsets
     GRID = [(f, n, d, k)
@@ -281,6 +282,48 @@ class TestKernelParity:
                 table.ball_mask(v)
             with pytest.raises(ValueError, match="out of range"):
                 table.coverer_list(v)
+
+
+class TestPureKernelReference:
+    """The pure kernel against the test-only reference in kernel_reference:
+    same tables, same (status, witness, nodes).  Needs no compiler, so a
+    node-order slip in the pure kernel shows even where the compiled
+    parity tests skip."""
+
+    @staticmethod
+    def assert_tables_equal(f, n, d, k):
+        pure = _cover_py.KernelTable(f, n, d, k)
+        ref = ReferenceTable(f, n, d, k)
+        assert pure.max_ball == ref.max_ball, (f, n, d, k)
+        assert pure.balls == ref.balls, (f, n, d, k)
+        assert pure.coverers == ref.coverers, (f, n, d, k)
+
+    def test_tables_match(self):
+        for f, n, d, k in TestKernelParity.GRID:
+            self.assert_tables_equal(f, n, d, k)
+
+    @pytest.mark.parametrize("f", [0, 1])
+    @pytest.mark.parametrize("n", [1000, 5000])
+    @pytest.mark.parametrize("d, k", [(2, 2), (5, 4)])
+    def test_large_tables_match(self, f, n, d, k):
+        self.assert_tables_equal(f, n, d, k)
+
+    def test_searches_match(self):
+        # sizes around the lower bound, where the oracle searches; an
+        # unlimited search at n = 129 can take minutes, so there the largest
+        # budget is the benchmark's 20,000 nodes
+        searches = 0
+        for f, n, d, k in TestKernelParity.GRID:
+            pure = _cover_py.KernelTable(f, n, d, k)
+            ref = ReferenceTable(f, n, d, k)
+            lower = ceil_div(n, geometric_sum(d, k))
+            widest = None if n <= 65 else 20_000
+            for size in range(max(0, lower - 1), lower + 3):
+                for budget in (widest, 0, 1, 2, 50):
+                    assert pure.search(size, budget) == \
+                        ref.search(size, budget), (f, n, d, k, size, budget)
+                    searches += 1
+        assert searches == 3960
 
 
 class TestBackendSelection:
