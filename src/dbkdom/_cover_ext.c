@@ -160,12 +160,13 @@ static PyObject *KernelTable_new(PyTypeObject *type, PyObject *args,
 /* Vertex argument of ball_mask/coverer_list, or -1 with an exception. */
 static int vertex_arg(const KernelTable *self, PyObject *arg)
 {
-    long v = PyLong_AsLong(arg);
+    int overflow;
+    long v = PyLong_AsLongAndOverflow(arg, &overflow);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    if (v < 0 || v >= self->n) {
-        PyErr_Format(PyExc_ValueError, "vertex %ld out of range [0, %d)",
-                     v, self->n);
+    if (overflow || v < 0 || v >= self->n) {
+        PyErr_Format(PyExc_ValueError, "vertex %S out of range [0, %d)",
+                     arg, self->n);
         return -1;
     }
     return (int)v;
@@ -274,9 +275,14 @@ static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
                             size);
     Search s = {self, NULL, NULL, NULL, 0, -1, 0};
     if (max_nodes != Py_None) {
-        s.budget = PyLong_AsLongLong(max_nodes);
+        /* past 2**63 the node count is never reached, and below -2**63 a
+         * budget is negative: either way there is no budget */
+        int overflow;
+        s.budget = PyLong_AsLongLongAndOverflow(max_nodes, &overflow);
         if (s.budget == -1 && PyErr_Occurred())
             return NULL;
+        if (overflow)
+            s.budget = -1;
     }
     /* every chosen vertex covers a new one, so depth never exceeds n */
     size_t levels = (size_t)(size < self->n ? size : self->n) + 1;

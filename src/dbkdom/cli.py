@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -287,9 +288,12 @@ def sweep_rows(families: list[str], ns: list[int], ds: list[int],
              for family in sorted(families)
              for n in ns for d in ds for k in ks
              if n >= d]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (jobs * 8))
+    # the pool starts every worker at the first submit, so never ask it
+    # for more than there are tasks or cores
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (workers * 8))
             return list(pool.map(classify_row, *zip(*tasks),
                                  chunksize=chunk))
     return [classify_row(*task) for task in tasks]
@@ -402,16 +406,12 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *, family=True, scalar_k=True, config=True):
-    if family:
-        sub.add_argument("--family", required=True,
-                         choices=list(FAMILIES))
+def _add_common(sub):
+    sub.add_argument("--family", required=True, choices=list(FAMILIES))
     sub.add_argument("-n", required=True, help="order (or range a..b)")
     sub.add_argument("-d", required=True, help="degree (or range a..b)")
-    if scalar_k:
-        sub.add_argument("-k", required=True, help="radius (or range a..b)")
-    if config:
-        sub.add_argument("--config", help="JSON file with default settings")
+    sub.add_argument("-k", required=True, help="radius (or range a..b)")
+    sub.add_argument("--config", help="JSON file with default settings")
     sub.add_argument("--out", help="write output to this file")
 
 

@@ -125,15 +125,6 @@ class VertexSet:
         return self.mask == 0
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Everything reachable from ``center`` by directed walks of length <= radius."""
-
-    center: VertexSet
-    radius: int
-    covered: VertexSet
-
-
 def out_neighbors(g: GeneralizedDigraph, v: int) -> ModInterval:
     """Out-neighborhood of one vertex, always a run of min(n, d) residues."""
     g.check_vertex(v)
@@ -211,8 +202,9 @@ def set_out_neighborhood(g: GeneralizedDigraph, s: VertexSet) -> VertexSet:
     return VertexSet(n, mask)
 
 
-def ball(g: GeneralizedDigraph, s: VertexSet, k: int) -> Ball:
-    """Union of the 0-th through k-th out-neighborhoods of ``s``."""
+def ball(g: GeneralizedDigraph, s: VertexSet, k: int) -> VertexSet:
+    """Union of the 0-th through k-th out-neighborhoods of ``s``: every
+    vertex reachable from ``s`` by a directed walk of length <= k."""
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k}")
     if s.n != g.n:
@@ -225,7 +217,7 @@ def ball(g: GeneralizedDigraph, s: VertexSet, k: int) -> Ball:
             break
         frontier = set_out_neighborhood(g, frontier)
         covered = covered | frontier
-    return Ball(center=s, radius=k, covered=covered)
+    return covered
 
 
 def export_graph(g: GeneralizedDigraph, fmt: str = "edges") -> str:

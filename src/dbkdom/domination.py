@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, VertexSet, ball
-from .modular import ModInterval, ceil_div, geometric_sum, run_from_mask
+from .modular import ceil_div, geometric_sum
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ def verify(g: GeneralizedDigraph, dset: VertexSet,
         raise ValueError(f"ground set mismatch: {dset.n} != {g.n}")
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k}")
-    covered = ball(g, dset, k).covered
-    uncovered = covered.complement()
+    uncovered = ball(g, dset, k).complement()
     return DominationCertificate(
         graph=g, dset=dset, k=k, valid=uncovered.is_empty(),
         uncovered=uncovered)
@@ -87,8 +86,3 @@ def bounds(g: GeneralizedDigraph, k: int) -> Bounds:
                    if g.family == KAUTZ else None)
     return Bounds(lower=lower, upper_naive=upper_naive,
                   upper_debruijn=upper_debruijn, upper_kautz=upper_kautz)
-
-
-def is_consecutive_set(dset: VertexSet) -> ModInterval | None:
-    """The run a vertex set forms mod n, or None when it is not one run."""
-    return run_from_mask(dset.mask, dset.n)

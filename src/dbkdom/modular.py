@@ -113,43 +113,6 @@ def run_mask(start: int, length: int, n: int) -> int:
     return ((1 << (stop - n)) - 1) | (((1 << (n - start)) - 1) << start)
 
 
-def is_cyclic_run(mask: int, n: int) -> bool:
-    """True when the residues set in ``mask`` form one run mod n.
-
-    Empty and full masks count as runs.  A proper nonempty subset is a run
-    exactly when one member has its cyclic successor outside the set.
-    """
-    full = (1 << n) - 1
-    if mask == 0 or mask == full:
-        return True
-    succ = ((mask >> 1) | (mask << (n - 1))) & full
-    return (mask & ~succ).bit_count() == 1
-
-
-def run_from_mask(mask: int, n: int) -> ModInterval | None:
-    """Recover the run a mask describes, or None if it is not a single run."""
-    full = (1 << n) - 1
-    if mask == 0:
-        return ModInterval(0, 0, n)
-    if mask == full:
-        return ModInterval(0, n, n)
-    succ = ((mask >> 1) | (mask << (n - 1))) & full
-    ends = mask & ~succ
-    if ends.bit_count() != 1:
-        return None
-    end = ends.bit_length() - 1
-    length = mask.bit_count()
-    return ModInterval((end - length + 1) % n, length, n)
-
-
-def interval_union_is_consecutive(a: ModInterval, b: ModInterval) -> bool:
-    """True when the union of two runs over the same modulus is one run."""
-    if a.modulus != b.modulus:
-        raise ValueError(
-            f"modulus mismatch: {a.modulus} != {b.modulus}")
-    return is_cyclic_run(a.mask() | b.mask(), a.modulus)
-
-
 def solve_linear_congruence(a: int, b: int, n: int) -> list[int]:
     """All x in [0, n) with a*x == b (mod n), in ascending order.
 

@@ -7,29 +7,25 @@ valued: found (with a witness), absent (the whole tree was exhausted), or
 inconclusive (a configured node budget ran out first).  Absent is a proof;
 inconclusive never is.
 
-The search kernel is compiled when the extension module built, with a pure
-Python fallback selected at import time.  Setting the environment variable
-DBKDOM_PURE to a nonempty value forces the fallback.  The two kernels build
-identical tables and return identical (status, witness, nodes) for every
-search, so no answer or node count depends on which one ran.
+The search kernel is the compiled extension when it imports and the pure
+Python one otherwise; ``kernel_backend()`` names the one in use.  The two
+kernels build identical tables and return identical (status, witness,
+nodes) for every search, so no answer or node count depends on which one
+ran.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from . import _cover_py
 from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet
 from .domination import bounds, verify
 
-if os.environ.get("DBKDOM_PURE"):
-    _kernel = _cover_py
-else:
-    try:
-        from . import _cover_ext as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _cover_py
+try:
+    from . import _cover_ext as _kernel
+except ImportError:
+    _kernel = _cover_py  # type: ignore[assignment]
 
 FOUND = "found"
 ABSENT = "absent"
@@ -71,34 +67,12 @@ DEFAULT_LIMITS = OracleLimits()
 
 
 @dataclass(frozen=True)
-class CoverageTable:
-    """Radius-k coverage masks for every vertex of one digraph."""
-
-    graph: GeneralizedDigraph
-    k: int
-    kernel: object
-
-    def ball_set(self, v: int) -> VertexSet:
-        return VertexSet(self.graph.n, self.kernel.ball_mask(v))
-
-    def ball_size(self, v: int) -> int:
-        return self.kernel.ball_mask(v).bit_count()
-
-    @property
-    def max_ball(self) -> int:
-        return self.kernel.max_ball
-
-
-@dataclass(frozen=True)
 class SearchResult:
     """Outcome of one fixed-size search."""
 
     status: str
     witness: VertexSet | None
     nodes: int
-
-    def found(self) -> bool:
-        return self.status == FOUND
 
 
 @dataclass(frozen=True)
@@ -111,23 +85,25 @@ class MinDominationResult:
     nodes: int
 
 
-def coverage_table(g: GeneralizedDigraph, k: int, *,
-                   ceiling: int = DEFAULT_TABLE_CEILING) -> CoverageTable:
-    """Tabulate radius-k coverage for every vertex; refuses n > ceiling."""
+def _family_code(g: GeneralizedDigraph) -> int:
+    return _kernel.DEBRUIJN if g.family == DEBRUIJN else _kernel.KAUTZ
+
+
+def coverage_table(g: GeneralizedDigraph, k: int):
+    """The kernel's radius-k coverage table of ``g``: ``family`` (kernel
+    code), ``n``, ``d``, ``k``, ``max_ball``, ``ball_mask(v)``,
+    ``coverer_list(v)`` and ``search``.  Refuses n > DEFAULT_TABLE_CEILING.
+    """
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k}")
-    if g.n > ceiling:
-        raise ValueError(
-            f"order {g.n} exceeds the oracle table ceiling {ceiling}")
-    code = _kernel.DEBRUIJN if g.family == DEBRUIJN else _kernel.KAUTZ
-    return CoverageTable(graph=g, k=k,
-                         kernel=_kernel.KernelTable(code, g.n, g.d, k))
+    if g.n > DEFAULT_TABLE_CEILING:
+        raise ValueError(f"order {g.n} exceeds the oracle table ceiling "
+                         f"{DEFAULT_TABLE_CEILING}")
+    return _kernel.KernelTable(_family_code(g), g.n, g.d, k)
 
 
 def exists_dominating_of_size(g: GeneralizedDigraph, k: int, size: int, *,
-                              table: CoverageTable | None = None,
-                              max_nodes: int | None = None,
-                              ceiling: int = DEFAULT_TABLE_CEILING,
+                              table=None, max_nodes: int | None = None,
                               ) -> SearchResult:
     """Exhaustively decide whether some size-``size`` set k-dominates ``g``.
 
@@ -136,10 +112,11 @@ def exists_dominating_of_size(g: GeneralizedDigraph, k: int, size: int, *,
     set.  Every witness is re-verified before being returned.
     """
     if table is None:
-        table = coverage_table(g, k, ceiling=ceiling)
-    elif table.graph != g or table.k != k:
+        table = coverage_table(g, k)
+    elif ((table.family, table.n, table.d, table.k)
+          != (_family_code(g), g.n, g.d, k)):
         raise ValueError("coverage table belongs to a different instance")
-    status_code, members, nodes = table.kernel.search(size, max_nodes)
+    status_code, members, nodes = table.search(size, max_nodes)
     status = _STATUS[status_code]
     witness = None
     if status == FOUND:
@@ -153,9 +130,7 @@ def exists_dominating_of_size(g: GeneralizedDigraph, k: int, size: int, *,
 
 
 def min_dominating(g: GeneralizedDigraph, k: int, *,
-                   table: CoverageTable | None = None,
-                   max_nodes: int | None = None,
-                   ceiling: int = DEFAULT_TABLE_CEILING,
+                   table=None, max_nodes: int | None = None,
                    ) -> MinDominationResult:
     """Exact minimum by searching sizes upward from the a priori lower bound.
 
@@ -166,7 +141,7 @@ def min_dominating(g: GeneralizedDigraph, k: int, *,
     if k < 1:
         raise ValueError(f"radius must be >= 1, got {k}")
     if table is None:
-        table = coverage_table(g, k, ceiling=ceiling)
+        table = coverage_table(g, k)
     size = bounds(g, k).lower
     total_nodes = 0
     while size <= g.n:

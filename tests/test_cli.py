@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dbkdom
-from dbkdom import domination, problems
+from dbkdom import cli, domination, problems
 from dbkdom.cli import (CSV_COLUMNS, EXIT_BRACKET, EXIT_INCONCLUSIVE,
                         EXIT_INVALID, EXIT_OK, EXIT_USAGE, main)
 from dbkdom.construct import classify
@@ -204,6 +204,38 @@ class TestSweep:
         serial = strip_ms(run_cli(*self.ARGS, "--jobs", "1")[1])
         parallel = strip_ms(run_cli(*self.ARGS, "--jobs", "2")[1])
         assert serial == parallel
+
+    @pytest.mark.parametrize("cores", [None, 1, 2, 3, 64])
+    def test_workers_capped_by_tasks_and_cores(self, monkeypatch, cores):
+        # a real pool forks all max_workers processes at its first submit;
+        # the fake records the request and maps in this process
+        requested = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        four = ("sweep", "--family", "both", "-n", "2..3", "-d", "2",
+                "-k", "1")
+        one = ("sweep", "--family", "kautz", "-n", "2", "-d", "2", "-k", "1")
+        serial = [strip_ms(run_cli(*args)[1]) for args in (four, one)]
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        for args, expected in zip((four, one), serial):
+            code, out, _ = run_cli(*args, "--jobs", "1000")
+            assert code == EXIT_OK
+            assert strip_ms(out) == expected
+        workers = min(4, cores or 1)
+        assert requested == ([workers] if workers > 1 else [])
 
     def test_json_lines(self):
         code, out, _ = run_cli("sweep", "--family", "kautz",

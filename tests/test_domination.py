@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import naive_ball
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph, VertexSet
-from dbkdom.domination import bounds, is_consecutive_set, verify
-from dbkdom.modular import ModInterval, ceil_div, geometric_sum
+from dbkdom.domination import bounds, verify
+from dbkdom.modular import ceil_div, geometric_sum
 
 
 def instances(max_n=60):
@@ -121,29 +121,3 @@ class TestBounds:
     def test_radius_zero_rejected(self):
         with pytest.raises(ValueError):
             bounds(GeneralizedDigraph.debruijn(6, 2), 0)
-
-
-class TestIsConsecutiveSet:
-    def test_wrapping_run(self):
-        s = VertexSet.from_members(40, [38, 39, 0, 1])
-        assert is_consecutive_set(s) == ModInterval(38, 4, 40)
-
-    def test_gap(self):
-        assert is_consecutive_set(VertexSet.from_members(5, [0, 2])) is None
-
-    def test_full_and_empty(self):
-        assert is_consecutive_set(VertexSet.full(6)) == ModInterval(0, 6, 6)
-        assert is_consecutive_set(VertexSet(6)) == ModInterval(0, 0, 6)
-
-    def test_exhaustive_small(self):
-        for n in range(1, 11):
-            for mask in range(1 << n):
-                s = VertexSet(n, mask)
-                run = is_consecutive_set(s)
-                if run is not None:
-                    assert set(run) == set(s.members())
-                else:
-                    members = s.members()
-                    assert not any(
-                        set(ModInterval(start, len(members), n)) ==
-                        set(members) for start in range(n))

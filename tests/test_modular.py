@@ -3,14 +3,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import case_split_interval
 from dbkdom.modular import (ModInterval, ceil_div, geometric_sum,
-                            interval_union_is_consecutive, is_cyclic_run,
-                            mod_interval, run_from_mask, run_mask,
-                            solve_linear_congruence)
+                            mod_interval, run_mask, solve_linear_congruence)
 
 
 class TestGeometricSum:
@@ -104,7 +102,6 @@ class TestModInterval:
                 for length in range(n + 1):
                     run = ModInterval(start, length, n)
                     assert run.mask() == sum(1 << v for v in run)
-                    assert run_from_mask(run.mask(), n) == run
 
 
 class TestRunMasks:
@@ -112,20 +109,6 @@ class TestRunMasks:
         assert run_mask(4, 4, 6) == 0b110011
         assert run_mask(0, 0, 6) == 0
         assert run_mask(2, 6, 6) == 0b111111
-
-    def test_is_cyclic_run_exhaustive_small(self):
-        for n in range(1, 13):
-            for mask in range(1 << n):
-                members = {v for v in range(n) if (mask >> v) & 1}
-                expected = any(
-                    members == case_split_interval(i, j, n)
-                    for i in range(n) for j in range(n)
-                ) or not members or len(members) == n
-                assert is_cyclic_run(mask, n) == expected, (mask, n)
-
-    def test_run_from_mask_rejects_gaps(self):
-        assert run_from_mask(0b101, 3) == ModInterval(2, 2, 3)  # wraps 2,0
-        assert run_from_mask(0b10101, 5) is None
 
 
 class TestSolveLinearCongruence:
@@ -163,31 +146,3 @@ class TestSolveLinearCongruence:
                 assert (a * x - b) % n == 0
         else:
             assert sols == []
-
-
-class TestIntervalUnionIsConsecutive:
-    def test_examples(self):
-        assert interval_union_is_consecutive(
-            mod_interval(0, 3, 10), mod_interval(4, 6, 10))
-        assert not interval_union_is_consecutive(
-            mod_interval(0, 3, 10), mod_interval(5, 6, 10))
-        assert interval_union_is_consecutive(
-            mod_interval(8, 2, 10), mod_interval(1, 5, 10))
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            interval_union_is_consecutive(
-                mod_interval(0, 1, 5), mod_interval(0, 1, 6))
-
-    @settings(max_examples=300)
-    @given(st.integers(min_value=1, max_value=30), st.data())
-    def test_matches_enumeration(self, n, data):
-        a = ModInterval(data.draw(st.integers(0, n - 1)),
-                        data.draw(st.integers(0, n)), n)
-        b = ModInterval(data.draw(st.integers(0, n - 1)),
-                        data.draw(st.integers(0, n)), n)
-        union = set(a) | set(b)
-        expected = (not union or len(union) == n or any(
-            union == case_split_interval(i, j, n)
-            for i in range(n) for j in range(n)))
-        assert interval_union_is_consecutive(a, b) == expected
