@@ -22,6 +22,7 @@ except for the wall-time column.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -48,10 +49,6 @@ EXIT_INCONCLUSIVE = 4
 
 CSV_COLUMNS = ("family", "n", "d", "k", "lower", "upper", "gamma", "method",
                "witness", "ms")
-
-# config keys the CLI understands; anything else is a typo worth rejecting
-CONFIG_KEYS = frozenset({"oracle_budget", "oracle_max_n", "format", "jobs",
-                         "n", "d", "k"})
 
 DEFAULT_PROBLEM_N = "2..60"
 DEFAULT_PROBLEM_D = "2..5"
@@ -104,45 +101,8 @@ def parse_set_literal(text: str, n: int) -> VertexSet:
     return VertexSet.from_members(n, members)
 
 
-def load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise UsageError(f"config: {e}") from None
-    except json.JSONDecodeError as e:
-        raise UsageError(f"config {path}: invalid JSON ({e})") from None
-    if not isinstance(data, dict):
-        raise UsageError(f"config {path}: expected a JSON object")
-    unknown = sorted(set(data) - CONFIG_KEYS)
-    if unknown:
-        raise UsageError(f"config {path}: unknown keys {unknown}")
-    return data
-
-
-def _setting(args, config: dict, key: str, default):
-    """Flag beats config beats default; flags left at None fall through."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        value = config[key]
-        return default if value is None else value
-    return default
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def resolve_limits(args, config: dict) -> OracleLimits:
-    budget = _setting(args, config, "oracle_budget", None)
-    max_n = _setting(args, config, "oracle_max_n", DEFAULT_LIMITS.max_n)
-    if budget is not None and not _is_int(budget):
-        raise UsageError("oracle_budget must be an integer")
-    if not _is_int(max_n):
-        raise UsageError("oracle_max_n must be an integer")
+def resolve_limits(args) -> OracleLimits:
+    budget, max_n = args.oracle_budget, args.oracle_max_n
     # OracleLimits reads a negative budget as 'oracle off', the kernels as
     # 'unlimited'; neither is documented, so refuse it
     for key, value in (("oracle_budget", budget), ("oracle_max_n", max_n)):
@@ -154,20 +114,8 @@ def resolve_limits(args, config: dict) -> OracleLimits:
     return OracleLimits(max_nodes=budget, max_n=max_n)
 
 
-def _resolve_format(args, config: dict, default: str, allowed: tuple) -> str:
-    fmt = _setting(args, config, "format", default)
-    if fmt not in allowed:
-        raise UsageError(
-            f"format {fmt!r} not supported here (choose from "
-            f"{', '.join(allowed)})")
-    return fmt
-
-
-def _resolve_ranges(args, config: dict, defaults: dict) -> dict:
-    out = {}
-    for key in ("n", "d", "k"):
-        raw = _setting(args, config, key, defaults[key])
-        out[key] = parse_range(str(raw), key)
+def _resolve_ranges(args) -> dict:
+    out = {key: parse_range(getattr(args, key), key) for key in "ndk"}
     if min(out["d"]) < 2:
         raise UsageError("d must be >= 2")
     if min(out["k"]) < 1:
@@ -177,16 +125,21 @@ def _resolve_ranges(args, config: dict, defaults: dict) -> dict:
     return out
 
 
+def _open_out(path: str | None):
+    """Stdout, or the --out file opened for writing.  Sweeps open it before
+    their first row, so an unwritable path fails before any work is done."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise UsageError(
+            f"cannot write --out {path}: {e.strerror or e}") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise UsageError(
-                f"cannot write --out {out_path}: {e.strerror or e}") from None
-    else:
-        sys.stdout.write(text)
+    with _open_out(out_path) as fh:
+        fh.write(text)
 
 
 def _render_kv_table(pairs: list[tuple[str, str]]) -> str:
@@ -261,18 +214,16 @@ def _exit_for_rows(rows: list[dict]) -> int:
 
 
 def cmd_gamma(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    fmt = _resolve_format(args, config, "table", ("table", "json", "csv"))
-    limits = resolve_limits(args, config)
+    limits = resolve_limits(args)
     n = parse_scalar(args.n, "n")
     d = parse_scalar(args.d, "d")
     k = parse_scalar(args.k, "k")
     row = classify_row(args.family, n, d, k, limits)
     if "error" in row:
         raise UsageError(row["error"])
-    if fmt == "json":
+    if args.format == "json":
         _emit(json.dumps(row, indent=2) + "\n", args.out)
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit(rows_to_csv([row]), args.out)
     else:
         _emit(_gamma_table(row), args.out)
@@ -300,26 +251,20 @@ def sweep_rows(families: list[str], ns: list[int], ds: list[int],
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    fmt = _resolve_format(args, config, "csv", ("csv", "json"))
-    limits = resolve_limits(args, config)
-    ranges = _resolve_ranges(args, config, {"n": None, "d": None, "k": None})
-    jobs = _setting(args, config, "jobs", 1)
-    if not _is_int(jobs) or jobs < 1:
+    limits = resolve_limits(args)
+    ranges = _resolve_ranges(args)
+    if args.jobs < 1:
         raise UsageError("jobs must be a positive integer")
     families = FAMILIES if args.family == "both" else (args.family,)
-    rows = sweep_rows(list(families), ranges["n"], ranges["d"], ranges["k"],
-                      limits, jobs)
-    if fmt == "csv":
-        _emit(rows_to_csv(rows), args.out)
-    else:
-        _emit(rows_to_jsonl(rows), args.out)
+    with _open_out(args.out) as fh:
+        rows = sweep_rows(list(families), ranges["n"], ranges["d"],
+                          ranges["k"], limits, args.jobs)
+        render = rows_to_csv if args.format == "csv" else rows_to_jsonl
+        fh.write(render(rows))
     return _exit_for_rows(rows)
 
 
 def cmd_verify(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    fmt = _resolve_format(args, config, "json", ("json", "table"))
     n = parse_scalar(args.n, "n")
     d = parse_scalar(args.d, "d")
     k = parse_scalar(args.k, "k")
@@ -331,7 +276,7 @@ def cmd_verify(args) -> int:
         raise UsageError("k must be >= 0")
     dset = parse_set_literal(args.set, n)
     cert = verify(g, dset, k).to_dict()
-    if fmt == "json":
+    if args.format == "json":
         _emit(json.dumps(cert, indent=2) + "\n", args.out)
     else:
         pairs = [(key, str(cert[key]))
@@ -374,23 +319,21 @@ def _exit_for_reports(reports: list[dict]) -> int:
 
 
 def cmd_problems(args) -> int:
-    config = load_config(args.config) if args.config else {}
-    fmt = _resolve_format(args, config, "json", ("json", "table"))
-    limits = resolve_limits(args, config)
-    ranges = _resolve_ranges(args, config, {"n": DEFAULT_PROBLEM_N,
-                                            "d": DEFAULT_PROBLEM_D,
-                                            "k": DEFAULT_PROBLEM_K})
+    limits = resolve_limits(args)
+    ranges = _resolve_ranges(args)
     selected = PROBLEMS if args.problem == "all" else (args.problem,)
-    reports = []
-    for tag in selected:
-        build = (debruijn_necessity_report if tag == PROBLEM_DEBRUIJN
-                 else kautz_upper_report)
-        reports.append(build(ranges["n"], ranges["d"], ranges["k"], limits))
-    if fmt == "json":
-        payload = reports[0] if len(reports) == 1 else {"reports": reports}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit("".join(_problem_table(r) for r in reports), args.out)
+    with _open_out(args.out) as fh:
+        reports = []
+        for tag in selected:
+            build = (debruijn_necessity_report if tag == PROBLEM_DEBRUIJN
+                     else kautz_upper_report)
+            reports.append(build(ranges["n"], ranges["d"], ranges["k"],
+                                 limits))
+        if args.format == "json":
+            payload = reports[0] if len(reports) == 1 else {"reports": reports}
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        else:
+            fh.write("".join(_problem_table(r) for r in reports))
     return _exit_for_reports(reports)
 
 
@@ -411,14 +354,13 @@ def _add_common(sub):
     sub.add_argument("-n", required=True, help="order (or range a..b)")
     sub.add_argument("-d", required=True, help="degree (or range a..b)")
     sub.add_argument("-k", required=True, help="radius (or range a..b)")
-    sub.add_argument("--config", help="JSON file with default settings")
     sub.add_argument("--out", help="write output to this file")
 
 
 def _add_oracle_flags(sub):
-    sub.add_argument("--oracle-budget", type=int, dest="oracle_budget",
+    sub.add_argument("--oracle-budget", type=int,
                      help="search node budget (0 disables the oracle)")
-    sub.add_argument("--oracle-max-n", type=int, dest="oracle_max_n",
+    sub.add_argument("--oracle-max-n", type=int, default=DEFAULT_LIMITS.max_n,
                      help="largest order the oracle will attempt")
 
 
@@ -432,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("gamma", help="classify one instance")
     _add_common(p)
     _add_oracle_flags(p)
-    p.add_argument("--format", choices=["table", "json", "csv"])
+    p.add_argument("--format", default="table",
+                   choices=["table", "json", "csv"])
     p.set_defaults(func=cmd_gamma)
 
     p = subs.add_parser("sweep", help="classify a parameter grid")
@@ -441,31 +384,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", required=True, help="order range a..b")
     p.add_argument("-d", required=True, help="degree range a..b")
     p.add_argument("-k", required=True, help="radius range a..b")
-    p.add_argument("--config", help="JSON file with default settings")
     p.add_argument("--out", help="write output to this file")
     _add_oracle_flags(p)
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+    p.add_argument("--format", default="csv", choices=["csv", "json"])
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("verify", help="verify a candidate dominating set")
     _add_common(p)
     p.add_argument("--set", required=True,
                    help="comma separated members, e.g. 0,1,5")
-    p.add_argument("--format", choices=["json", "table"])
+    p.add_argument("--format", default="json", choices=["json", "table"])
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("problems",
                         help="empirical search on the two open conjectures")
     p.add_argument("--problem", default="all",
                    choices=[*PROBLEMS, "all"])
-    p.add_argument("-n", help=f"order range (default {DEFAULT_PROBLEM_N})")
-    p.add_argument("-d", help=f"degree range (default {DEFAULT_PROBLEM_D})")
-    p.add_argument("-k", help=f"radius range (default {DEFAULT_PROBLEM_K})")
-    p.add_argument("--config", help="JSON file with default settings")
+    p.add_argument("-n", default=DEFAULT_PROBLEM_N,
+                   help=f"order range (default {DEFAULT_PROBLEM_N})")
+    p.add_argument("-d", default=DEFAULT_PROBLEM_D,
+                   help=f"degree range (default {DEFAULT_PROBLEM_D})")
+    p.add_argument("-k", default=DEFAULT_PROBLEM_K,
+                   help=f"radius range (default {DEFAULT_PROBLEM_K})")
     p.add_argument("--out", help="write output to this file")
     _add_oracle_flags(p)
-    p.add_argument("--format", choices=["json", "table"])
+    p.add_argument("--format", default="json", choices=["json", "table"])
     p.set_defaults(func=cmd_problems)
 
     p = subs.add_parser("export", help="write the arc list of one instance")

@@ -126,14 +126,14 @@ class VertexSet:
 
 
 def out_neighbors(g: GeneralizedDigraph, v: int) -> ModInterval:
-    """Out-neighborhood of one vertex, always a run of min(n, d) residues."""
+    """Out-neighborhood of one vertex, always a run of d residues."""
     g.check_vertex(v)
     n, d = g.n, g.d
     if g.family == DEBRUIJN:
         start = (d * v) % n
     else:
         start = (-d * v - d) % n
-    return ModInterval(start, min(n, d), n)
+    return ModInterval(start, d, n)
 
 
 def interval_out_neighborhood(g: GeneralizedDigraph,
@@ -224,8 +224,7 @@ def export_graph(g: GeneralizedDigraph, fmt: str = "edges") -> str:
     """Arc list of the digraph as 'edges' (tab separated) or 'dot' text.
 
     Arcs are emitted for v = 0..n-1 with the slot index ascending; self loops
-    are kept and coincident targets are emitted once.  Refuses graphs with
-    more than EXPORT_GUARD arcs.
+    are kept.  Refuses graphs with more than EXPORT_GUARD arcs.
     """
     if fmt not in ("edges", "dot"):
         raise ValueError(f"unknown export format {fmt!r}")
@@ -238,15 +237,11 @@ def export_graph(g: GeneralizedDigraph, fmt: str = "edges") -> str:
     else:
         lines.append(f"digraph {g.family}_{g.n}_{g.d} {{")
     for v in range(g.n):
-        seen = set()
         for i in range(g.d):
             if g.family == DEBRUIJN:
                 y = (g.d * v + i) % g.n
             else:
                 y = (-g.d * v - (i + 1)) % g.n
-            if y in seen:
-                continue
-            seen.add(y)
             if fmt == "edges":
                 lines.append(f"{v}\t{y}")
             else:

@@ -1,4 +1,4 @@
-"""Command line behaviour: exit codes, formats, determinism, config."""
+"""Command line behaviour: exit codes, formats, determinism, settings."""
 
 import contextlib
 import io
@@ -136,6 +136,27 @@ class TestUsageErrors:
         code, _, _ = run_cli(*argv)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--family", "both", "-n", "2..12", "-d", "2", "-k", "1"),
+        ("problems", "-n", "2..12", "-d", "2", "-k", "1"),
+    ], ids=lambda a: a[0])
+    def test_unwritable_out_fails_before_any_row(self, monkeypatch, tmp_path,
+                                                 argv):
+        # every classified row would be lost when --out fails at the end
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "classify", counting)
+        monkeypatch.setattr(problems, "classify", counting)
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(*argv, "--out", str(target))
+        assert code == EXIT_USAGE
+        assert str(target) in err and out == ""
+        assert calls == []
+
     def test_help_exits_zero(self):
         assert run_cli("--help")[0] == EXIT_OK
         assert run_cli("gamma", "--help")[0] == EXIT_OK
@@ -263,46 +284,18 @@ class TestSweep:
 
 
 class TestConfig:
-    def test_config_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"oracle_budget": 0, "format": "json"}))
-        code, out, _ = run_cli("gamma", "--family", "debruijn",
-                               "-n", "40", "-d", "3", "-k", "3",
-                               "--config", str(cfg))
-        assert code == EXIT_BRACKET
-        assert json.loads(out)["method"] == "bracket"
+    """Settings are flags only; argparse owns their defaults and types."""
 
-    def test_flag_overrides_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"oracle_budget": 0}))
-        code, out, _ = run_cli("gamma", "--family", "debruijn",
-                               "-n", "40", "-d", "3", "-k", "3",
-                               "--config", str(cfg),
-                               "--oracle-budget", "100000",
-                               "--format", "json")
-        assert code == EXIT_OK
-        assert json.loads(out)["gamma"] == 2
-
-    def test_config_can_supply_ranges(self, tmp_path):
-        # sweep requires explicit ranges; problems falls back to config
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": "2..8", "d": 2, "k": 1}))
+    def test_problems_default_envelope(self):
+        # sweep requires explicit ranges; problems falls back to defaults,
+        # whose envelope holds Kautz counterexamples
         code, out, _ = run_cli("problems", "--problem", "kautz-upper",
-                               "--config", str(cfg), "--format", "json")
-        assert code == EXIT_OK
-        report = json.loads(out)
-        assert report["envelope"]["n"] == list(range(2, 9))
-        assert report["counts"]["consistent"] == 7
-
-    @pytest.mark.parametrize("key", ["oracle_budget", "oracle_max_n", "jobs"])
-    def test_boolean_values_rejected(self, tmp_path, key):
-        # JSON true is a Python int; taken as one it became a 1-node budget
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: True}))
-        code, out, err = run_cli("sweep", "--family", "kautz", "-n", "7",
-                                 "-d", "2", "-k", "2", "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert key in err and out == ""
+                               "--format", "json")
+        assert code == EXIT_INVALID
+        envelope = json.loads(out)["envelope"]
+        assert envelope["n"] == list(range(2, 61))
+        assert envelope["d"] == list(range(2, 6))
+        assert envelope["k"] == list(range(1, 5))
 
     def test_oracle_max_n_above_table_ceiling_rejected(self):
         # the coverage table refuses larger orders, so such a limit would
@@ -316,33 +309,12 @@ class TestConfig:
         assert code == EXIT_BRACKET
 
     @pytest.mark.parametrize("key", ["oracle_budget", "oracle_max_n"])
-    def test_negative_limits_rejected(self, tmp_path, key):
+    def test_negative_limits_rejected(self, key):
         # a negative budget used to switch the oracle off without a word
         argv = ("gamma", "--family", "kautz", "-n", "31", "-d", "2", "-k", "2")
         code, out, err = run_cli(*argv, "--" + key.replace("_", "-"), "-5")
         assert code == EXIT_USAGE
         assert key in err and out == ""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: -5}))
-        code, out, err = run_cli(*argv, "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert key in err and out == ""
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"oracle_fuel": 5}))
-        code, _, err = run_cli("gamma", "--family", "debruijn",
-                               "-n", "8", "-d", "2", "-k", "1",
-                               "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert "oracle_fuel" in err
-
-    def test_malformed_json_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        assert run_cli("gamma", "--family", "debruijn", "-n", "8",
-                       "-d", "2", "-k", "1",
-                       "--config", str(cfg))[0] == EXIT_USAGE
 
 
 class TestProblems:

@@ -313,16 +313,25 @@ class TestExport:
         lines = text.strip().split("\n")
         assert lines[0] == "# debruijn 6 3"
         arcs = [tuple(map(int, line.split("\t"))) for line in lines[1:]]
-        assert len(arcs) == 18  # no slot collisions at n=6, d=3
+        assert len(arcs) == 18  # n*d arcs
         assert arcs[:3] == [(0, 0), (0, 1), (0, 2)]
         for v, y in arcs:
             assert y in naive_out_neighbors("debruijn", 6, 3, v)
 
     def test_edge_list_deduplicates_slots(self):
-        # n = d: every vertex's d slots collapse onto all n targets
+        # n = d: every vertex's d slots reach all n targets, once each
         text = export_graph(GeneralizedDigraph.kautz(2, 2), "edges")
         arcs = [line for line in text.strip().split("\n")[1:]]
         assert len(arcs) == len(set(arcs)) == 4
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_exactly_n_times_d_distinct_arcs(self, family):
+        # n >= d makes a vertex's d targets d distinct consecutive residues
+        for d in range(2, 6):
+            for n in range(d, d + 7):
+                g = GeneralizedDigraph(family, n, d)
+                arcs = export_graph(g, "edges").splitlines()[1:]
+                assert len(arcs) == len(set(arcs)) == n * d
 
     def test_dot_output(self):
         text = export_graph(GeneralizedDigraph.kautz(9, 2), "dot")
