@@ -1,9 +1,12 @@
 """Time the pure and compiled search kernels, table build and search apart.
 
-The two kernels return the same tables and the same (status, witness,
-nodes) for every search, so each case does the same work on both; the
-script checks that and stops on any difference.  Each case builds one
-coverage table and, unless it is table-only, runs one search on it.
+The two kernels of one checkout return the same tables and the same
+(status, witness, nodes) for every search, so each case does the same work
+on both; the script checks that and stops on any difference.  Checkouts
+must also agree on the tables and on each search's (status, witness), but
+not on its node count, so a change to the search's prunings can be timed
+against its parent; each checkout's nodes are printed.  Each case builds
+one coverage table and, unless it is table-only, runs one search on it.
 
     python benchmarks/bench_kernel.py [--repeat N] [--src LABEL=DIR ...]
 
@@ -84,6 +87,11 @@ def run_once(module, case):
     return built - started, searched - built, table, outcome
 
 
+def answer(outcome):
+    """(status, witness) of a search outcome; None for a table-only case."""
+    return None if outcome is None else outcome[:2]
+
+
 def same_table(a, b, n: int) -> bool:
     return a.max_ball == b.max_ball and all(
         a.ball_mask(v) == b.ball_mask(v)
@@ -112,8 +120,9 @@ def main() -> None:
     rows = {label: [] for label in runs}
     for case in CASES:
         label, n, size = case[0], case[2], case[5]
-        builds, searches, nodes = {}, {}, None
-        first = None  # the first (table, outcome), which all must match
+        builds, searches = {}, {}
+        first_table = None  # every table must match it
+        outcomes = {}  # each run's first outcome
         for repeat in range(args.repeat):
             for run, modules in runs.items():
                 for module in modules:
@@ -121,15 +130,18 @@ def main() -> None:
                     build, search, table, outcome = run_once(module, case)
                     builds[key] = min(builds.get(key, build), build)
                     searches[key] = min(searches.get(key, search), search)
-                    if first is None:
-                        first = (table, outcome)
-                        nodes = None if outcome is None else outcome[2]
-                    if outcome != first[1] or (
-                            repeat == 0 and not same_table(table, first[0], n)):
+                    if first_table is None:
+                        first_table = table
+                    ours = outcomes.setdefault(run, outcome)
+                    first = next(iter(outcomes.values()))
+                    if outcome != ours or answer(outcome) != answer(first) or (
+                            repeat == 0
+                            and not same_table(table, first_table, n)):
                         raise SystemExit(f"{run} {module.BACKEND} kernel "
                                          f"differs on {label}")
         for (run, backend), build in builds.items():
             search = None if size is None else searches[run, backend]
+            nodes = None if size is None else outcomes[run][2]
             rows[run].append({
                 "case": label, "kernel": backend,
                 "build_ms": round(build * 1000, 3),

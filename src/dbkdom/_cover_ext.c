@@ -2,7 +2,8 @@
  *
  * Returns what _cover_py returns: identical tables (balls, coverers,
  * max_ball) and, for every search, the identical (status, witness, nodes),
- * from the same branching order, pruning and node accounting.  How each
+ * from the same branching order, prunings (counting bound, root reflection,
+ * last pick) and node accounting.  How each
  * step is computed is each kernel's own; the parity tests pin the outputs.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
@@ -212,9 +213,45 @@ static PyObject *KernelTable_coverer_list(KernelTable *self, PyObject *arg)
                     self->cov_idx[v + 1] - self->cov_idx[v]);
 }
 
+/* Last pick, at a node past the root with one pick left: its children are
+ * the non-banned coverers of v, its lowest uncovered vertex, and the first
+ * whose ball covers every uncovered vertex ends the search after as many
+ * nodes as children tried.  Without one the node is a leaf. */
+static int last_pick(Search *s, int depth, int v)
+{
+    const KernelTable *t = s->t;
+    int words = t->words;
+    const uint64_t *covered = s->cov_stack + (size_t)depth * words;
+    const uint64_t *banned = s->ban_stack + (size_t)depth * words;
+    /* the bits of the last word that are vertices */
+    uint64_t tail = ~(uint64_t)0 >> ((64 - (t->n & 63)) & 63);
+    int64_t tried = 0;
+    for (Py_ssize_t i = t->cov_idx[v]; i < t->cov_idx[v + 1]; i++) {
+        int u = t->cov_dat[i], w = 0;
+        if (banned[u >> 6] & BIT(u))
+            continue;
+        tried++;
+        const uint64_t *row = t->balls + (size_t)u * words;
+        while (w < words - 1 && (covered[w] | row[w]) == ~(uint64_t)0)
+            w++;
+        if (w < words - 1 || (covered[w] | row[w]) != tail)
+            continue;
+        s->nodes += tried;
+        if (s->budget >= 0 && s->nodes > s->budget) {
+            s->nodes = s->budget + 1;
+            return INCONCLUSIVE;
+        }
+        s->chosen[depth] = u;
+        s->found_len = depth + 1;
+        return FOUND;
+    }
+    return ABSENT;
+}
+
 /* Branch on the lowest uncovered vertex over its coverers in ascending
  * order; coverers already tried at a node are banned in the sibling
- * subtrees, so no subset is explored twice. */
+ * subtrees, so no subset is explored twice.  At the root a tried coverer's
+ * mirror n - 1 - u is banned too (root reflection). */
 static int dfs(Search *s, int depth, int remaining)
 {
     const KernelTable *t = s->t;
@@ -241,7 +278,11 @@ static int dfs(Search *s, int depth, int remaining)
             break;
         }
     }
-    /* cnt < n guarantees v is a real vertex */
+    /* cnt < n guarantees v is a real vertex; at the root the counting
+     * bound with one pick left already means a full ball, so the root
+     * takes the general path, which skips mirrors */
+    if (remaining == 1 && depth > 0)
+        return last_pick(s, depth, v);
     for (Py_ssize_t i = t->cov_idx[v]; i < t->cov_idx[v + 1]; i++) {
         int u = t->cov_dat[i];
         if (banned[u >> 6] & BIT(u))
@@ -257,6 +298,10 @@ static int dfs(Search *s, int depth, int remaining)
         if (r != ABSENT)
             return r;
         banned[u >> 6] |= BIT(u);
+        if (depth == 0) {
+            int m = t->n - 1 - u;
+            banned[m >> 6] |= BIT(m);
+        }
     }
     return ABSENT;
 }

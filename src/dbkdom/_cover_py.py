@@ -4,7 +4,7 @@ Builds radius-k coverage bitmasks for every vertex of a formula-defined
 digraph and runs an exhaustive branch and bound search for a dominating set
 of a given size.  The compiled kernel in _cover_ext returns the same tables
 (balls, coverers, max_ball) and, for every search, the same (status,
-witness, nodes): the same branching order, pruning and node accounting.
+witness, nodes): the same branching order, prunings and node accounting.
 How each step is computed is each kernel's own affair; the outputs are the
 contract, and the parity tests pin them.
 """
@@ -119,10 +119,22 @@ class KernelTable:
         everything ends the search; a child with picks left whose counting
         bound (each pick covers at most max_ball vertices) still allows a
         cover is expanded; any other child is a leaf, tested in place
-        without a call of its own.  Returns
-        (status, witness, nodes) where the witness is the first cover found
-        by this fixed order (ascending members), or None.  A negative
-        ``max_nodes`` means no budget, like None.
+        without a call of its own.
+
+        Two exact prunings cut the tree.  Root reflection: x -> n-1-x maps
+        every ball onto a ball, so the subtree of the root's i-th coverer
+        also bans the mirrors of the root's earlier coverers, and a root
+        coverer that is such a mirror is skipped without being counted; a
+        cover lost this way has its mirror in an earlier root branch.
+        Last pick: a child with one pick left is expanded only when some
+        non-banned coverer of its lowest uncovered vertex covers all that
+        is left, otherwise it is a leaf.  Neither removes the first cover
+        of the unpruned order, so where that search decides, the witness
+        is the same and the node count no higher.
+
+        Returns (status, witness, nodes) where the witness is the first
+        cover found by this fixed order (ascending members), or None.  A
+        negative ``max_nodes`` means no budget, like None.
         """
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
@@ -138,9 +150,10 @@ class KernelTable:
         nodes = 1  # the root
         chosen: list[int] = []
 
-        def expand(covered: int, banned: int, remaining: int) -> int:
+        def expand(covered: int, banned: int, remaining: int, ban) -> int:
             # covered is short of full, remaining >= 1 and the counting
-            # bound holds: test every child in place, recurse into the rest
+            # bound holds: test every child in place, recurse into the rest;
+            # ban[u] joins the siblings' banned set once u's subtree is done
             nonlocal nodes
             v = (~covered & (covered + 1)).bit_length() - 1
             left = remaining - 1
@@ -149,33 +162,55 @@ class KernelTable:
             # no picks left only a full child does
             need = n - left * max_ball
             for u in coverers[v]:
-                bit = bits[u]
-                if banned & bit:
+                if banned & bits[u]:
                     continue
                 nodes += 1
                 if nodes > cap and not unlimited:
                     return INCONCLUSIVE
                 child = covered | balls[u]
-                banned |= bit
                 if child.bit_count() >= need:
-                    chosen.append(u)
                     if child == full:
+                        chosen.append(u)
                         return FOUND
-                    status = expand(child, banned, left)
-                    if status != ABSENT:
-                        return status
-                    chosen.pop()
+                    if left == 1:
+                        # last pick: the child's own children are the
+                        # non-banned coverers of its lowest uncovered
+                        # vertex, and only a full one is not a leaf
+                        rest = full ^ child
+                        tried = 0
+                        for w in coverers[(rest & -rest).bit_length() - 1]:
+                            if banned & bits[w]:
+                                continue
+                            tried += 1
+                            if balls[w] & rest == rest:
+                                nodes += tried
+                                if nodes > cap and not unlimited:
+                                    nodes = cap + 1
+                                    return INCONCLUSIVE
+                                chosen.extend((u, w))
+                                return FOUND
+                    else:
+                        chosen.append(u)
+                        status = expand(child, banned, left, bits)
+                        if status != ABSENT:
+                            return status
+                        chosen.pop()
+                banned |= ban[u]
             return ABSENT
 
         if cap < 1:
             return INCONCLUSIVE, None, nodes
         if size == 0 or size * max_ball < n:
             return ABSENT, None, nodes
+        # a root coverer's subtree bans the coverer and its mirror in the
+        # later root subtrees; at the root, with no pick made, the counting
+        # bound alone already implies the last-pick test
+        mirrored = {u: bits[u] | bits[n - 1 - u] for u in coverers[0]}
         limit = sys.getrecursionlimit()
         if size + 100 > limit:
             sys.setrecursionlimit(size + 200)
         try:
-            status = expand(0, 0, size)
+            status = expand(0, 0, size, mirrored)
         finally:
             sys.setrecursionlimit(limit)
         if status == FOUND:

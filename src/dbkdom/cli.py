@@ -29,7 +29,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .construct import classify
 from .digraph import FAMILIES, GeneralizedDigraph, VertexSet, export_graph
@@ -243,6 +242,9 @@ def sweep_rows(families: list[str], ns: list[int], ds: list[int],
     # for more than there are tasks or cores
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool's modules cost every process start
+        # a third of its import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
             return list(pool.map(classify_row, *zip(*tasks),

@@ -4,8 +4,12 @@ The straightforward form of what ``_cover_py.KernelTable`` computes: balls
 by breadth-first expansion from the arc formulas, coverers as the transpose
 of the ball table, and a recursive search that makes every node a call of
 its own.  The kernel builds its tables from layer runs and tests leaf
-children in place; both must give the same tables and the same (status,
-witness, nodes) for every search.
+children in place; both must give the same tables, and the kernel must
+give the same (status, witness, nodes) as this search with ``pruned=True``.
+
+``pruned=False`` is the search without the kernel's two prunings (root
+reflection and the last-pick test): wherever it decides, the pruned
+search must return its (status, witness) with no more nodes.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ class ReferenceTable:
             frontier = nxt
         return seen
 
-    def search(self, size: int, max_nodes: int | None = None):
+    def search(self, size: int, max_nodes: int | None = None,
+               pruned: bool = True):
         n = self.n
         full = (1 << n) - 1
         balls, coverers, max_ball = self.balls, self.coverers, self.max_ball
@@ -70,15 +75,22 @@ class ReferenceTable:
                 return ABSENT
             low = ~covered & full
             v = (low & -low).bit_length() - 1
+            if pruned and remaining == 1 and not any(
+                    not (banned >> u) & 1 and balls[u] & low == low
+                    for u in coverers[v]):
+                return ABSENT  # no last pick covers the rest
+            root = pruned and covered == 0
             for u in coverers[v]:
                 if (banned >> u) & 1:
-                    continue
+                    continue  # at the root also: a mirror of an earlier u
                 chosen.append(u)
                 r = dfs(covered | balls[u], banned | (1 << u), remaining - 1)
                 if r != ABSENT:
                     return r
                 chosen.pop()
                 banned |= 1 << u
+                if root:
+                    banned |= 1 << (n - 1 - u)
             return ABSENT
 
         limit = sys.getrecursionlimit()

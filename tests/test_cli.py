@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, formats, determinism, settings."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -249,7 +250,8 @@ class TestSweep:
                 "-k", "1")
         one = ("sweep", "--family", "kautz", "-n", "2", "-d", "2", "-k", "1")
         serial = [strip_ms(run_cli(*args)[1]) for args in (four, one)]
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         for args, expected in zip((four, one), serial):
             code, out, _ = run_cli(*args, "--jobs", "1000")
@@ -257,6 +259,14 @@ class TestSweep:
             assert strip_ms(out) == expected
         workers = min(4, cores or 1)
         assert requested == ([workers] if workers > 1 else [])
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # only a sweep with workers loads the pool and multiprocessing
+        proc = run_process(sys.executable, "-c",
+                           "import sys, dbkdom.cli; print("
+                           "'concurrent.futures.process' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_json_lines(self):
         code, out, _ = run_cli("sweep", "--family", "kautz",

@@ -100,6 +100,19 @@ class TestOutNeighbors:
                         assert set(out_neighbors(g, v)) == \
                             naive_out_neighbors(family, n, d, v), (family, n, d, v)
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_reflection_maps_arcs_to_arcs(self, family):
+        # x -> n-1-x maps the out-run of x onto the out-run of n-1-x, so it
+        # is an automorphism of both families; the oracle's root reflection
+        # rests on it
+        for d in range(2, 8):
+            for n in range(d, 301):
+                g = GeneralizedDigraph(family=family, n=n, d=d)
+                for x in range(n):
+                    run = out_neighbors(g, x)
+                    assert out_neighbors(g, n - 1 - x) == \
+                        ModInterval(n - run.start - d, d, n), (n, d, x)
+
     def test_saturates_only_at_n_equals_d(self):
         assert out_neighbors(GeneralizedDigraph.debruijn(3, 3), 1).is_full()
         assert not out_neighbors(GeneralizedDigraph.debruijn(4, 3), 1).is_full()

@@ -245,8 +245,15 @@ class TestKernelParity:
             for k in (1, 2, 3)
             if n >= d]
 
+    # tables only: multi-word bitsets past three words, wrap-around layer
+    # runs, and balls of up to 18 layer runs (d = 2, k = 8 and 10)
+    LARGE = [(f, n, d, k)
+             for f in (0, 1)
+             for n, d, k in ((1000, 2, 2), (1000, 5, 4), (5000, 2, 2),
+                             (5000, 5, 4), (400, 2, 8), (1000, 2, 10))]
+
     def test_tables_identical(self, compiled):
-        for f, n, d, k in self.GRID:
+        for f, n, d, k in self.GRID + self.LARGE:
             pure = _cover_py.KernelTable(f, n, d, k)
             fast = compiled.KernelTable(f, n, d, k)
             assert pure.max_ball == fast.max_ball
@@ -340,6 +347,43 @@ class TestPureKernelReference:
                         ref.search(size, budget), (f, n, d, k, size, budget)
                     searches += 1
         assert searches == 3960
+
+
+class TestPrunings:
+    """The search's two prunings, root reflection and the last-pick test,
+    against what they rest on and what they must keep."""
+
+    def test_mirror_ball_is_bit_reversal(self, kernel):
+        # x -> n-1-x maps ball(v) onto ball(n-1-v), which root reflection
+        # relies on
+        for f, n, d, k in TestKernelParity.GRID:
+            table = kernel.KernelTable(f, n, d, k)
+            for v in range(n):
+                reversed_bits = format(table.ball_mask(v), f"0{n}b")[::-1]
+                assert table.ball_mask(n - 1 - v) == int(reversed_bits, 2), \
+                    (f, n, d, k, v)
+
+    def test_decided_searches_keep_witness(self, kernel):
+        # wherever the unpruned search decides, the pruned kernels return
+        # its (status, witness) with no more nodes; some searches the
+        # unpruned one leaves capped now decide
+        newly_decided = 0
+        for f, n, d, k in TestKernelParity.GRID:
+            table = kernel.KernelTable(f, n, d, k)
+            ref = ReferenceTable(f, n, d, k)
+            lower = ceil_div(n, geometric_sum(d, k))
+            widest = None if n <= 65 else 20_000
+            for size in range(max(0, lower - 1), lower + 3):
+                for budget in (widest, 0, 1, 2, 50):
+                    status, witness, nodes = table.search(size, budget)
+                    want = ref.search(size, budget, pruned=False)
+                    if want[0] == _cover_py.INCONCLUSIVE:
+                        newly_decided += status != _cover_py.INCONCLUSIVE
+                        continue
+                    case = (f, n, d, k, size, budget)
+                    assert (status, witness) == want[:2], case
+                    assert nodes <= want[2], case
+        assert newly_decided > 0
 
 
 class TestBackendSelection:
