@@ -8,6 +8,8 @@ checkout holding this script.  Run from anywhere:
     python benchmarks/bench_gamma.py [--repeat N] [--max-n N]
 
 Each row gives the fastest of the repeats and the row `gamma` printed.
+The rows are printed and written to ``BENCH_gamma.json`` at the root of
+this checkout, with the machine information ``BENCH_kernel.json`` carries.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+OUT = ROOT / "BENCH_gamma.json"
 FAMILIES = ("debruijn", "kautz")
 ORDERS = [10 ** e for e in range(3, 8)]
 D, K = 3, 3
@@ -52,6 +57,7 @@ def main() -> None:
     print(f"dbkdom gamma, d={D} k={K}, fastest of {args.repeat} fresh "
           f"processes, python {sys.version.split()[0]}")
     print(f"{'family':<9} {'n':>9} {'seconds':>8}  {'method':<12} value")
+    rows = []
     for family in FAMILIES:
         for n in ORDERS:
             if n > args.max_n:
@@ -64,6 +70,20 @@ def main() -> None:
                      else "bracket {}..{}".format(*row["bracket"]))
             print(f"{family:<9} {n:>9} {min(times):>8.3f}  "
                   f"{row['method']:<12} {value}", flush=True)
+            rows.append({"family": family, "n": n, "d": D, "k": K,
+                         "seconds": round(min(times), 4),
+                         "method": row["method"], "gamma": row["gamma"],
+                         "bracket": row["bracket"]})
+
+    OUT.write_text(json.dumps({
+        "script": "benchmarks/bench_gamma.py",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "repeat": args.repeat,
+        "rows": rows,
+    }, indent=1) + "\n")
+    print(f"\nwrote {OUT.name}")
 
 
 if __name__ == "__main__":

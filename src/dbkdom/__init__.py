@@ -26,10 +26,9 @@ from .digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
 from .domination import Bounds, DominationCertificate, bounds, verify
 from .modular import (ModInterval, ceil_div, geometric_sum, mod_interval,
                       solve_linear_congruence)
-from .oracle import (ABSENT, FOUND, INCONCLUSIVE, MinDominationResult,
-                     OracleLimits, SearchResult, coverage_table,
-                     exists_dominating_of_size, kernel_backend,
-                     min_dominating)
+from .oracle import (ABSENT, FOUND, INCONCLUSIVE, OracleLimits, SearchResult,
+                     coverage_table, exists_dominating_of_size,
+                     kernel_backend, min_dominating)
 
 __version__ = "0.1.0"
 
@@ -37,13 +36,13 @@ __all__ = [
     "ABSENT", "AnchorWitness", "Bounds", "CongruenceWitness",
     "ConstructionError", "DEBRUIJN", "DominationCertificate", "FAMILIES",
     "FOUND", "GammaResult", "GeneralizedDigraph", "INCONCLUSIVE", "KAUTZ",
-    "MinDominationResult", "ModInterval", "OracleLimits", "SearchResult",
-    "VertexSet", "ball", "bounds", "build_anchor_run", "build_lower_prefix",
-    "build_prefix_cover", "build_window_run", "ceil_div", "classify",
-    "congruence_witness", "coverage_table", "debruijn_power_gamma",
-    "exists_dominating_of_size", "export_graph", "find_anchor",
-    "gcd_condition", "geometric_sum", "interval_out_neighborhood",
-    "ith_out_neighborhood_interval", "kernel_backend", "min_dominating",
-    "mod_interval", "out_neighbors", "prefix_condition", "remainder_window",
-    "set_out_neighborhood", "solve_linear_congruence", "verify",
+    "ModInterval", "OracleLimits", "SearchResult", "VertexSet", "ball",
+    "bounds", "build_anchor_run", "build_lower_prefix", "build_prefix_cover",
+    "build_window_run", "ceil_div", "classify", "congruence_witness",
+    "coverage_table", "debruijn_power_gamma", "exists_dominating_of_size",
+    "export_graph", "find_anchor", "gcd_condition", "geometric_sum",
+    "interval_out_neighborhood", "ith_out_neighborhood_interval",
+    "kernel_backend", "min_dominating", "mod_interval", "out_neighbors",
+    "prefix_condition", "remainder_window", "set_out_neighborhood",
+    "solve_linear_congruence", "verify",
 ]

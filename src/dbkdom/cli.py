@@ -24,14 +24,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import os
 import sys
 import time
 
 from .construct import classify
-from .digraph import FAMILIES, GeneralizedDigraph, VertexSet, export_graph
+from .digraph import FAMILIES, GeneralizedDigraph, VertexSet, export_lines
 from .domination import verify
 # unused here; perfbench/tracing.py wraps these names on this module
 from .oracle import coverage_table, exists_dominating_of_size  # noqa: F401
@@ -54,8 +53,9 @@ DEFAULT_PROBLEM_D = "2..5"
 DEFAULT_PROBLEM_K = "1..4"
 
 
-class UsageError(Exception):
-    """Bad flags or malformed values; rendered as exit code 2."""
+class UsageError(ValueError):
+    """Bad flags or malformed values; rendered as exit code 2, like every
+    ValueError that reaches ``main``."""
 
 
 def parse_range(text: str, what: str) -> list[int]:
@@ -73,13 +73,6 @@ def parse_range(text: str, what: str) -> list[int]:
         raise UsageError(
             f"{what}: expected an integer or a..b range, got {text!r}"
         ) from None
-
-
-def parse_scalar(text: str, what: str) -> int:
-    values = parse_range(text, what)
-    if len(values) != 1:
-        raise UsageError(f"{what}: expected a single value, got {text!r}")
-    return values[0]
 
 
 def parse_set_literal(text: str, n: int) -> VertexSet:
@@ -113,15 +106,18 @@ def resolve_limits(args) -> OracleLimits:
     return OracleLimits(max_nodes=budget, max_n=max_n)
 
 
+def _checked(ranges: dict) -> dict:
+    """The n, d and k value lists, refused when one holds a value no
+    instance can have."""
+    for key, least in (("d", 2), ("k", 1), ("n", 1)):
+        if min(ranges[key]) < least:
+            raise UsageError(f"{key} must be >= {least}")
+    return ranges
+
+
 def _resolve_ranges(args) -> dict:
-    out = {key: parse_range(getattr(args, key), key) for key in "ndk"}
-    if min(out["d"]) < 2:
-        raise UsageError("d must be >= 2")
-    if min(out["k"]) < 1:
-        raise UsageError("k must be >= 1")
-    if min(out["n"]) < 1:
-        raise UsageError("n must be >= 1")
-    return out
+    return _checked({key: parse_range(getattr(args, key), key)
+                     for key in "ndk"})
 
 
 def _open_out(path: str | None):
@@ -147,9 +143,9 @@ def _render_kv_table(pairs: list[tuple[str, str]]) -> str:
 
 
 def _gamma_table(row: dict) -> str:
-    pairs = []
-    for key in ("family", "n", "d", "k", "lower", "upper"):
-        pairs.append((key, str(row[key])))
+    # an error row has no bounds
+    pairs = [(key, "-" if row[key] is None else str(row[key]))
+             for key in ("family", "n", "d", "k", "lower", "upper")]
     pairs.append(("gamma", "?" if row["gamma"] is None else str(row["gamma"])))
     if row["bracket"]:
         pairs.append(("bracket", "{%d..%d}" % tuple(row["bracket"])))
@@ -158,6 +154,8 @@ def _gamma_table(row: dict) -> str:
     pairs.append(("witness", ";".join(map(str, witness)) if witness else "-"))
     for name, fired in row["conditions"].items():
         pairs.append((f"condition {name}", "yes" if fired else "no"))
+    if "error" in row:
+        pairs.append(("error", row["error"]))
     return _render_kv_table(pairs)
 
 
@@ -189,17 +187,21 @@ def row_to_csv_fields(row: dict) -> list[str]:
             cell(row.get("ms"))]
 
 
-def rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+def write_rows(fh, rows, fmt: str) -> list[dict]:
+    """Write rows as CSV (header first) or JSON lines, flushing each one so
+    a killed run keeps every finished row; returns the rows written."""
+    if fmt == "csv":
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+    written = []
     for row in rows:
-        writer.writerow(row_to_csv_fields(row))
-    return buf.getvalue()
-
-
-def rows_to_jsonl(rows: list[dict]) -> str:
-    return "".join(json.dumps(row) + "\n" for row in rows)
+        if fmt == "csv":
+            writer.writerow(row_to_csv_fields(row))
+        else:
+            fh.write(json.dumps(row) + "\n")
+        fh.flush()
+        written.append(row)
+    return written
 
 
 def _exit_for_rows(rows: list[dict]) -> int:
@@ -214,26 +216,25 @@ def _exit_for_rows(rows: list[dict]) -> int:
 
 def cmd_gamma(args) -> int:
     limits = resolve_limits(args)
-    n = parse_scalar(args.n, "n")
-    d = parse_scalar(args.d, "d")
-    k = parse_scalar(args.k, "k")
-    row = classify_row(args.family, n, d, k, limits)
-    if "error" in row:
-        raise UsageError(row["error"])
-    if args.format == "json":
-        _emit(json.dumps(row, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(rows_to_csv([row]), args.out)
-    else:
-        _emit(_gamma_table(row), args.out)
+    _checked({key: [getattr(args, key)] for key in "ndk"})
+    # refuses n < d; past this point a failure is an error row, exit 1
+    GeneralizedDigraph(family=args.family, n=args.n, d=args.d)
+    row = classify_row(args.family, args.n, args.d, args.k, limits)
+    with _open_out(args.out) as fh:
+        if args.format == "json":
+            fh.write(json.dumps(row, indent=2) + "\n")
+        elif args.format == "csv":
+            write_rows(fh, [row], "csv")
+        else:
+            fh.write(_gamma_table(row))
     return _exit_for_rows([row])
 
 
 def sweep_rows(families: list[str], ns: list[int], ds: list[int],
-               ks: list[int], limits: OracleLimits, jobs: int = 1
-               ) -> list[dict]:
-    """All rows of the grid in output order; instances with n < d are
-    skipped because neither family is defined there."""
+               ks: list[int], limits: OracleLimits, jobs: int = 1):
+    """The rows of the grid, yielded in output order as they finish;
+    instances with n < d are skipped because neither family is defined
+    there."""
     tasks = [(family, n, d, k, limits)
              for family in sorted(families)
              for n in ns for d in ds for k in ks
@@ -247,9 +248,10 @@ def sweep_rows(families: list[str], ns: list[int], ds: list[int],
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
-            return list(pool.map(classify_row, *zip(*tasks),
-                                 chunksize=chunk))
-    return [classify_row(*task) for task in tasks]
+            yield from pool.map(classify_row, *zip(*tasks), chunksize=chunk)
+    else:
+        for task in tasks:
+            yield classify_row(*task)
 
 
 def cmd_sweep(args) -> int:
@@ -259,25 +261,15 @@ def cmd_sweep(args) -> int:
         raise UsageError("jobs must be a positive integer")
     families = FAMILIES if args.family == "both" else (args.family,)
     with _open_out(args.out) as fh:
-        rows = sweep_rows(list(families), ranges["n"], ranges["d"],
-                          ranges["k"], limits, args.jobs)
-        render = rows_to_csv if args.format == "csv" else rows_to_jsonl
-        fh.write(render(rows))
+        rows = write_rows(fh, sweep_rows(list(families), ranges["n"],
+                                         ranges["d"], ranges["k"], limits,
+                                         args.jobs), args.format)
     return _exit_for_rows(rows)
 
 
 def cmd_verify(args) -> int:
-    n = parse_scalar(args.n, "n")
-    d = parse_scalar(args.d, "d")
-    k = parse_scalar(args.k, "k")
-    try:
-        g = GeneralizedDigraph(family=args.family, n=n, d=d)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    if k < 0:
-        raise UsageError("k must be >= 0")
-    dset = parse_set_literal(args.set, n)
-    cert = verify(g, dset, k).to_dict()
+    g = GeneralizedDigraph(family=args.family, n=args.n, d=args.d)
+    cert = verify(g, parse_set_literal(args.set, args.n), args.k).to_dict()
     if args.format == "json":
         _emit(json.dumps(cert, indent=2) + "\n", args.out)
     else:
@@ -340,22 +332,18 @@ def cmd_problems(args) -> int:
 
 
 def cmd_export(args) -> int:
-    n = parse_scalar(args.n, "n")
-    d = parse_scalar(args.d, "d")
-    try:
-        g = GeneralizedDigraph(family=args.family, n=n, d=d)
-        text = export_graph(g, args.format)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    _emit(text, args.out)
+    g = GeneralizedDigraph(family=args.family, n=args.n, d=args.d)
+    lines = export_lines(g, args.format)
+    with _open_out(args.out) as fh:
+        fh.writelines(lines)
     return EXIT_OK
 
 
 def _add_common(sub):
     sub.add_argument("--family", required=True, choices=list(FAMILIES))
-    sub.add_argument("-n", required=True, help="order (or range a..b)")
-    sub.add_argument("-d", required=True, help="degree (or range a..b)")
-    sub.add_argument("-k", required=True, help="radius (or range a..b)")
+    sub.add_argument("-n", type=int, required=True, help="order")
+    sub.add_argument("-d", type=int, required=True, help="degree")
+    sub.add_argument("-k", type=int, required=True, help="radius")
     sub.add_argument("--out", help="write output to this file")
 
 
@@ -417,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("export", help="write the arc list of one instance")
     p.add_argument("--family", required=True, choices=list(FAMILIES))
-    p.add_argument("-n", required=True, help="order")
-    p.add_argument("-d", required=True, help="degree")
+    p.add_argument("-n", type=int, required=True, help="order")
+    p.add_argument("-d", type=int, required=True, help="degree")
     p.add_argument("--format", default="edges", choices=["edges", "dot"])
     p.add_argument("--out", help="write output to this file")
     p.set_defaults(func=cmd_export)
@@ -435,9 +423,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

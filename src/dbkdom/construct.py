@@ -85,10 +85,10 @@ class CongruenceWitness:
 class GammaResult:
     """Outcome of classifying one instance.
 
-    Exactly one of gamma and bracket is set.  When gamma is set the witness
-    is a verified dominating set of that size; method names the rule that
-    settled the value.  conditions reports every sufficient condition that
-    was evaluated, whether or not it fired.
+    When gamma is set the witness is a verified dominating set of that
+    size; otherwise the value lies in ``bracket``, the bounds.  method names
+    the rule that settled the value.  conditions reports every sufficient
+    condition that was evaluated, whether or not it fired.
     """
 
     graph: GeneralizedDigraph
@@ -96,7 +96,6 @@ class GammaResult:
     lower: int
     upper: int
     gamma: int | None
-    bracket: tuple[int, int] | None
     method: str
     witness: VertexSet | None
     conditions: dict[str, bool]
@@ -104,8 +103,10 @@ class GammaResult:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if (self.gamma is None) == (self.bracket is None):
-            raise ValueError("exactly one of gamma and bracket must be set")
+
+    @property
+    def bracket(self) -> tuple[int, int] | None:
+        return None if self.gamma is not None else (self.lower, self.upper)
 
     def to_dict(self) -> dict:
         return {
@@ -335,22 +336,22 @@ def build_lower_prefix(n: int, d: int, k: int) -> VertexSet:
     return _verified_run(g, 0, lower, k, "prefix of length lower")
 
 
-def _exact(g: GeneralizedDigraph, k: int, b: Bounds, upper: int, gamma: int,
+def _exact(g: GeneralizedDigraph, k: int, b: Bounds, gamma: int,
            method: str, witness: VertexSet,
            conditions: dict[str, bool]) -> GammaResult:
     if len(witness) != gamma:
         raise ConstructionError(
             f"witness size {len(witness)} does not match claimed value "
             f"{gamma} ({method})")
-    return GammaResult(graph=g, k=k, lower=b.lower, upper=upper, gamma=gamma,
-                       bracket=None, method=method, witness=witness,
+    return GammaResult(graph=g, k=k, lower=b.lower, upper=b.upper,
+                       gamma=gamma, method=method, witness=witness,
                        conditions=conditions)
 
 
-def _bracket(g: GeneralizedDigraph, k: int, b: Bounds, upper: int,
-             method: str, conditions: dict[str, bool]) -> GammaResult:
-    return GammaResult(graph=g, k=k, lower=b.lower, upper=upper, gamma=None,
-                       bracket=(b.lower, upper), method=method, witness=None,
+def _bracket(g: GeneralizedDigraph, k: int, b: Bounds, method: str,
+             conditions: dict[str, bool]) -> GammaResult:
+    return GammaResult(graph=g, k=k, lower=b.lower, upper=b.upper,
+                       gamma=None, method=method, witness=None,
                        conditions=conditions)
 
 
@@ -367,13 +368,9 @@ def classify(g: GeneralizedDigraph, k: int,
     inside ``limits``; a budget abort degrades the answer to a bracket
     tagged inconclusive.
     """
-    if k < 1:
-        raise ValueError(f"radius must be >= 1, got {k}")
     b = bounds(g, k)
     n, d = g.n, g.d
     if g.family == DEBRUIJN:
-        upper = b.upper_debruijn
-        assert upper is not None
         witness = congruence_witness(n, d, k)
         tag = gcd_condition(n, d, k)
         conditions = {
@@ -383,39 +380,36 @@ def classify(g: GeneralizedDigraph, k: int,
             "remainder_window": remainder_window(n, d, k),
         }
         if witness is not None:
-            return _exact(g, k, b, upper, b.lower, METHOD_CONGRUENCE,
+            return _exact(g, k, b, b.lower, METHOD_CONGRUENCE,
                           witness.run, conditions)
         if limits.allows(n):
             table = coverage_table(g, k)
             result = exists_dominating_of_size(
                 g, k, b.lower, table=table, max_nodes=limits.max_nodes)
             if result.status == FOUND:
-                return _exact(g, k, b, upper, b.lower, METHOD_ORACLE,
+                return _exact(g, k, b, b.lower, METHOD_ORACLE,
                               result.witness, conditions)
             if result.status == ABSENT:
-                return _exact(g, k, b, upper, b.lower + 1, METHOD_ORACLE,
+                return _exact(g, k, b, b.lower + 1, METHOD_ORACLE,
                               build_anchor_run(n, d, k), conditions)
-            return _bracket(g, k, b, upper, METHOD_INCONCLUSIVE, conditions)
-        return _bracket(g, k, b, upper, METHOD_BRACKET, conditions)
+            return _bracket(g, k, b, METHOD_INCONCLUSIVE, conditions)
+        return _bracket(g, k, b, METHOD_BRACKET, conditions)
 
-    upper = b.upper_kautz
-    assert upper is not None
     fired = prefix_condition(n, d, k)
     conditions = {"radius_one": k == 1, "prefix_cover": fired}
     if k == 1:
         # lower and upper coincide at radius one, so the value is closed form
-        return _exact(g, k, b, upper, b.lower, METHOD_RADIUS_ONE,
+        return _exact(g, k, b, b.lower, METHOD_RADIUS_ONE,
                       build_prefix_cover(n, d, 1), conditions)
     if fired:
-        return _exact(g, k, b, upper, b.lower, METHOD_PREFIX_COVER,
+        return _exact(g, k, b, b.lower, METHOD_PREFIX_COVER,
                       build_lower_prefix(n, d, k), conditions)
     if limits.allows(n):
         table = coverage_table(g, k)
         result = min_dominating(g, k, table=table,
                                 max_nodes=limits.max_nodes)
         if result.status == FOUND:
-            assert result.gamma is not None and result.witness is not None
-            return _exact(g, k, b, upper, result.gamma, METHOD_ORACLE,
+            return _exact(g, k, b, result.gamma, METHOD_ORACLE,
                           result.witness, conditions)
-        return _bracket(g, k, b, upper, METHOD_INCONCLUSIVE, conditions)
-    return _bracket(g, k, b, upper, METHOD_BRACKET, conditions)
+        return _bracket(g, k, b, METHOD_INCONCLUSIVE, conditions)
+    return _bracket(g, k, b, METHOD_BRACKET, conditions)

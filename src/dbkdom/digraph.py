@@ -220,32 +220,39 @@ def ball(g: GeneralizedDigraph, s: VertexSet, k: int) -> VertexSet:
     return covered
 
 
-def export_graph(g: GeneralizedDigraph, fmt: str = "edges") -> str:
-    """Arc list of the digraph as 'edges' (tab separated) or 'dot' text.
+def export_lines(g: GeneralizedDigraph, fmt: str = "edges"):
+    """Arc list of the digraph as 'edges' (tab separated) or 'dot' text, an
+    iterator of newline-terminated lines.
 
     Arcs are emitted for v = 0..n-1 with the slot index ascending; self loops
-    are kept.  Refuses graphs with more than EXPORT_GUARD arcs.
+    are kept.  Refuses, before the first line, an unknown format and graphs
+    with more than EXPORT_GUARD arcs.
     """
     if fmt not in ("edges", "dot"):
         raise ValueError(f"unknown export format {fmt!r}")
     if g.n * g.d > EXPORT_GUARD:
         raise ValueError(
             f"refusing to export {g.n * g.d} arcs (guard {EXPORT_GUARD})")
-    lines = []
-    if fmt == "edges":
-        lines.append(f"# {g.family} {g.n} {g.d}")
+    return _arc_lines(g, fmt)
+
+
+def _arc_lines(g: GeneralizedDigraph, fmt: str):
+    n, d, edges = g.n, g.d, fmt == "edges"
+    if edges:
+        yield f"# {g.family} {n} {d}\n"
     else:
-        lines.append(f"digraph {g.family}_{g.n}_{g.d} {{")
-    for v in range(g.n):
-        for i in range(g.d):
+        yield f"digraph {g.family}_{n}_{d} {{\n"
+    for v in range(n):
+        for i in range(d):
             if g.family == DEBRUIJN:
-                y = (g.d * v + i) % g.n
+                y = (d * v + i) % n
             else:
-                y = (-g.d * v - (i + 1)) % g.n
-            if fmt == "edges":
-                lines.append(f"{v}\t{y}")
-            else:
-                lines.append(f"  {v} -> {y};")
-    if fmt == "dot":
-        lines.append("}")
-    return "\n".join(lines) + "\n"
+                y = (-d * v - (i + 1)) % n
+            yield f"{v}\t{y}\n" if edges else f"  {v} -> {y};\n"
+    if not edges:
+        yield "}\n"
+
+
+def export_graph(g: GeneralizedDigraph, fmt: str = "edges") -> str:
+    """The lines of ``export_lines`` as one string."""
+    return "".join(export_lines(g, fmt))

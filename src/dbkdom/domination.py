@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, VertexSet, ball
+from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet, ball
 from .modular import ceil_div, geometric_sum
 
 
@@ -41,14 +41,13 @@ class DominationCertificate:
 class Bounds:
     """A priori bounds on the distance-k domination number.
 
-    ``lower`` is ceil(n / geometric_sum(d, k)); the upper bounds are the
-    family's constructive ones, with the inapplicable family's field None.
+    ``lower`` is ceil(n / geometric_sum(d, k)); ``upper`` is the family's
+    constructive bound and ``upper_naive`` is ceil(n / d**k).
     """
 
     lower: int
+    upper: int
     upper_naive: int
-    upper_debruijn: int | None
-    upper_kautz: int | None
 
 
 def verify(g: GeneralizedDigraph, dset: VertexSet,
@@ -80,9 +79,6 @@ def bounds(g: GeneralizedDigraph, k: int) -> Bounds:
         raise ValueError(f"radius must be >= 1, got {k}")
     n, d = g.n, g.d
     lower = ceil_div(n, geometric_sum(d, k))
-    upper_naive = ceil_div(n, d ** k)
-    upper_debruijn = lower + 1 if g.family == DEBRUIJN else None
-    upper_kautz = (ceil_div(n, d ** k + d ** (k - 1))
-                   if g.family == KAUTZ else None)
-    return Bounds(lower=lower, upper_naive=upper_naive,
-                  upper_debruijn=upper_debruijn, upper_kautz=upper_kautz)
+    upper = (lower + 1 if g.family == DEBRUIJN
+             else ceil_div(n, d ** k + d ** (k - 1)))
+    return Bounds(lower=lower, upper=upper, upper_naive=ceil_div(n, d ** k))

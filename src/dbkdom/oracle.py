@@ -68,21 +68,17 @@ DEFAULT_LIMITS = OracleLimits()
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one fixed-size search."""
+    """Outcome of a fixed-size or a minimum search; the witness is set
+    exactly when the status is found."""
 
     status: str
     witness: VertexSet | None
     nodes: int
 
-
-@dataclass(frozen=True)
-class MinDominationResult:
-    """Outcome of a minimum search: exact value or an inconclusive abort."""
-
-    status: str  # 'found' or 'inconclusive'
-    gamma: int | None
-    witness: VertexSet | None
-    nodes: int
+    @property
+    def gamma(self) -> int | None:
+        """The witness size: the minimum when ``min_dominating`` found it."""
+        return None if self.witness is None else len(self.witness)
 
 
 def _family_code(g: GeneralizedDigraph) -> int:
@@ -131,31 +127,24 @@ def exists_dominating_of_size(g: GeneralizedDigraph, k: int, size: int, *,
 
 def min_dominating(g: GeneralizedDigraph, k: int, *,
                    table=None, max_nodes: int | None = None,
-                   ) -> MinDominationResult:
+                   ) -> SearchResult:
     """Exact minimum by searching sizes upward from the a priori lower bound.
 
-    Stops at the first size that admits a dominating set.  An inconclusive
-    size aborts the whole computation as inconclusive: skipping it could
-    misreport the minimum.
+    Stops at the first size that admits a dominating set; its witness is a
+    minimum one.  An inconclusive size aborts the whole computation as
+    inconclusive: skipping it could misreport the minimum.  ``nodes`` sums
+    every size searched.
     """
-    if k < 1:
-        raise ValueError(f"radius must be >= 1, got {k}")
+    size = bounds(g, k).lower
     if table is None:
         table = coverage_table(g, k)
-    size = bounds(g, k).lower
     total_nodes = 0
     while size <= g.n:
         result = exists_dominating_of_size(
             g, k, size, table=table, max_nodes=max_nodes)
         total_nodes += result.nodes
-        if result.status == INCONCLUSIVE:
-            return MinDominationResult(status=INCONCLUSIVE, gamma=None,
-                                       witness=None, nodes=total_nodes)
-        if result.status == FOUND:
-            assert result.witness is not None
-            return MinDominationResult(status=FOUND, gamma=size,
-                                       witness=result.witness,
-                                       nodes=total_nodes)
+        if result.status != ABSENT:
+            return SearchResult(result.status, result.witness, total_nodes)
         size += 1
     raise RuntimeError(
         f"no dominating set of any size up to n for {g}; unreachable")

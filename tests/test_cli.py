@@ -15,8 +15,8 @@ import dbkdom
 from dbkdom import cli, domination, problems
 from dbkdom.cli import (CSV_COLUMNS, EXIT_BRACKET, EXIT_INCONCLUSIVE,
                         EXIT_INVALID, EXIT_OK, EXIT_USAGE, main)
-from dbkdom.construct import classify
-from dbkdom.digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph
+from dbkdom.construct import ConstructionError, classify
+from dbkdom.digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, export_graph
 from dbkdom.oracle import DEFAULT_TABLE_CEILING
 
 
@@ -103,6 +103,31 @@ class TestGamma:
         assert code == EXIT_OK
         assert out == ""
         assert json.loads(target.read_text())["n"] == 8
+
+    def test_bad_radius_is_usage_error(self):
+        code, out, err = run_cli("gamma", "--family", "debruijn",
+                                 "-n", "40", "-d", "3", "-k", "0")
+        assert code == EXIT_USAGE
+        assert (out, err) == ("", "error: k must be >= 1\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_internal_failure_is_an_error_row(self, monkeypatch, fmt):
+        # as in a sweep: exit 1 with the failure in the row, not exit 2
+        def failing(*args, **kwargs):
+            raise ConstructionError("anchor run failed verification")
+
+        monkeypatch.setattr(cli, "classify", failing)
+        code, out, err = run_cli("gamma", "--family", "debruijn",
+                                 "-n", "40", "-d", "3", "-k", "3",
+                                 "--format", fmt)
+        assert code == EXIT_INVALID
+        assert err == ""
+        message = "ConstructionError: anchor run failed verification"
+        if fmt == "json":
+            row = json.loads(out)
+            assert (row["method"], row["error"]) == ("error", message)
+        else:
+            assert "method   error\n" in out and message in out
 
     def test_unwritable_out_file_is_usage_error(self, tmp_path):
         # exit 1 would read as an invalid set or a counterexample
@@ -268,6 +293,26 @@ class TestSweep:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_interrupted_sweep_keeps_finished_rows(self, monkeypatch,
+                                                   tmp_path):
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "classify", interrupted)
+        target = tmp_path / "rows.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main([*self.ARGS, "--out", str(target)])
+        lines = target.read_text().splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert [line.split(",")[:4] for line in lines[1:]] == [
+            ["debruijn", "2", "2", "1"], ["debruijn", "2", "2", "2"],
+            ["debruijn", "3", "2", "1"]]
+
     def test_json_lines(self):
         code, out, _ = run_cli("sweep", "--family", "kautz",
                                "-n", "3..9", "-d", "2", "-k", "1",
@@ -423,6 +468,26 @@ class TestExport:
                                "-n", "6000000", "-d", "2")
         assert code == EXIT_USAGE
         assert err
+
+    @pytest.mark.parametrize("argv", [
+        ("-n", "6000000", "-d", "2"),
+        ("-n", "1", "-d", "2"),
+    ], ids=["guard", "order"])
+    def test_refused_before_out_is_opened(self, tmp_path, argv):
+        target = tmp_path / "arcs.txt"
+        code, _, err = run_cli("export", "--family", "kautz", *argv,
+                               "--out", str(target))
+        assert code == EXIT_USAGE and err
+        assert not target.exists()
+
+    def test_out_file_matches_export_graph(self, tmp_path):
+        target = tmp_path / "arcs.dot"
+        code, out, _ = run_cli("export", "--family", "kautz", "-n", "50",
+                               "-d", "3", "--format", "dot",
+                               "--out", str(target))
+        assert (code, out) == (EXIT_OK, "")
+        assert target.read_text() == export_graph(
+            GeneralizedDigraph.kautz(50, 3), "dot")
 
 
 # The console script pip writes for a [project.scripts] entry

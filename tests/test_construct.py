@@ -456,21 +456,20 @@ class TestClassify:
 
 
 class TestGammaResultInvariants:
-    def test_exactly_one_of_gamma_and_bracket(self):
+    def test_bracket_is_the_bounds_exactly_when_gamma_is_unset(self):
         g = GeneralizedDigraph.debruijn(7, 2)
-        with pytest.raises(ValueError):
-            GammaResult(graph=g, k=2, lower=1, upper=2, gamma=1,
-                        bracket=(1, 2), method="oracle",
-                        witness=VertexSet.from_members(7, [1]),
-                        conditions={})
-        with pytest.raises(ValueError):
-            GammaResult(graph=g, k=2, lower=1, upper=2, gamma=None,
-                        bracket=None, method="bracket", witness=None,
-                        conditions={})
+        exact = GammaResult(graph=g, k=2, lower=1, upper=2, gamma=1,
+                            method="oracle",
+                            witness=VertexSet.from_members(7, [1]),
+                            conditions={})
+        assert exact.bracket is None
+        open_ = GammaResult(graph=g, k=2, lower=1, upper=2, gamma=None,
+                            method="bracket", witness=None, conditions={})
+        assert open_.bracket == (1, 2)
+        assert open_.to_dict()["bracket"] == [1, 2]
 
     def test_unknown_method_rejected(self):
         g = GeneralizedDigraph.debruijn(7, 2)
         with pytest.raises(ValueError):
             GammaResult(graph=g, k=2, lower=1, upper=2, gamma=None,
-                        bracket=(1, 2), method="guesswork", witness=None,
-                        conditions={})
+                        method="guesswork", witness=None, conditions={})

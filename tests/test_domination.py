@@ -86,14 +86,12 @@ class TestBounds:
     def test_debruijn_headline(self):
         b = bounds(GeneralizedDigraph.debruijn(40, 3), 3)
         assert b.lower == 1
-        assert b.upper_debruijn == 2
-        assert b.upper_kautz is None
+        assert b.upper == 2
 
     def test_kautz_headline(self):
         b = bounds(GeneralizedDigraph.kautz(7, 2), 2)
         assert b.lower == 1
-        assert b.upper_kautz == 2
-        assert b.upper_debruijn is None
+        assert b.upper == 2
 
     def test_kautz_radius_one_bounds_coincide(self):
         for n in range(3, 61):
@@ -101,7 +99,7 @@ class TestBounds:
                 if n < d:
                     continue
                 b = bounds(GeneralizedDigraph.kautz(n, d), 1)
-                assert b.lower == b.upper_kautz == ceil_div(n, d + 1)
+                assert b.lower == b.upper == ceil_div(n, d + 1)
 
     def test_lower_at_most_uppers(self):
         for family in sorted(FAMILIES):
@@ -114,9 +112,7 @@ class TestBounds:
                             family=family, n=n, d=d), k)
                         assert b.lower == ceil_div(n, geometric_sum(d, k))
                         assert b.lower <= b.upper_naive
-                        upper = (b.upper_debruijn if family == "debruijn"
-                                 else b.upper_kautz)
-                        assert b.lower <= upper
+                        assert b.lower <= b.upper
 
     def test_radius_zero_rejected(self):
         with pytest.raises(ValueError):
