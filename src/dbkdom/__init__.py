@@ -16,8 +16,8 @@ definitions.
 from .construct import (AnchorWitness, CongruenceWitness, ConstructionError,
                         GammaResult, build_anchor_run, build_lower_prefix,
                         build_prefix_cover, build_window_run, classify,
-                        congruence_witness, debruijn_power_gamma, find_anchor,
-                        gcd_condition, prefix_condition, remainder_window)
+                        congruence_witness, find_anchor, gcd_condition,
+                        prefix_condition, remainder_window)
 from .digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
                       VertexSet, ball, export_graph,
                       interval_out_neighborhood,
@@ -39,8 +39,8 @@ __all__ = [
     "ModInterval", "OracleLimits", "SearchResult", "VertexSet", "ball",
     "bounds", "build_anchor_run", "build_lower_prefix", "build_prefix_cover",
     "build_window_run", "ceil_div", "classify", "congruence_witness",
-    "coverage_table", "debruijn_power_gamma", "exists_dominating_of_size",
-    "export_graph", "find_anchor", "gcd_condition", "geometric_sum",
+    "coverage_table", "exists_dominating_of_size", "export_graph",
+    "find_anchor", "gcd_condition", "geometric_sum",
     "interval_out_neighborhood", "ith_out_neighborhood_interval",
     "kernel_backend", "min_dominating", "mod_interval", "out_neighbors",
     "prefix_condition", "remainder_window", "set_out_neighborhood",

@@ -9,8 +9,8 @@ Subcommands:
   rendered from the reports in ``dbkdom.problems``
 * ``export``   write the arc list of one instance (edge list or DOT)
 
-Exit codes: 0 success/exact/valid, 1 invalid set or counterexample found,
-2 usage error, 3 bracket only, 4 inconclusive.
+Exit codes: 0 success/exact/valid, 1 invalid set, counterexample found or
+output closed early, 2 usage error, 3 bracket only, 4 inconclusive.
 
 Human-readable output ("table") is a rendering of the same dict that the
 JSON output serializes; there is no second computation path.  Sweep rows
@@ -245,10 +245,17 @@ def sweep_rows(families: list[str], ns: list[int], ds: list[int],
     if workers > 1:
         # imported here: the pool's modules cost every process start
         # a third of its import time
+        import signal
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # workers die on Ctrl-C, and leaving early drops the queued chunks
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_DFL))
+        try:
             chunk = max(1, len(tasks) // (workers * 8))
             yield from pool.map(classify_row, *zip(*tasks), chunksize=chunk)
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         for task in tasks:
             yield classify_row(*task)
@@ -426,6 +433,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

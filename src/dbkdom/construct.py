@@ -13,8 +13,7 @@ conceivable size exists:
   decide a value on their own (tests pin both implications).
 * Kautz side: the prefix run {0..c-1} with c = ceil(n/(d**k + d**(k-1)))
   always dominates, and a layer-size test certifies when the prefix of
-  length exactly lower suffices.  At radius one the two bounds coincide, so
-  the value is closed form.
+  length exactly lower suffices; at radius one it always does.
 
 Every constructed set is verified before it is returned; a verification
 failure raises ConstructionError because it would falsify an argument this
@@ -31,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet
-from .domination import Bounds, bounds, verify
+from .domination import bounds, verify
 from .modular import (ModInterval, ceil_div, geometric_sum,
                       solve_linear_congruence)
 from .oracle import (ABSENT, DEFAULT_LIMITS, FOUND, OracleLimits,
@@ -52,8 +51,6 @@ METHODS = frozenset({
 
 GCD_DIVISIBILITY = "divisibility"
 GCD_RESIDUE = "residue"
-
-POWER_CEILING = 16384  # largest d**m this module will verify exhaustively
 
 
 class ConstructionError(RuntimeError):
@@ -85,17 +82,16 @@ class CongruenceWitness:
 class GammaResult:
     """Outcome of classifying one instance.
 
-    When gamma is set the witness is a verified dominating set of that
-    size; otherwise the value lies in ``bracket``, the bounds.  method names
-    the rule that settled the value.  conditions reports every sufficient
-    condition that was evaluated, whether or not it fired.
+    When the witness is set it is a verified dominating set and gamma is
+    its size; otherwise the value lies in ``bracket``, the bounds.  method
+    names the rule that settled the value.  conditions reports every
+    sufficient condition that was evaluated, whether or not it fired.
     """
 
     graph: GeneralizedDigraph
     k: int
     lower: int
     upper: int
-    gamma: int | None
     method: str
     witness: VertexSet | None
     conditions: dict[str, bool]
@@ -105,8 +101,12 @@ class GammaResult:
             raise ValueError(f"unknown method {self.method!r}")
 
     @property
+    def gamma(self) -> int | None:
+        return None if self.witness is None else len(self.witness)
+
+    @property
     def bracket(self) -> tuple[int, int] | None:
-        return None if self.gamma is not None else (self.lower, self.upper)
+        return None if self.witness else (self.lower, self.upper)
 
     def to_dict(self) -> dict:
         return {
@@ -256,49 +256,6 @@ def build_window_run(n: int, d: int, k: int) -> VertexSet:
                          "anchor run of length lower (window condition)")
 
 
-def debruijn_power_gamma(d: int, m: int, k: int) -> tuple[int, VertexSet]:
-    """Exact domination number of the degree-power instance n = d**m.
-
-    For m <= k a single vertex suffices.  Otherwise repeatedly splitting
-    d**m = S*(d-1)*d**(m-(k+1)) + d**(m-(k+1)) telescopes into
-    d**m = S*(d-1)*x + d**(m mod (k+1)) with
-    x = sum of d**(m - j*(k+1)) for j = 1..floor(m/(k+1)), so
-    L = (d-1)*x + 1 and the run {x, ..., x + L - 1} dominates: x solves the
-    length-L congruence at offset h = 1.  Both facts are checked here.
-    """
-    if m < 1:
-        raise ValueError(f"exponent must be >= 1, got {m}")
-    n = d ** m
-    _check_instance(n, d, k)
-    if n > POWER_CEILING:
-        raise ValueError(
-            f"d**m = {n} exceeds the verification ceiling {POWER_CEILING}")
-    s = geometric_sum(d, k)
-    lower = ceil_div(n, s)
-    witness = congruence_witness(n, d, k)
-    if witness is None:
-        raise ConstructionError(
-            f"congruence search must succeed for n = {d}**{m}; "
-            "gcd(d-1, d**m) = 1 makes offset 0 solvable")
-    if m <= k:
-        if lower != 1 or len(witness.run) != 1:
-            raise ConstructionError(
-                f"single-vertex case broken for d={d} m={m} k={k}")
-        return 1, witness.run
-    terms = m // (k + 1)
-    x = sum(d ** (m - j * (k + 1)) for j in range(1, terms + 1))
-    if ((d - 1) * x - (lower - 1)) % n != 0:
-        raise ConstructionError(
-            f"power-sum witness x={x} does not solve the congruence for "
-            f"d={d} m={m} k={k}")
-    if geometric_sum(d, k - 1) > s * lower - n:
-        raise ConstructionError(
-            f"offset 1 exceeds the slack for d={d} m={m} k={k}")
-    g = GeneralizedDigraph.debruijn(n, d)
-    run = _verified_run(g, x % n, lower, k, f"power-sum run (x={x})")
-    return lower, run
-
-
 def build_prefix_cover(n: int, d: int, k: int) -> VertexSet:
     """The verified Kautz dominating prefix {0..c-1}, c = ceil(n/(d^k+d^(k-1))).
 
@@ -336,25 +293,6 @@ def build_lower_prefix(n: int, d: int, k: int) -> VertexSet:
     return _verified_run(g, 0, lower, k, "prefix of length lower")
 
 
-def _exact(g: GeneralizedDigraph, k: int, b: Bounds, gamma: int,
-           method: str, witness: VertexSet,
-           conditions: dict[str, bool]) -> GammaResult:
-    if len(witness) != gamma:
-        raise ConstructionError(
-            f"witness size {len(witness)} does not match claimed value "
-            f"{gamma} ({method})")
-    return GammaResult(graph=g, k=k, lower=b.lower, upper=b.upper,
-                       gamma=gamma, method=method, witness=witness,
-                       conditions=conditions)
-
-
-def _bracket(g: GeneralizedDigraph, k: int, b: Bounds, method: str,
-             conditions: dict[str, bool]) -> GammaResult:
-    return GammaResult(graph=g, k=k, lower=b.lower, upper=b.upper,
-                       gamma=None, method=method, witness=None,
-                       conditions=conditions)
-
-
 def classify(g: GeneralizedDigraph, k: int,
              limits: OracleLimits = DEFAULT_LIMITS) -> GammaResult:
     """Best effort exact value, falling back to a two-sided bracket.
@@ -363,53 +301,57 @@ def classify(g: GeneralizedDigraph, k: int,
     congruence run, then the oracle deciding lower vs lower+1.  The gcd
     tests and the remainder window are reported in ``conditions`` only:
     each implies the congruence run, so they never decide a value.  Kautz
-    order: the radius-one closed form, the prefix condition, then the
-    oracle scanning upward from the lower bound.  The oracle runs only
-    inside ``limits``; a budget abort degrades the answer to a bracket
-    tagged inconclusive.
+    order: the prefix condition (always true at radius one, where the
+    method reads ``radius_one``), then the oracle scanning upward from the
+    lower bound.  The oracle runs only inside ``limits``; a budget abort
+    degrades the answer to a bracket tagged inconclusive.
+
+    From radius n.bit_length() + 1 on, d**k > n and every value equals its
+    value at that radius, so the work is done there and only the reported
+    k is the one given.
     """
-    b = bounds(g, k)
+    radius = min(k, g.n.bit_length() + 1)
+    b = bounds(g, radius)
     n, d = g.n, g.d
+
+    def result(method: str,
+               witness: VertexSet | None = None) -> GammaResult:
+        return GammaResult(graph=g, k=k, lower=b.lower, upper=b.upper,
+                           method=method, witness=witness,
+                           conditions=conditions)
+
     if g.family == DEBRUIJN:
-        witness = congruence_witness(n, d, k)
-        tag = gcd_condition(n, d, k)
+        witness = congruence_witness(n, d, radius)
+        tag = gcd_condition(n, d, radius)
         conditions = {
             "congruence": witness is not None,
             "gcd_divisibility": tag == GCD_DIVISIBILITY,
             "gcd_residue": tag == GCD_RESIDUE,
-            "remainder_window": remainder_window(n, d, k),
+            "remainder_window": remainder_window(n, d, radius),
         }
         if witness is not None:
-            return _exact(g, k, b, b.lower, METHOD_CONGRUENCE,
-                          witness.run, conditions)
+            return result(METHOD_CONGRUENCE, witness.run)
         if limits.allows(n):
-            table = coverage_table(g, k)
-            result = exists_dominating_of_size(
-                g, k, b.lower, table=table, max_nodes=limits.max_nodes)
-            if result.status == FOUND:
-                return _exact(g, k, b, b.lower, METHOD_ORACLE,
-                              result.witness, conditions)
-            if result.status == ABSENT:
-                return _exact(g, k, b, b.lower + 1, METHOD_ORACLE,
-                              build_anchor_run(n, d, k), conditions)
-            return _bracket(g, k, b, METHOD_INCONCLUSIVE, conditions)
-        return _bracket(g, k, b, METHOD_BRACKET, conditions)
+            table = coverage_table(g, radius)
+            search = exists_dominating_of_size(
+                g, radius, b.lower, table=table, max_nodes=limits.max_nodes)
+            if search.status == FOUND:
+                return result(METHOD_ORACLE, search.witness)
+            if search.status == ABSENT:
+                return result(METHOD_ORACLE, build_anchor_run(n, d, radius))
+            return result(METHOD_INCONCLUSIVE)
+        return result(METHOD_BRACKET)
 
-    fired = prefix_condition(n, d, k)
+    fired = prefix_condition(n, d, radius)
     conditions = {"radius_one": k == 1, "prefix_cover": fired}
-    if k == 1:
-        # lower and upper coincide at radius one, so the value is closed form
-        return _exact(g, k, b, b.lower, METHOD_RADIUS_ONE,
-                      build_prefix_cover(n, d, 1), conditions)
     if fired:
-        return _exact(g, k, b, b.lower, METHOD_PREFIX_COVER,
-                      build_lower_prefix(n, d, k), conditions)
+        method = METHOD_RADIUS_ONE if k == 1 else METHOD_PREFIX_COVER
+        return result(method, build_lower_prefix(n, d, radius))
     if limits.allows(n):
-        table = coverage_table(g, k)
-        result = min_dominating(g, k, table=table,
+        table = coverage_table(g, radius)
+        search = min_dominating(g, radius, table=table,
                                 max_nodes=limits.max_nodes)
-        if result.status == FOUND:
-            return _exact(g, k, b, result.gamma, METHOD_ORACLE,
-                          result.witness, conditions)
-        return _bracket(g, k, b, METHOD_INCONCLUSIVE, conditions)
-    return _bracket(g, k, b, METHOD_BRACKET, conditions)
+        if search.status == FOUND:
+            return result(METHOD_ORACLE, search.witness)
+        return result(METHOD_INCONCLUSIVE)
+    return result(METHOD_BRACKET)

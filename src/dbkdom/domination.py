@@ -22,8 +22,11 @@ class DominationCertificate:
     graph: GeneralizedDigraph
     dset: VertexSet
     k: int
-    valid: bool
     uncovered: VertexSet
+
+    @property
+    def valid(self) -> bool:
+        return self.uncovered.is_empty()
 
     def to_dict(self) -> dict:
         return {
@@ -42,12 +45,11 @@ class Bounds:
     """A priori bounds on the distance-k domination number.
 
     ``lower`` is ceil(n / geometric_sum(d, k)); ``upper`` is the family's
-    constructive bound and ``upper_naive`` is ceil(n / d**k).
+    constructive bound.
     """
 
     lower: int
     upper: int
-    upper_naive: int
 
 
 def verify(g: GeneralizedDigraph, dset: VertexSet,
@@ -62,9 +64,7 @@ def verify(g: GeneralizedDigraph, dset: VertexSet,
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k}")
     uncovered = ball(g, dset, k).complement()
-    return DominationCertificate(
-        graph=g, dset=dset, k=k, valid=uncovered.is_empty(),
-        uncovered=uncovered)
+    return DominationCertificate(graph=g, dset=dset, k=k, uncovered=uncovered)
 
 
 def bounds(g: GeneralizedDigraph, k: int) -> Bounds:
@@ -81,4 +81,4 @@ def bounds(g: GeneralizedDigraph, k: int) -> Bounds:
     lower = ceil_div(n, geometric_sum(d, k))
     upper = (lower + 1 if g.family == DEBRUIJN
              else ceil_div(n, d ** k + d ** (k - 1)))
-    return Bounds(lower=lower, upper=upper, upper_naive=ceil_div(n, d ** k))
+    return Bounds(lower=lower, upper=upper)

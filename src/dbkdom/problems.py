@@ -34,9 +34,8 @@ def _certificate(result: GammaResult) -> dict:
     construction run or an oracle cover), so it is not checked again.
     """
     g = result.graph
-    return DominationCertificate(
-        graph=g, dset=result.witness, k=result.k, valid=True,
-        uncovered=VertexSet(g.n)).to_dict()
+    return DominationCertificate(graph=g, dset=result.witness, k=result.k,
+                                 uncovered=VertexSet(g.n)).to_dict()
 
 
 def _classified(family: str, ns: list[int], ds: list[int], ks: list[int],

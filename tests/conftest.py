@@ -49,6 +49,21 @@ def naive_gamma(family: str, n: int, d: int, k: int) -> int:
     raise AssertionError("unreachable: the full vertex set dominates")
 
 
+def power_sum_run(d: int, m: int, k: int) -> tuple[int, list[int]]:
+    """The paper's run for the degree power n = d**m: (L, members).
+
+    Repeatedly splitting d**m = S*(d-1)*d**(m-(k+1)) + d**(m-(k+1)), with
+    S = 1 + d + ... + d**k, telescopes into d**m = S*(d-1)*x + d**(m mod
+    (k+1)) with x the sum of d**(m - j*(k+1)) for j = 1..m // (k+1).  So
+    L = ceil(n/S) = (d-1)*x + 1 and the run is {x, ..., x + L - 1}; for
+    m <= k, x = 0 and the run is the single vertex 0.
+    """
+    n = d ** m
+    size = -(-n // sum(d ** j for j in range(k + 1)))
+    x = sum(d ** (m - j * (k + 1)) for j in range(1, m // (k + 1) + 1))
+    return size, [(x + i) % n for i in range(size)]
+
+
 def case_split_interval(i: int, j: int, n: int) -> set[int]:
     """The two-branch textbook definition of a wrapping residue run."""
     i %= n

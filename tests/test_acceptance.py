@@ -7,12 +7,13 @@ import random
 import time
 from collections import defaultdict
 
+from conftest import power_sum_run
 from test_cli import run_cli
 
 from dbkdom.construct import (build_anchor_run, build_lower_prefix,
                               build_prefix_cover, build_window_run,
-                              congruence_witness, debruijn_power_gamma,
-                              prefix_condition, remainder_window)
+                              congruence_witness, prefix_condition,
+                              remainder_window)
 from dbkdom.cli import debruijn_necessity_report, kautz_upper_report
 from dbkdom.digraph import (FAMILIES, GeneralizedDigraph, VertexSet,
                             ith_out_neighborhood_interval,
@@ -103,7 +104,8 @@ def test_acceptance_5_degree_power_spot_checks():
     assert min_dominating(GeneralizedDigraph.debruijn(27, 3), 1).gamma \
         == ceil_div(27, geometric_sum(3, 1)) == 7
     for (d, m, k) in ((2, 4, 2), (3, 3, 1)):
-        gamma, witness = debruijn_power_gamma(d, m, k)
+        gamma, members = power_sum_run(d, m, k)
+        witness = VertexSet.from_members(d ** m, members)
         assert gamma == ceil_div(d ** m, geometric_sum(d, k))
         cert = verify(GeneralizedDigraph.debruijn(d ** m, d), witness, k)
         assert cert.valid and len(witness) == gamma

@@ -2,11 +2,14 @@
 
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,8 +30,8 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_process(*cmd: str) -> subprocess.CompletedProcess:
-    """Run cmd in a child process that imports the dbkdom under test.
+def child_env() -> dict:
+    """The environment of a child process that imports the dbkdom under test.
 
     PYTHONPATH leads first to the directory holding the package imported
     above, as an absolute path, so the child runs this checkout from any
@@ -36,8 +39,13 @@ def run_process(*cmd: str) -> subprocess.CompletedProcess:
     """
     src = str(Path(dbkdom.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_process(*cmd: str) -> subprocess.CompletedProcess:
+    """Run cmd in a child process that imports the dbkdom under test."""
     return subprocess.run(cmd, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env=child_env())
 
 
 def strip_ms(csv_text: str) -> str:
@@ -259,17 +267,14 @@ class TestSweep:
         requested = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
 
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
+
+            def shutdown(self, cancel_futures=False):
+                pass
 
         four = ("sweep", "--family", "both", "-n", "2..3", "-d", "2",
                 "-k", "1")
@@ -312,6 +317,45 @@ class TestSweep:
         assert [line.split(",")[:4] for line in lines[1:]] == [
             ["debruijn", "2", "2", "1"], ["debruijn", "2", "2", "2"],
             ["debruijn", "3", "2", "1"]]
+
+    def test_sigint_stops_parallel_sweep(self, tmp_path):
+        # Ctrl-C reaches the whole process group: the workers die and the
+        # queued chunks are dropped, so the sweep stops at once
+        target = tmp_path / "rows.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dbkdom.cli", "sweep", "--family", "both",
+             "-n", "2..200", "-d", "2..5", "-k", "1..4", "--jobs", "2",
+             "--out", str(target)],
+            env=child_env(), start_new_session=True,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while (not target.exists()
+                   or len(target.read_text().splitlines()) < 2):
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        text = target.read_text()
+        lines = text.splitlines()
+        assert text.endswith("\n") and lines[0] == ",".join(CSV_COLUMNS)
+        assert all(len(line.split(",")) == len(CSV_COLUMNS)
+                   for line in lines[1:])
+
+    def test_closed_pipe_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dbkdom.cli", "sweep", "--family", "both",
+             "-n", "2..60", "-d", "2..5", "-k", "1..4"],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        # the rows outgrow the pipe buffer, so the sweep writes after this
+        proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (EXIT_INVALID, b"")
 
     def test_json_lines(self):
         code, out, _ = run_cli("sweep", "--family", "kautz",
@@ -488,6 +532,28 @@ class TestExport:
         assert (code, out) == (EXIT_OK, "")
         assert target.read_text() == export_graph(
             GeneralizedDigraph.kautz(50, 3), "dot")
+
+
+class TestOutputPins:
+    """Digests of the default-envelope outputs, equal on both kernels; a
+    change that alters a row updates them and says why."""
+
+    def test_default_sweep_rows(self):
+        code, out, _ = run_cli("sweep", "--family", "both", "-n", "2..60",
+                               "-d", "2..5", "-k", "1..4", "--format", "json")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()]
+        for row in rows:
+            del row["ms"]
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "acf7943baf2609c23ef52ee3987f9dc8364cb48d0fdc5c42c740c4f93aff4ffd")
+
+    def test_problems_json(self):
+        code, out, _ = run_cli("problems", "--format", "json")
+        assert code == EXIT_INVALID  # both reports hold counterexamples
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0e72cd0b9482f767e563158bfb208421718ce5555d659340c4ce640ab301f234")
 
 
 # The console script pip writes for a [project.scripts] entry

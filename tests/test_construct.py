@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_is_dominating
+from conftest import naive_is_dominating, power_sum_run
 from dbkdom import construct
 from dbkdom.construct import (AnchorWitness, ConstructionError, GammaResult,
                               build_anchor_run, build_lower_prefix,
                               build_prefix_cover, build_window_run, classify,
-                              congruence_witness, debruijn_power_gamma,
-                              find_anchor, gcd_condition, prefix_condition,
+                              congruence_witness, find_anchor,
+                              gcd_condition, prefix_condition,
                               remainder_window)
 from dbkdom.digraph import GeneralizedDigraph, VertexSet
 from dbkdom.domination import bounds, verify
@@ -230,36 +230,46 @@ class TestRemainderWindow:
             assert len(run) == ceil_div(n, geometric_sum(d, k))
 
 
+def power_run(d, m, k):
+    """The power-sum run of d**m as a set, checked against ``verify``."""
+    gamma, members = power_sum_run(d, m, k)
+    run = VertexSet.from_members(d ** m, members)
+    assert verify(GeneralizedDigraph.debruijn(d ** m, d), run, k).valid
+    return gamma, run
+
+
 class TestDegreePowers:
     def test_spot_values(self):
-        gamma, run = debruijn_power_gamma(2, 4, 2)
+        gamma, run = power_run(2, 4, 2)
         assert gamma == 3
         assert run.members() == [2, 3, 4]  # power-sum start x = 2
-        gamma, run = debruijn_power_gamma(3, 3, 1)
+        gamma, run = power_run(3, 3, 1)
         assert gamma == 7
         assert set(run.members()) == set(range(3, 10))
-        gamma, run = debruijn_power_gamma(2, 5, 1)
+        gamma, run = power_run(2, 5, 1)
         assert gamma == 11
         assert run.members() == list(range(10, 21))
 
     def test_single_vertex_when_exponent_small(self):
         for (d, m, k) in ((2, 3, 3), (2, 2, 5), (5, 1, 4), (3, 2, 2)):
-            gamma, run = debruijn_power_gamma(d, m, k)
+            gamma, run = power_run(d, m, k)
             assert gamma == 1
             assert len(run) == 1
 
     def test_formula_and_validity_across_small_powers(self):
+        # gcd(d-1, d**m) = 1, so the congruence run settles every power
         for d in (2, 3, 4, 5):
             for m in range(1, 15):
                 n = d ** m
                 if n > 16384:
                     break
                 for k in range(1, 5):
-                    gamma, run = debruijn_power_gamma(d, m, k)
+                    gamma, run = power_run(d, m, k)
                     assert gamma == ceil_div(n, geometric_sum(d, k))
                     assert len(run) == gamma
-                    assert verify(GeneralizedDigraph.debruijn(n, d),
-                                  run, k).valid
+                    result = classify(GeneralizedDigraph.debruijn(n, d), k)
+                    assert result.method == "congruence"
+                    assert result.gamma == gamma
 
     def test_power_sum_solves_offset_one(self):
         # the closed-form start satisfies (d-1)*x == L - 1 (mod d**m)
@@ -274,12 +284,6 @@ class TestDegreePowers:
                             for j in range(1, terms + 1))
                     lower = ceil_div(n, geometric_sum(d, k))
                     assert (d - 1) * x % n == (lower - 1) % n
-
-    def test_ceiling_guard(self):
-        with pytest.raises(ValueError):
-            debruijn_power_gamma(2, 15, 2)
-        with pytest.raises(ValueError):
-            debruijn_power_gamma(3, 0, 2)
 
 
 class TestKautzPrefix:
@@ -455,21 +459,63 @@ class TestClassify:
         assert payload["method"] == "congruence"
 
 
+class TestRadiusCap:
+    """From k = n.bit_length() + 1 on, classify works at that radius and
+    reports the k it was given; each component must still hold at k."""
+
+    def test_rows_past_the_cap_match_their_components(self):
+        for n in (2, 3, 7, 50, 129, 600):
+            for d in (2, 3, 5, 7):
+                if n < d:
+                    continue
+                cap = n.bit_length() + 1
+                for k in (cap, cap + 1, cap + 5):
+                    for family in ("debruijn", "kautz"):
+                        g = GeneralizedDigraph(family=family, n=n, d=d)
+                        result = classify(g, k)
+                        b = bounds(g, k)
+                        assert result.k == k
+                        assert (result.lower, result.upper) == (
+                            b.lower, b.upper)
+                        assert verify(g, result.witness, k).valid
+                        if family == "kautz":
+                            assert result.conditions["prefix_cover"] == (
+                                prefix_condition(n, d, k))
+                            continue
+                        tag = gcd_condition(n, d, k)
+                        assert result.conditions == {
+                            "congruence": (
+                                congruence_witness(n, d, k) is not None),
+                            "gcd_divisibility": tag == "divisibility",
+                            "gcd_residue": tag == "residue",
+                            "remainder_window": remainder_window(n, d, k),
+                        }
+
+    def test_huge_radius_returns(self):
+        k = 10 ** 9
+        for family in ("debruijn", "kautz"):
+            g = GeneralizedDigraph(family=family, n=50, d=3)
+            result = classify(g, k)
+            assert (result.k, result.gamma) == (k, 1)
+            assert verify(g, result.witness, k).valid
+
+
 class TestGammaResultInvariants:
     def test_bracket_is_the_bounds_exactly_when_gamma_is_unset(self):
         g = GeneralizedDigraph.debruijn(7, 2)
-        exact = GammaResult(graph=g, k=2, lower=1, upper=2, gamma=1,
-                            method="oracle",
+        exact = GammaResult(graph=g, k=2, lower=1, upper=2, method="oracle",
                             witness=VertexSet.from_members(7, [1]),
                             conditions={})
+        assert exact.gamma == 1
         assert exact.bracket is None
-        open_ = GammaResult(graph=g, k=2, lower=1, upper=2, gamma=None,
+        open_ = GammaResult(graph=g, k=2, lower=1, upper=2,
                             method="bracket", witness=None, conditions={})
+        assert open_.gamma is None
         assert open_.bracket == (1, 2)
         assert open_.to_dict()["bracket"] == [1, 2]
 
     def test_unknown_method_rejected(self):
         g = GeneralizedDigraph.debruijn(7, 2)
         with pytest.raises(ValueError):
-            GammaResult(graph=g, k=2, lower=1, upper=2, gamma=None,
+            GammaResult(graph=g, k=2, lower=1, upper=2,
                         method="guesswork", witness=None, conditions={})

@@ -111,7 +111,7 @@ class TestBounds:
                         b = bounds(GeneralizedDigraph(
                             family=family, n=n, d=d), k)
                         assert b.lower == ceil_div(n, geometric_sum(d, k))
-                        assert b.lower <= b.upper_naive
+                        assert b.lower <= ceil_div(n, d ** k)
                         assert b.lower <= b.upper
 
     def test_radius_zero_rejected(self):

@@ -200,7 +200,8 @@ class TestMinDominating:
                         g = GeneralizedDigraph(family=family, n=n, d=d)
                         b = bounds(g, k)
                         gamma = min_dominating(g, k).gamma
-                        assert b.lower <= gamma <= b.upper_naive
+                        # the Tian-Xu bound ceil(n / d**k)
+                        assert b.lower <= gamma <= ceil_div(n, d ** k)
                         assert gamma <= b.upper
 
     def test_fired_conditions_imply_lower_is_attained(self):
