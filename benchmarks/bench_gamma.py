@@ -8,6 +8,14 @@ checkout holding this script.  Run from anywhere:
     python benchmarks/bench_gamma.py [--repeat N] [--max-n N]
 
 Each row gives the fastest of the repeats and the row `gamma` printed.
+
+The stage rows time the two run scans of ``classify`` in this process at
+their worst case, where they find nothing and so try every candidate: the
+run scan on the first de Bruijn order from n on with no congruence run and
+no dominating run of length L, and the two-run scan on the first Kautz
+order from n on that misses the prefix condition and has no two-run cover
+of size L.  ``construct.COVER_SCAN_MAX_N`` is set from these rows.
+
 The rows are printed and written to ``BENCH_gamma.json`` at the root of
 this checkout, with the machine information ``BENCH_kernel.json`` carries.
 """
@@ -28,6 +36,7 @@ SRC = ROOT / "src"
 OUT = ROOT / "BENCH_gamma.json"
 FAMILIES = ("debruijn", "kautz")
 ORDERS = [10 ** e for e in range(3, 8)]
+STAGE_ORDERS = [500, 1000, 2000, 5000, 10000]
 D, K = 3, 3
 
 
@@ -44,6 +53,43 @@ def run_gamma(family: str, n: int) -> tuple[float, dict]:
     if proc.stdout.strip() == "":
         raise RuntimeError(f"{' '.join(cmd)} failed:\n{proc.stderr}")
     return elapsed, json.loads(proc.stdout)
+
+
+def stage_rows(repeat: int) -> list[dict]:
+    """Worst-case time of the run scan and the two-run scan, in process."""
+    sys.path.insert(0, str(SRC))
+    from dbkdom import construct
+    from dbkdom.digraph import GeneralizedDigraph
+    from dbkdom.domination import bounds
+
+    def misses(family: str, n: int) -> bool:
+        g = GeneralizedDigraph(family, n, D)
+        lower = bounds(g, K).lower
+        if family == "debruijn":
+            return (construct.congruence_witness(n, D, K) is None
+                    and construct.run_scan(g, K, lower) is None)
+        return (not construct.prefix_condition(n, D, K)
+                and construct.two_run_cover(g, K, lower) is None)
+
+    rows = []
+    for family, stage, scan in (
+            ("debruijn", "run_scan", construct.run_scan),
+            ("kautz", "two_run", construct.two_run_cover)):
+        for start in STAGE_ORDERS:
+            n = next(n for n in range(start, 2 * start)
+                     if misses(family, n))
+            g = GeneralizedDigraph(family, n, D)
+            lower = bounds(g, K).lower
+            times = []
+            for _ in range(repeat):
+                started = time.perf_counter()
+                scan(g, K, lower)
+                times.append(time.perf_counter() - started)
+            print(f"{stage:<9} {n:>9} {min(times) * 1000:>8.2f} ms",
+                  flush=True)
+            rows.append({"stage": stage, "family": family, "n": n, "d": D,
+                         "k": K, "seconds": round(min(times), 5)})
+    return rows
 
 
 def main() -> None:
@@ -75,6 +121,9 @@ def main() -> None:
                          "method": row["method"], "gamma": row["gamma"],
                          "bracket": row["bracket"]})
 
+    print(f"\nworst-case run scans, d={D} k={K}, fastest of {args.repeat}")
+    stages = stage_rows(args.repeat)
+
     OUT.write_text(json.dumps({
         "script": "benchmarks/bench_gamma.py",
         "python": platform.python_version(),
@@ -82,6 +131,7 @@ def main() -> None:
         "nproc": os.cpu_count(),
         "repeat": args.repeat,
         "rows": rows,
+        "stages": stages,
     }, indent=1) + "\n")
     print(f"\nwrote {OUT.name}")
 

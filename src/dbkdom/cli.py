@@ -169,7 +169,8 @@ def classify_row(family: str, n: int, d: int, k: int,
     except Exception as e:
         row = {"family": family, "n": n, "d": d, "k": k, "lower": None,
                "upper": None, "gamma": None, "bracket": None,
-               "method": "error", "witness": None, "conditions": {},
+               "method": "error", "nodes": None, "witness": None,
+               "conditions": {},
                "error": f"{type(e).__name__}: {e}"}
     row["ms"] = int((time.perf_counter() - started) * 1000)
     return row

@@ -15,6 +15,12 @@ conceivable size exists:
   always dominates, and a layer-size test certifies when the prefix of
   length exactly lower suffices; at radius one it always does.
 
+Where no such certificate fires, two scans look for runs that dominate
+anyway, up to the order COVER_SCAN_MAX_N: every run of length lower on the
+de Bruijn side, and a short prefix plus one more run on the Kautz side.
+They screen each candidate with the closed-form run images of
+``digraph.run_image`` and verify the first hit.
+
 Every constructed set is verified before it is returned; a verification
 failure raises ConstructionError because it would falsify an argument this
 module relies on, and must surface loudly rather than degrade.
@@ -28,10 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
-from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet
+from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet, run_image
 from .domination import bounds, verify
-from .modular import (ModInterval, ceil_div, geometric_sum,
+from .modular import (ceil_div, geometric_sum, run_mask,
                       solve_linear_congruence)
 from .oracle import (ABSENT, DEFAULT_LIMITS, FOUND, OracleLimits,
                      coverage_table, exists_dominating_of_size,
@@ -40,17 +47,29 @@ from .oracle import (ABSENT, DEFAULT_LIMITS, FOUND, OracleLimits,
 METHOD_CONGRUENCE = "congruence"
 METHOD_PREFIX_COVER = "prefix_cover"
 METHOD_RADIUS_ONE = "radius_one"
+METHOD_RUN_SCAN = "run_scan"
+METHOD_TWO_RUN = "two_run"
 METHOD_ORACLE = "oracle"
 METHOD_BRACKET = "bracket"
 METHOD_INCONCLUSIVE = "inconclusive"
 
 METHODS = frozenset({
     METHOD_CONGRUENCE, METHOD_PREFIX_COVER, METHOD_RADIUS_ONE,
-    METHOD_ORACLE, METHOD_BRACKET, METHOD_INCONCLUSIVE,
+    METHOD_RUN_SCAN, METHOD_TWO_RUN, METHOD_ORACLE, METHOD_BRACKET,
+    METHOD_INCONCLUSIVE,
 })
 
 GCD_DIVISIBILITY = "divisibility"
 GCD_RESIDUE = "residue"
+
+# the largest order the run scan and the two-run scan try; a de Bruijn row
+# with no dominating run pays one screen per start, about 4 ms at n = 5000
+# and 11 ms at 10**4 on a 2-core x86-64 machine (benchmarks/bench_gamma.py)
+COVER_SCAN_MAX_N = 5000
+
+# two-run candidates {0..m1-1} + R: m1 <= TWO_RUN_MAX_PREFIX, and R ends
+# or starts up to 2d + 4 places from the end of the ring or of the prefix
+TWO_RUN_MAX_PREFIX = 4
 
 
 class ConstructionError(RuntimeError):
@@ -86,6 +105,7 @@ class GammaResult:
     its size; otherwise the value lies in ``bracket``, the bounds.  method
     names the rule that settled the value.  conditions reports every
     sufficient condition that was evaluated, whether or not it fired.
+    nodes sums the oracle nodes of every search the row ran.
     """
 
     graph: GeneralizedDigraph
@@ -95,6 +115,7 @@ class GammaResult:
     method: str
     witness: VertexSet | None
     conditions: dict[str, bool]
+    nodes: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -119,6 +140,7 @@ class GammaResult:
             "gamma": self.gamma,
             "bracket": list(self.bracket) if self.bracket else None,
             "method": self.method,
+            "nodes": self.nodes,
             "witness": self.witness.members() if self.witness else None,
             "conditions": dict(self.conditions),
         }
@@ -133,15 +155,24 @@ def _check_instance(n: int, d: int, k: int) -> None:
         raise ValueError(f"radius must be >= 1, got {k}")
 
 
-def _verified_run(g: GeneralizedDigraph, start: int, length: int,
-                  k: int, what: str) -> VertexSet:
-    run = VertexSet.from_interval(ModInterval(start, length, g.n))
-    cert = verify(g, run, k)
+def _verified_runs(g: GeneralizedDigraph, runs, k: int,
+                   what: str) -> VertexSet:
+    """The union of the (start, length) runs, once ``verify`` accepts it."""
+    mask = 0
+    for start, length in runs:
+        mask |= run_mask(start, length, g.n)
+    cover = VertexSet(g.n, mask)
+    cert = verify(g, cover, k)
     if not cert.valid:
         raise ConstructionError(
             f"{what} failed verification on {g.family} n={g.n} d={g.d} "
             f"k={k}: uncovered {cert.uncovered.members()[:10]}")
-    return run
+    return cover
+
+
+def _verified_run(g: GeneralizedDigraph, start: int, length: int,
+                  k: int, what: str) -> VertexSet:
+    return _verified_runs(g, [(start, length)], k, what)
 
 
 def find_anchor(n: int, d: int, k: int) -> AnchorWitness:
@@ -293,17 +324,119 @@ def build_lower_prefix(n: int, d: int, k: int) -> VertexSet:
     return _verified_run(g, 0, lower, k, "prefix of length lower")
 
 
+def _layers(g: GeneralizedDigraph, start: int, length: int,
+            k: int) -> list[tuple[int, int]]:
+    """The 0-th through k-th images of a non-empty run, as (start, length)
+    runs, stopping at the first full one."""
+    layers = [(start, length)]
+    for _ in range(k):
+        if length >= g.n:
+            break
+        start, length = run_image(g, start, length)
+        layers.append((start, length))
+    return layers
+
+
+class _RunBalls:
+    """Radius-k ball masks of the runs of ``g``, read off ``run_image``.
+
+    The image of a run moves its start by d (de Bruijn) or -d (Kautz) times
+    any move of the run's start, whatever the run's length.  So layer j of
+    the run of m vertices from a starts at s_j + t_j*a (mod n), where s_j
+    is where it starts for the run from 0 and t_j is how far layer j of a
+    one-vertex run moves from vertex 0 to vertex 1; its length does not
+    depend on a.
+    """
+
+    def __init__(self, g: GeneralizedDigraph, k: int):
+        self.g, self.k, self.full = g, k, (1 << g.n) - 1
+        self.steps = [s1 - s0 for (s0, _), (s1, _) in
+                      zip(_layers(g, 0, 1, k), _layers(g, 1, 1, k))]
+
+    def of_length(self, length: int):
+        """The function a -> ball mask of the run of ``length`` > 0
+        vertices from a, and the sum of its layer lengths, which no such
+        ball exceeds."""
+        n, full = self.g.n, self.full
+        spans, most = [], 0
+        for (start, m), step in zip(_layers(self.g, 0, length, self.k),
+                                    self.steps):
+            spans.append((start, step, (1 << m) - 1))
+            most += m
+
+        def ball(a: int) -> int:
+            # each layer shifted into 2n bits, the wrapped part folded back
+            wide = 0
+            for start, step, mask in spans:
+                wide |= mask << (start + step * a) % n
+            return (wide | wide >> n) & full
+        return ball, most
+
+
+def run_scan(g: GeneralizedDigraph, k: int, size: int) -> VertexSet | None:
+    """The verified run {x, ..., x + size - 1} with the smallest such x
+    that k-dominates ``g``, or None when no run of that length does.
+
+    x -> n-1-x is an automorphism of both families and maps the run at x
+    onto the run at n - size - x, so every pair of mirrored starts has a
+    member in 0 .. (n-size)/2 or n-size+1 .. n - size/2; scanning those
+    finds the same first x as scanning every start.
+    """
+    n, full = g.n, (1 << g.n) - 1
+    ball = _RunBalls(g, k).of_length(size)[0]
+    starts = chain(range((n - size) // 2 + 1),
+                   range(n - size + 1, (2 * n - size) // 2 + 1))
+    for x in starts:
+        if ball(x) == full:
+            return _verified_run(g, x, size, k, f"run scan (x={x})")
+    return None
+
+
+def two_run_cover(g: GeneralizedDigraph, k: int,
+                  size: int) -> VertexSet | None:
+    """A verified k-dominating set {0..m1-1} + R of ``size`` vertices, or
+    None when no candidate dominates.
+
+    m1 runs over 0..TWO_RUN_MAX_PREFIX and R is a run of size - m1
+    vertices, disjoint from the prefix, that ends c places before the end
+    of the ring or starts c places after the prefix, c = 0..2d+4.  The
+    candidates are tried in that order, the end position before the
+    start one, so the cover returned is deterministic.  R is never empty:
+    the prefix alone is the candidate m1 = 0, R = {0..size-1}.
+    """
+    n, full = g.n, (1 << g.n) - 1
+    balls = _RunBalls(g, k)
+    for m1 in range(min(size - 1, TWO_RUN_MAX_PREFIX) + 1):
+        head = balls.of_length(m1)[0](0) if m1 else 0
+        m2 = size - m1
+        ball, most = balls.of_length(m2)
+        if n - head.bit_count() > most:
+            continue  # no run of m2 vertices reaches all the head misses
+        for c in range(2 * g.d + 5):
+            for start in (n - m2 - c, m1 + c):
+                if start < m1 or start + m2 > n:
+                    continue  # R would meet the prefix or wrap onto it
+                if head | ball(start) == full:
+                    return _verified_runs(
+                        g, [(0, m1), (start, m2)], k,
+                        f"two-run cover (m1={m1}, start={start})")
+    return None
+
+
 def classify(g: GeneralizedDigraph, k: int,
              limits: OracleLimits = DEFAULT_LIMITS) -> GammaResult:
     """Best effort exact value, falling back to a two-sided bracket.
 
     This is the one place an instance is decided.  de Bruijn order: the
-    congruence run, then the oracle deciding lower vs lower+1.  The gcd
-    tests and the remainder window are reported in ``conditions`` only:
-    each implies the congruence run, so they never decide a value.  Kautz
-    order: the prefix condition (always true at radius one, where the
-    method reads ``radius_one``), then the oracle scanning upward from the
-    lower bound.  The oracle runs only inside ``limits``; a budget abort
+    congruence run, the run scan, then the oracle deciding lower vs
+    lower+1.  The gcd tests and the remainder window are reported in
+    ``conditions`` only: each implies the congruence run, so they never
+    decide a value.  Kautz order: the prefix condition (always true at
+    radius one, where the method reads ``radius_one``), a two-run cover of
+    size lower, then the oracle at lower; once it proves lower absent, a
+    two-run cover of size lower+1 is a minimum one, and only without one
+    does the oracle search upward from lower+1.  The scans run up to
+    COVER_SCAN_MAX_N and the oracle only inside ``limits``; a budget abort
     degrades the answer to a bracket tagged inconclusive.
 
     From radius n.bit_length() + 1 on, d**k > n and every value equals its
@@ -313,12 +446,13 @@ def classify(g: GeneralizedDigraph, k: int,
     radius = min(k, g.n.bit_length() + 1)
     b = bounds(g, radius)
     n, d = g.n, g.d
+    scans = n <= COVER_SCAN_MAX_N
 
-    def result(method: str,
-               witness: VertexSet | None = None) -> GammaResult:
+    def result(method: str, witness: VertexSet | None = None,
+               nodes: int = 0) -> GammaResult:
         return GammaResult(graph=g, k=k, lower=b.lower, upper=b.upper,
                            method=method, witness=witness,
-                           conditions=conditions)
+                           conditions=conditions, nodes=nodes)
 
     if g.family == DEBRUIJN:
         witness = congruence_witness(n, d, radius)
@@ -331,27 +465,41 @@ def classify(g: GeneralizedDigraph, k: int,
         }
         if witness is not None:
             return result(METHOD_CONGRUENCE, witness.run)
-        if limits.allows(n):
-            table = coverage_table(g, radius)
-            search = exists_dominating_of_size(
-                g, radius, b.lower, table=table, max_nodes=limits.max_nodes)
-            if search.status == FOUND:
-                return result(METHOD_ORACLE, search.witness)
-            if search.status == ABSENT:
-                return result(METHOD_ORACLE, build_anchor_run(n, d, radius))
-            return result(METHOD_INCONCLUSIVE)
-        return result(METHOD_BRACKET)
+        if scans and (run := run_scan(g, radius, b.lower)) is not None:
+            return result(METHOD_RUN_SCAN, run)
+        if not limits.allows(n):
+            return result(METHOD_BRACKET)
+        search = exists_dominating_of_size(
+            g, radius, b.lower, table=coverage_table(g, radius),
+            max_nodes=limits.max_nodes)
+        if search.status == FOUND:
+            return result(METHOD_ORACLE, search.witness, search.nodes)
+        if search.status == ABSENT:
+            return result(METHOD_ORACLE, build_anchor_run(n, d, radius),
+                          search.nodes)
+        return result(METHOD_INCONCLUSIVE, nodes=search.nodes)
 
     fired = prefix_condition(n, d, radius)
     conditions = {"radius_one": k == 1, "prefix_cover": fired}
     if fired:
         method = METHOD_RADIUS_ONE if k == 1 else METHOD_PREFIX_COVER
         return result(method, build_lower_prefix(n, d, radius))
-    if limits.allows(n):
-        table = coverage_table(g, radius)
-        search = min_dominating(g, radius, table=table,
-                                max_nodes=limits.max_nodes)
-        if search.status == FOUND:
-            return result(METHOD_ORACLE, search.witness)
-        return result(METHOD_INCONCLUSIVE)
-    return result(METHOD_BRACKET)
+    if scans and (cover := two_run_cover(g, radius, b.lower)) is not None:
+        return result(METHOD_TWO_RUN, cover)
+    if not limits.allows(n):
+        return result(METHOD_BRACKET)
+    table = coverage_table(g, radius)
+    search = exists_dominating_of_size(g, radius, b.lower, table=table,
+                                       max_nodes=limits.max_nodes)
+    if search.status == FOUND:
+        return result(METHOD_ORACLE, search.witness, search.nodes)
+    if search.status != ABSENT:
+        return result(METHOD_INCONCLUSIVE, nodes=search.nodes)
+    if scans and (cover := two_run_cover(g, radius, b.lower + 1)) is not None:
+        return result(METHOD_ORACLE, cover, search.nodes)
+    rest = min_dominating(g, radius, table=table, max_nodes=limits.max_nodes,
+                          start=b.lower + 1)
+    nodes = search.nodes + rest.nodes
+    if rest.status == FOUND:
+        return result(METHOD_ORACLE, rest.witness, nodes)
+    return result(METHOD_INCONCLUSIVE, nodes=nodes)

@@ -151,12 +151,20 @@ def interval_out_neighborhood(g: GeneralizedDigraph,
         raise ValueError(f"modulus mismatch: {dset.modulus} != {g.n}")
     if dset.is_empty():
         raise ValueError("image of an empty run is undefined here")
+    return ModInterval(*run_image(g, dset.start, dset.length), g.n)
+
+
+def run_image(g: GeneralizedDigraph, start: int,
+              length: int) -> tuple[int, int]:
+    """``interval_out_neighborhood`` on plain integers: the (start, length)
+    of the image of the non-empty run of ``length`` vertices from
+    ``start``, for callers that test many runs."""
     n, d = g.n, g.d
     if g.family == DEBRUIJN:
-        start = (d * dset.start) % n
-    else:
-        start = (-d * dset.end - d) % n
-    return ModInterval(start, min(n, d * dset.length), n)
+        start = d * start
+    else:  # -d * last - d, with last = start + length - 1
+        start = -d * (start + length)
+    return start % n, min(n, d * length)
 
 
 def ith_out_neighborhood_interval(g: GeneralizedDigraph, dset: ModInterval,

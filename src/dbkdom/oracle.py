@@ -127,15 +127,17 @@ def exists_dominating_of_size(g: GeneralizedDigraph, k: int, size: int, *,
 
 def min_dominating(g: GeneralizedDigraph, k: int, *,
                    table=None, max_nodes: int | None = None,
-                   ) -> SearchResult:
-    """Exact minimum by searching sizes upward from the a priori lower bound.
+                   start: int | None = None) -> SearchResult:
+    """Exact minimum by searching sizes upward from ``start``, by default
+    the a priori lower bound; a caller that gives a larger start has
+    proved every smaller size absent.
 
     Stops at the first size that admits a dominating set; its witness is a
     minimum one.  An inconclusive size aborts the whole computation as
     inconclusive: skipping it could misreport the minimum.  ``nodes`` sums
     every size searched.
     """
-    size = bounds(g, k).lower
+    size = bounds(g, k).lower if start is None else start
     if table is None:
         table = coverage_table(g, k)
     total_nodes = 0

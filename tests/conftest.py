@@ -1,6 +1,6 @@
-"""Shared naive reference implementations.
+"""Shared naive reference implementations and the kernel fixtures.
 
-Everything here is written directly from the arc definitions with plain
+The references are written directly from the arc definitions with plain
 loops and sets, independently of the package's interval arithmetic and
 bitset kernels, so tests can compare optimized code against an artifact
 that is obviously correct.
@@ -8,7 +8,19 @@ that is obviously correct.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+from dbkdom import _cover_py, oracle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def naive_out_neighbors(family: str, n: int, d: int, v: int) -> set[int]:
@@ -71,3 +83,47 @@ def case_split_interval(i: int, j: int, n: int) -> set[int]:
     if i <= j:
         return set(range(i, j + 1))
     return set(range(i, n)) | set(range(0, j + 1))
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel, built from this checkout into a temp dir.
+
+    Skips only when there is no C compiler.  setup.py turns a failed build
+    into a warning so that installs fall back to the pure kernel; here a
+    compiler without a module is a failure, shown with the build output.
+    """
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"C compiler {cc!r} not on PATH")
+    out = tmp_path_factory.mktemp("cover_ext")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out)],
+        cwd=ROOT, capture_output=True, text=True)
+    path = out / "dbkdom" / ("_cover_ext"
+                             + sysconfig.get_config_var("EXT_SUFFIX"))
+    if not path.exists():
+        pytest.fail(f"{cc} is on PATH but setup.py built no {path.name}:\n"
+                    f"{build.stdout}\n{build.stderr}", pytrace=False)
+    # loaded from its path: sys.modules and src/ are left alone
+    spec = importlib.util.spec_from_file_location("dbkdom._cover_ext", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BACKEND == "compiled"
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def kernel(request):
+    """Each kernel module in turn."""
+    if request.param == "pure":
+        return _cover_py
+    return request.getfixturevalue("compiled")
+
+
+@pytest.fixture
+def oracle_kernel(kernel, monkeypatch):
+    """Each kernel module in turn, as the one the oracle searches with."""
+    monkeypatch.setattr(oracle, "_kernel", kernel)
+    return kernel

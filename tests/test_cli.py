@@ -71,8 +71,10 @@ class TestGamma:
         assert code == EXIT_OK
         row = json.loads(out)
         assert row["gamma"] == 2
-        assert row["witness"] == [0, 1]
+        # the search refutes size 1; the two-run scan's first size-2 cover
+        assert row["witness"] == [5, 6]
         assert row["method"] == "oracle"
+        assert row["nodes"] == 1
         assert isinstance(row["ms"], int)
 
     def test_csv_single_row(self):
@@ -97,8 +99,9 @@ class TestGamma:
         assert row["method"] == "bracket"
 
     def test_inconclusive_exit_when_budget_exhausted(self):
+        # no construction settles 36/3/2 and its search needs two nodes
         code, out, _ = run_cli("gamma", "--family", "debruijn",
-                               "-n", "10", "-d", "3", "-k", "2",
+                               "-n", "36", "-d", "3", "-k", "2",
                                "--oracle-budget", "1", "--format", "json")
         assert code == EXIT_INCONCLUSIVE
         assert json.loads(out)["method"] == "inconclusive"
@@ -547,13 +550,13 @@ class TestOutputPins:
             del row["ms"]
         text = "".join(json.dumps(row) + "\n" for row in rows)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "acf7943baf2609c23ef52ee3987f9dc8364cb48d0fdc5c42c740c4f93aff4ffd")
+            "99faf19478c93d871d90118c807e68df40ad1c6971bf56067dbce5ecab4420d4")
 
     def test_problems_json(self):
         code, out, _ = run_cli("problems", "--format", "json")
         assert code == EXIT_INVALID  # both reports hold counterexamples
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0e72cd0b9482f767e563158bfb208421718ce5555d659340c4ce640ab301f234")
+            "05f577893cb991c43a3cbe633456f61c294829412d6ad1d62fd243190cf567a2")
 
 
 # The console script pip writes for a [project.scripts] entry

@@ -13,12 +13,13 @@ from dbkdom.construct import (AnchorWitness, ConstructionError, GammaResult,
                               build_prefix_cover, build_window_run, classify,
                               congruence_witness, find_anchor,
                               gcd_condition, prefix_condition,
-                              remainder_window)
-from dbkdom.digraph import GeneralizedDigraph, VertexSet
-from dbkdom.domination import bounds, verify
-from dbkdom.modular import (ceil_div, geometric_sum, mod_interval,
-                            solve_linear_congruence)
-from dbkdom.oracle import OracleLimits
+                              remainder_window, run_scan, two_run_cover)
+from dbkdom.digraph import FAMILIES, GeneralizedDigraph, VertexSet, ball
+from dbkdom.domination import DominationCertificate, bounds, verify
+from dbkdom.modular import (ModInterval, ceil_div, geometric_sum,
+                            mod_interval, solve_linear_congruence)
+from dbkdom.oracle import OracleLimits, min_dominating
+from dbkdom.problems import COUNTEREXAMPLE, debruijn_necessity_report
 
 
 def debruijn_instances(max_n=80):
@@ -64,6 +65,22 @@ def scan_anchor(n, d, k):
         if h <= d - 2:
             return AnchorWitness(x=x, h=h)
     return None
+
+
+def default_envelope(family):
+    """The README's default sweep rows of one family."""
+    return [GeneralizedDigraph(family=family, n=n, d=d)
+            for n in range(2, 61) for d in range(2, 6) if n >= d]
+
+
+def run_set(n, start, length):
+    return VertexSet.from_interval(ModInterval(start, length, n))
+
+
+def rejecting_verify(g, dset, k):
+    """verify, but reporting vertex 0 uncovered whatever the set."""
+    return DominationCertificate(graph=g, dset=dset, k=k,
+                                 uncovered=VertexSet(g.n, 1))
 
 
 def wide_envelope():
@@ -418,11 +435,12 @@ class TestClassify:
         assert result.bracket == (1, 2)
 
     def test_tiny_budget_reports_inconclusive(self):
+        # no construction settles 36/3/2 and its search needs two nodes
         limits = OracleLimits(max_nodes=1)
-        result = classify(GeneralizedDigraph.debruijn(10, 3), 2, limits)
+        result = classify(GeneralizedDigraph.debruijn(36, 3), 2, limits)
         assert result.method == "inconclusive"
         assert result.gamma is None
-        assert result.bracket == (1, 2)
+        assert result.bracket == (3, 4)
 
     def test_order_cap_degrades_to_bracket(self):
         limits = OracleLimits(max_n=30)
@@ -457,6 +475,7 @@ class TestClassify:
         assert payload["bracket"] is None
         assert payload["witness"] == [1]
         assert payload["method"] == "congruence"
+        assert payload["nodes"] == 0
 
 
 class TestRadiusCap:
@@ -519,3 +538,157 @@ class TestGammaResultInvariants:
         with pytest.raises(ValueError):
             GammaResult(graph=g, k=2, lower=1, upper=2,
                         method="guesswork", witness=None, conditions={})
+
+
+class TestRunBalls:
+    """The closed-form ball masks the two scans screen with."""
+
+    def test_masks_match_the_reference_expansion(self):
+        for family in FAMILIES:
+            for n in (2, 3, 7, 12, 31, 64, 65, 100):
+                for d in (2, 3, 5):
+                    if n < d:
+                        continue
+                    g = GeneralizedDigraph(family=family, n=n, d=d)
+                    for k in (1, 2, 3, 8):
+                        balls = construct._RunBalls(g, k)
+                        for length in sorted({1, 2, n // 3 + 1, n}):
+                            run_ball, most = balls.of_length(length)
+                            for a in range(n):
+                                want = ball(g, run_set(n, a, length), k).mask
+                                assert run_ball(a) == want, (
+                                    family, n, d, k, length, a)
+                                assert want.bit_count() <= most
+
+
+class TestRunScan:
+    def test_finds_the_first_dominating_run(self):
+        # the half scan against verify on every start, in both families
+        for family in FAMILIES:
+            for n in range(2, 61):
+                for d in (3, 4, 5):
+                    if n < d:
+                        continue
+                    g = GeneralizedDigraph(family=family, n=n, d=d)
+                    for k in (1, 2, 3):
+                        size = bounds(g, k).lower
+                        want = next(
+                            (run_set(n, x, size) for x in range(n)
+                             if verify(g, run_set(n, x, size), k).valid),
+                            None)
+                        assert run_scan(g, k, size) == want, (
+                            family, n, d, k)
+
+    def test_rejected_hit_raises(self, monkeypatch):
+        g = GeneralizedDigraph.debruijn(10, 3)
+        assert run_scan(g, 2, 1) is not None
+        monkeypatch.setattr(construct, "verify", rejecting_verify)
+        with pytest.raises(ConstructionError, match="run scan"):
+            run_scan(g, 2, 1)
+        with pytest.raises(ConstructionError, match="run scan"):
+            classify(g, 2)
+
+
+def two_run_candidates(n, d, size):
+    """The two-run family in its documented order, as (m1, start)."""
+    for m1 in range(min(size, 4) + 1):
+        m2 = size - m1
+        if m2 == 0:  # the prefix alone
+            yield m1, None
+            continue
+        for c in range(2 * d + 5):
+            for start in (n - m2 - c, m1 + c):
+                if m1 <= start and start + m2 <= n:
+                    yield m1, start
+
+
+class TestTwoRunCover:
+    def test_finds_the_first_dominating_candidate(self):
+        # the screen, its capacity cut included, against verify on every
+        # candidate
+        for n in range(3, 51):
+            for d in (2, 3, 4):
+                if n < d:
+                    continue
+                g = GeneralizedDigraph.kautz(n, d)
+                for k in (1, 2, 3):
+                    lower = bounds(g, k).lower
+                    for size in (lower, lower + 1):
+                        want = None
+                        for m1, start in two_run_candidates(n, d, size):
+                            cover = run_set(n, 0, m1) if m1 else VertexSet(n)
+                            if start is not None:
+                                cover |= run_set(n, start, size - m1)
+                            if verify(g, cover, k).valid:
+                                want = cover
+                                break
+                        assert two_run_cover(g, k, size) == want, (
+                            n, d, k, size)
+
+    def test_rejected_hit_raises(self, monkeypatch):
+        g = GeneralizedDigraph.kautz(7, 2)
+        assert two_run_cover(g, 2, 2) is not None
+        monkeypatch.setattr(construct, "verify", rejecting_verify)
+        with pytest.raises(ConstructionError, match="two-run"):
+            two_run_cover(g, 2, 2)
+        with pytest.raises(ConstructionError, match="two-run"):
+            classify(g, 2)  # the cover of size lower+1, after the search
+
+
+class TestScanStages:
+    """The run scan and the two-run scan inside classify."""
+
+    def test_scan_rows_match_the_oracle(self, oracle_kernel):
+        counts = {"run_scan": 0, "two_run": 0}
+        for family in FAMILIES:
+            for g in default_envelope(family):
+                for k in range(1, 5):
+                    result = classify(g, k)
+                    if result.method in counts:
+                        counts[result.method] += 1
+                        assert result.nodes == 0
+                        assert result.gamma == result.lower
+                        assert result.gamma == min_dominating(g, k).gamma
+        assert counts == {"run_scan": 10, "two_run": 15}
+
+    def test_necessity_counterexamples_need_no_search(self, monkeypatch):
+        report = debruijn_necessity_report(range(2, 61), range(2, 6),
+                                           range(1, 5))
+        found = [row for row in report["rows"]
+                 if row["verdict"] == COUNTEREXAMPLE]
+        assert len(found) == 10
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(construct, "coverage_table", no_table)
+        for row in found:
+            result = classify(GeneralizedDigraph.debruijn(row["n"], row["d"]),
+                              row["k"])
+            assert result.method == "run_scan"
+            assert result.gamma == row["gamma"] == result.lower
+
+    def test_plus_one_cover_ends_the_search(self, oracle_kernel,
+                                            monkeypatch):
+        sizes = []
+        search = construct.exists_dominating_of_size
+
+        def recording(g, k, size, **kwargs):
+            sizes.append(size)
+            return search(g, k, size, **kwargs)
+
+        def no_upward_search(*args, **kwargs):
+            raise AssertionError("searched upward from lower+1")
+
+        monkeypatch.setattr(construct, "exists_dominating_of_size",
+                            recording)
+        monkeypatch.setattr(construct, "min_dominating", no_upward_search)
+        for n, d, k in ((7, 2, 2), (13, 2, 3), (25, 3, 2), (56, 2, 2)):
+            g = GeneralizedDigraph.kautz(n, d)
+            sizes.clear()
+            result = classify(g, k)
+            assert result.method == "oracle"
+            assert sizes == [result.lower]
+            assert result.gamma == result.lower + 1
+            assert result.gamma == min_dominating(g, k).gamma
+            assert result.witness == two_run_cover(g, k, result.gamma)

@@ -1,12 +1,5 @@
 """Exhaustive search oracle: tables, fixed-size decisions, minimums."""
 
-import importlib.util
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
-
 import pytest
 
 from conftest import naive_ball, naive_gamma, naive_is_dominating
@@ -18,45 +11,6 @@ from dbkdom.modular import ceil_div, geometric_sum
 from dbkdom.oracle import (ABSENT, FOUND, INCONCLUSIVE, OracleLimits,
                            coverage_table, exists_dominating_of_size,
                            kernel_backend, min_dominating)
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    """The compiled kernel, built from this checkout into a temp dir.
-
-    Skips only when there is no C compiler.  setup.py turns a failed build
-    into a warning so that installs fall back to the pure kernel; here a
-    compiler without a module is a failure, shown with the build output.
-    """
-    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"C compiler {cc!r} not on PATH")
-    out = tmp_path_factory.mktemp("cover_ext")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out), "--build-temp", str(out)],
-        cwd=ROOT, capture_output=True, text=True)
-    path = out / "dbkdom" / ("_cover_ext"
-                             + sysconfig.get_config_var("EXT_SUFFIX"))
-    if not path.exists():
-        pytest.fail(f"{cc} is on PATH but setup.py built no {path.name}:\n"
-                    f"{build.stdout}\n{build.stderr}", pytrace=False)
-    # loaded from its path: sys.modules and src/ are left alone
-    spec = importlib.util.spec_from_file_location("dbkdom._cover_ext", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.BACKEND == "compiled"
-    return module
-
-
-@pytest.fixture(params=["pure", "compiled"])
-def kernel(request):
-    """Each kernel module in turn."""
-    if request.param == "pure":
-        return _cover_py
-    return request.getfixturevalue("compiled")
 
 
 def ball_members(table, v: int) -> list[int]:
@@ -222,6 +176,17 @@ class TestMinDominating:
                         assert min_dominating(gk, k).gamma == \
                             bounds(gk, k).lower
 
+    def test_start_skips_the_sizes_below_it(self):
+        g = GeneralizedDigraph.kautz(56, 2)
+        full = min_dominating(g, 2)
+        lower = bounds(g, 2).lower
+        assert full.gamma == lower + 1
+        rest = min_dominating(g, 2, start=lower + 1)
+        absent = exists_dominating_of_size(g, 2, lower)
+        assert absent.status == ABSENT
+        assert (rest.status, rest.witness) == (full.status, full.witness)
+        assert rest.nodes + absent.nodes == full.nodes
+
     def test_inconclusive_propagates(self):
         r = min_dominating(GeneralizedDigraph.kautz(7, 2), 2, max_nodes=1)
         assert r.status == INCONCLUSIVE
@@ -302,7 +267,11 @@ class TestKernelParity:
         pure = rows(_cover_py)
         assert rows(compiled) == pure
         methods = {row["method"] for row in pure}
-        assert {"oracle", "inconclusive"} <= methods
+        assert {"oracle", "inconclusive", "run_scan"} <= methods
+        # a row's nodes are its searches' nodes, so 0 exactly when none ran
+        for row in pure:
+            searched = row["method"] in ("oracle", "inconclusive")
+            assert (row["nodes"] > 0) == searched, row
 
     @pytest.mark.parametrize("args", [(0, 3, 5, 1), (1, 2, 4000, 1)])
     def test_degree_above_order_rejected(self, kernel, args):
