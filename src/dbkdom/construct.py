@@ -63,8 +63,8 @@ GCD_DIVISIBILITY = "divisibility"
 GCD_RESIDUE = "residue"
 
 # the largest order the run scan and the two-run scan try; a de Bruijn row
-# with no dominating run pays one screen per start, about 4 ms at n = 5000
-# and 11 ms at 10**4 on a 2-core x86-64 machine (benchmarks/bench_gamma.py)
+# with no dominating run pays one screen per start, about 3.5 ms at n = 5000
+# and 15 ms at 10**4 on a 2-core x86-64 machine (benchmarks/bench_gamma.py)
 COVER_SCAN_MAX_N = 5000
 
 # two-run candidates {0..m1-1} + R: m1 <= TWO_RUN_MAX_PREFIX, and R ends
@@ -406,17 +406,19 @@ def two_run_cover(g: GeneralizedDigraph, k: int,
     """
     n, full = g.n, (1 << g.n) - 1
     balls = _RunBalls(g, k)
+    vertex_ball = balls.of_length(1)[0]
+    head = 0  # the ball of {0..m1-1}
     for m1 in range(min(size - 1, TWO_RUN_MAX_PREFIX) + 1):
-        head = balls.of_length(m1)[0](0) if m1 else 0
+        if m1:
+            head |= vertex_ball(m1 - 1)
         m2 = size - m1
         ball, most = balls.of_length(m2)
         if n - head.bit_count() > most:
             continue  # no run of m2 vertices reaches all the head misses
         for c in range(2 * g.d + 5):
             for start in (n - m2 - c, m1 + c):
-                if start < m1 or start + m2 > n:
-                    continue  # R would meet the prefix or wrap onto it
-                if head | ball(start) == full:
+                # R must lie within m1..n-1, clear of the prefix
+                if m1 <= start <= n - m2 and head | ball(start) == full:
                     return _verified_runs(
                         g, [(0, m1), (start, m2)], k,
                         f"two-run cover (m1={m1}, start={start})")
