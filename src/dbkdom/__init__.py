@@ -6,7 +6,7 @@ dominating sets of the two parametric digraph families on {0, ..., n-1}:
 * de Bruijn arcs: x -> (d*x + i) mod n for i in 0..d-1
 * Kautz arcs:     x -> (-d*x - i) mod n for i in 1..d
 
-Closed-form interval arithmetic handles consecutive sets, constructive
+Closed-form run images handle consecutive sets, constructive
 rules settle most instances outright, and an exhaustive branch-and-bound
 oracle provides ground truth at small scale.  Every exact answer returned
 anywhere carries a witness set that has been re-verified against the arc
@@ -19,13 +19,10 @@ from .construct import (AnchorWitness, CongruenceWitness, ConstructionError,
                         congruence_witness, find_anchor, gcd_condition,
                         prefix_condition, remainder_window)
 from .digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
-                      VertexSet, ball, export_graph,
-                      interval_out_neighborhood,
-                      ith_out_neighborhood_interval, out_neighbors,
+                      VertexSet, ball, export_graph, run_image, run_layers,
                       set_out_neighborhood)
 from .domination import Bounds, DominationCertificate, bounds, verify
-from .modular import (ModInterval, ceil_div, geometric_sum, mod_interval,
-                      solve_linear_congruence)
+from .modular import ceil_div, geometric_sum, solve_linear_congruence
 from .oracle import (ABSENT, FOUND, INCONCLUSIVE, OracleLimits, SearchResult,
                      coverage_table, exists_dominating_of_size,
                      kernel_backend, min_dominating)
@@ -36,13 +33,12 @@ __all__ = [
     "ABSENT", "AnchorWitness", "Bounds", "CongruenceWitness",
     "ConstructionError", "DEBRUIJN", "DominationCertificate", "FAMILIES",
     "FOUND", "GammaResult", "GeneralizedDigraph", "INCONCLUSIVE", "KAUTZ",
-    "ModInterval", "OracleLimits", "SearchResult", "VertexSet", "ball",
-    "bounds", "build_anchor_run", "build_lower_prefix", "build_prefix_cover",
+    "OracleLimits", "SearchResult", "VertexSet", "ball", "bounds",
+    "build_anchor_run", "build_lower_prefix", "build_prefix_cover",
     "build_window_run", "ceil_div", "classify", "congruence_witness",
     "coverage_table", "exists_dominating_of_size", "export_graph",
-    "find_anchor", "gcd_condition", "geometric_sum",
-    "interval_out_neighborhood", "ith_out_neighborhood_interval",
-    "kernel_backend", "min_dominating", "mod_interval", "out_neighbors",
-    "prefix_condition", "remainder_window", "set_out_neighborhood",
-    "solve_linear_congruence", "verify",
+    "find_anchor", "gcd_condition", "geometric_sum", "kernel_backend",
+    "min_dominating", "prefix_condition", "remainder_window", "run_image",
+    "run_layers", "set_out_neighborhood", "solve_linear_congruence",
+    "verify",
 ]

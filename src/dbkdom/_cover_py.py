@@ -95,17 +95,17 @@ class KernelTable:
             balls.append(mask)
         return balls, coverers
 
-    def _check_vertex(self, v: int) -> None:
+    def _require_vertex(self, v: int) -> None:
         # a negative v would otherwise index from the end
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
     def ball_mask(self, v: int) -> int:
-        self._check_vertex(v)
+        self._require_vertex(v)
         return self.balls[v]
 
     def coverer_list(self, v: int) -> list[int]:
-        self._check_vertex(v)
+        self._require_vertex(v)
         return list(self.coverers[v])
 
     def search(self, size: int,

@@ -34,7 +34,7 @@ from .digraph import FAMILIES, GeneralizedDigraph, VertexSet, export_lines
 from .domination import verify
 # unused here; perfbench/tracing.py wraps these names on this module
 from .oracle import coverage_table, exists_dominating_of_size  # noqa: F401
-from .oracle import DEFAULT_LIMITS, DEFAULT_TABLE_CEILING, OracleLimits
+from .oracle import DEFAULT_LIMITS, OracleLimits
 from .problems import (CONSISTENT, COUNTEREXAMPLE, INCONCLUSIVE_VERDICT,
                        PROBLEM_DEBRUIJN, PROBLEMS, debruijn_necessity_report,
                        kautz_upper_report)
@@ -100,9 +100,6 @@ def resolve_limits(args) -> OracleLimits:
     for key, value in (("oracle_budget", budget), ("oracle_max_n", max_n)):
         if value is not None and value < 0:
             raise UsageError(f"{key} must be >= 0, got {value}")
-    if max_n > DEFAULT_TABLE_CEILING:
-        raise UsageError(f"oracle_max_n must be at most the coverage table "
-                         f"ceiling {DEFAULT_TABLE_CEILING}, got {max_n}")
     return OracleLimits(max_nodes=budget, max_n=max_n)
 
 

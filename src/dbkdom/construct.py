@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet, run_image
+from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet, run_layers
 from .domination import bounds, verify
 from .modular import (ceil_div, geometric_sum, run_mask,
                       solve_linear_congruence)
@@ -324,21 +324,8 @@ def build_lower_prefix(n: int, d: int, k: int) -> VertexSet:
     return _verified_run(g, 0, lower, k, "prefix of length lower")
 
 
-def _layers(g: GeneralizedDigraph, start: int, length: int,
-            k: int) -> list[tuple[int, int]]:
-    """The 0-th through k-th images of a non-empty run, as (start, length)
-    runs, stopping at the first full one."""
-    layers = [(start, length)]
-    for _ in range(k):
-        if length >= g.n:
-            break
-        start, length = run_image(g, start, length)
-        layers.append((start, length))
-    return layers
-
-
 class _RunBalls:
-    """Radius-k ball masks of the runs of ``g``, read off ``run_image``.
+    """Radius-k ball masks of the runs of ``g``, read off ``run_layers``.
 
     The image of a run moves its start by d (de Bruijn) or -d (Kautz) times
     any move of the run's start, whatever the run's length.  So layer j of
@@ -351,7 +338,7 @@ class _RunBalls:
     def __init__(self, g: GeneralizedDigraph, k: int):
         self.g, self.k, self.full = g, k, (1 << g.n) - 1
         self.steps = [s1 - s0 for (s0, _), (s1, _) in
-                      zip(_layers(g, 0, 1, k), _layers(g, 1, 1, k))]
+                      zip(run_layers(g, 0, 1, k), run_layers(g, 1, 1, k))]
 
     def of_length(self, length: int):
         """The function a -> ball mask of the run of ``length`` > 0
@@ -359,7 +346,7 @@ class _RunBalls:
         ball exceeds."""
         n, full = self.g.n, self.full
         spans, most = [], 0
-        for (start, m), step in zip(_layers(self.g, 0, length, self.k),
+        for (start, m), step in zip(run_layers(self.g, 0, length, self.k),
                                     self.steps):
             spans.append((start, step, (1 << m) - 1))
             most += m

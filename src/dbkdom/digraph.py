@@ -8,23 +8,21 @@ vertex index, so neighborhoods are computed on demand and nothing is stored:
 
 Both families require d >= 2 and n >= d.  The out-neighborhood of a single
 vertex is always a run of d consecutive residues, and the image of a run is
-again a run, which is what makes closed-form neighborhood iteration possible.
-The interval route (ModInterval arithmetic) and the set route (explicit
-member expansion) are implemented separately on purpose; tests adjudicate
-that they agree.  The set route spreads every member v at once: it parses
-the membership bits in base 2**d (past int()'s base 36, the bits written
-to every d-th place of a zero bytearray and read in base 2), which puts v's
-bit at position d*v, multiplies by 2**d - 1 to fill the slots
-d*v .. d*v+d-1 of the arc formula, and folds that (d*n)-bit integer mod n
-in d chunks of n bits.  Each step is linear in n.
+again a run.  ``run_image`` gives that image in closed form and
+``run_layers`` iterates it.  ``set_out_neighborhood`` is the reference
+route: it expands every member of an arbitrary set and never consults the
+closed form, so tests check the two against each other.  It spreads every
+member v at once: it parses the membership bits in base 2**d (past int()'s
+base 36, the bits written to every d-th place of a zero bytearray and read
+in base 2), which puts v's bit at position d*v, multiplies by 2**d - 1 to
+fill the slots d*v .. d*v+d-1 of the arc formula, and folds that
+(d*n)-bit integer mod n in d chunks of n bits.  Each step is linear in n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-
-from .modular import ModInterval
 
 DEBRUIJN = "debruijn"
 KAUTZ = "kautz"
@@ -60,10 +58,6 @@ class GeneralizedDigraph:
     def kautz(cls, n: int, d: int) -> "GeneralizedDigraph":
         return cls(KAUTZ, n, d)
 
-    def check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
-
 
 @dataclass(frozen=True)
 class VertexSet:
@@ -86,10 +80,6 @@ class VertexSet:
                 raise ValueError(f"vertex {v} out of range [0, {n})")
             mask |= 1 << v
         return cls(n, mask)
-
-    @classmethod
-    def from_interval(cls, interval: ModInterval) -> "VertexSet":
-        return cls(interval.modulus, interval.mask())
 
     @classmethod
     def full(cls, n: int) -> "VertexSet":
@@ -125,20 +115,10 @@ class VertexSet:
         return self.mask == 0
 
 
-def out_neighbors(g: GeneralizedDigraph, v: int) -> ModInterval:
-    """Out-neighborhood of one vertex, always a run of d residues."""
-    g.check_vertex(v)
-    n, d = g.n, g.d
-    if g.family == DEBRUIJN:
-        start = (d * v) % n
-    else:
-        start = (-d * v - d) % n
-    return ModInterval(start, d, n)
-
-
-def interval_out_neighborhood(g: GeneralizedDigraph,
-                              dset: ModInterval) -> ModInterval:
-    """Image of a non-empty run under one step, in closed form.
+def run_image(g: GeneralizedDigraph, start: int,
+              length: int) -> tuple[int, int]:
+    """The (start, length) of the image of the non-empty run of ``length``
+    vertices from ``start``, in closed form.
 
     de Bruijn images of consecutive vertices abut end to start, Kautz images
     abut in reverse, so the image of a run of length m is a run of length
@@ -147,18 +127,6 @@ def interval_out_neighborhood(g: GeneralizedDigraph,
     * de Bruijn: starts at d*a where a is the first member
     * Kautz:     starts at -d*b - d where b is the last member
     """
-    if dset.modulus != g.n:
-        raise ValueError(f"modulus mismatch: {dset.modulus} != {g.n}")
-    if dset.is_empty():
-        raise ValueError("image of an empty run is undefined here")
-    return ModInterval(*run_image(g, dset.start, dset.length), g.n)
-
-
-def run_image(g: GeneralizedDigraph, start: int,
-              length: int) -> tuple[int, int]:
-    """``interval_out_neighborhood`` on plain integers: the (start, length)
-    of the image of the non-empty run of ``length`` vertices from
-    ``start``, for callers that test many runs."""
     n, d = g.n, g.d
     if g.family == DEBRUIJN:
         start = d * start
@@ -167,25 +135,25 @@ def run_image(g: GeneralizedDigraph, start: int,
     return start % n, min(n, d * length)
 
 
-def ith_out_neighborhood_interval(g: GeneralizedDigraph, dset: ModInterval,
-                                  i: int) -> ModInterval:
-    """i-fold closed-form image of a run; i = 0 returns the run itself."""
-    if i < 0:
-        raise ValueError(f"step count must be >= 0, got {i}")
-    current = dset
-    for _ in range(i):
-        current = interval_out_neighborhood(g, current)
-        if current.is_full():
-            break  # full set is a fixed point of the image
-    return current
+def run_layers(g: GeneralizedDigraph, start: int, length: int,
+               k: int) -> list[tuple[int, int]]:
+    """The 0-th through k-th images of a non-empty run, as (start, length)
+    runs, stopping at the first full one."""
+    layers = [(start, length)]
+    for _ in range(k):
+        if length >= g.n:
+            break
+        start, length = run_image(g, start, length)
+        layers.append((start, length))
+    return layers
 
 
 def set_out_neighborhood(g: GeneralizedDigraph, s: VertexSet) -> VertexSet:
     """Image of an arbitrary vertex set: the union of members' out-runs.
 
-    This is the reference expansion route.  It never consults the interval
-    arithmetic above, so the two can be checked against each other.  Every
-    member is expanded from the de Bruijn arc formula x -> d*x + i; a Kautz
+    This is the reference expansion route.  It never consults ``run_image``
+    above, so the two can be checked against each other.  Every member is
+    expanded from the de Bruijn arc formula x -> d*x + i; a Kautz
     vertex v steps like the de Bruijn vertex n-1-v with slot d-i, so the
     Kautz set is reflected first.
     """

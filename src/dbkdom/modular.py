@@ -2,15 +2,15 @@
 
 Everything works on plain Python integers, which are exact at any size, so
 quantities such as d**k or their sums never overflow or round.  A "run" is a
-set of consecutive residues modulo n; runs are the shape that interval
-neighborhood arithmetic produces and consumes, so they get a value type of
-their own.
+set of consecutive residues modulo n, given as a plain (start, length) pair;
+``run_mask`` turns one into a bitmask.  ``digraph.run_image`` and
+``digraph.run_layers`` give the images of runs in closed form, and tests
+check them against the reference ``digraph.set_out_neighborhood``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -32,71 +32,6 @@ def geometric_sum(d: int, k: int) -> int:
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k}")
     return (d ** (k + 1) - 1) // (d - 1)
-
-
-@dataclass(frozen=True)
-class ModInterval:
-    """A run of ``length`` consecutive residues mod ``modulus`` from ``start``.
-
-    Stored as (start, length) rather than (start, end) so the empty run
-    (length 0) and the full ring (length == modulus) are distinct,
-    unambiguous values.  Full and empty runs are canonicalized to start 0,
-    making dataclass equality coincide with set equality.
-    """
-
-    start: int
-    length: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.length <= self.modulus:
-            raise ValueError(
-                f"length must be in [0, {self.modulus}], got {self.length}")
-        object.__setattr__(self, "start", self.start % self.modulus)
-        if self.length in (0, self.modulus):
-            object.__setattr__(self, "start", 0)
-
-    @property
-    def end(self) -> int:
-        """Last member of a non-empty run."""
-        if self.length == 0:
-            raise ValueError("empty run has no end")
-        return (self.start + self.length - 1) % self.modulus
-
-    def is_empty(self) -> bool:
-        return self.length == 0
-
-    def is_full(self) -> bool:
-        return self.length == self.modulus
-
-    def __contains__(self, v: int) -> bool:
-        return (v - self.start) % self.modulus < self.length
-
-    def __iter__(self):
-        n = self.modulus
-        for t in range(self.length):
-            yield (self.start + t) % n
-
-    def members(self) -> list[int]:
-        """Members in run order (wrapping past n - 1 back to 0)."""
-        return list(self)
-
-    def mask(self) -> int:
-        """Membership bitmask: bit v is set iff v is in the run."""
-        return run_mask(self.start, self.length, self.modulus)
-
-
-def mod_interval(i: int, j: int, n: int) -> ModInterval:
-    """Inclusive residue run from i to j modulo n, wrapping when i > j.
-
-    The run has ((j - i) mod n) + 1 members, so i == j (mod n) yields a
-    singleton and j == i - 1 (mod n) yields the full ring.
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    return ModInterval(i % n, (j - i) % n + 1, n)
 
 
 def run_mask(start: int, length: int, n: int) -> int:

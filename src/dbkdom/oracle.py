@@ -51,11 +51,18 @@ class OracleLimits:
 
     max_nodes is the search node budget (None for unlimited, 0 to skip the
     oracle entirely); max_n is the largest instance the oracle is willing to
-    tabulate during classification.
+    tabulate during classification, at most DEFAULT_TABLE_CEILING, the
+    largest order ``coverage_table`` accepts.
     """
 
     max_nodes: int | None = None
     max_n: int = 500
+
+    def __post_init__(self):
+        if self.max_n > DEFAULT_TABLE_CEILING:
+            raise ValueError(f"max_n must be at most the coverage table "
+                             f"ceiling {DEFAULT_TABLE_CEILING}, "
+                             f"got {self.max_n}")
 
     def allows(self, n: int) -> bool:
         if self.max_nodes is not None and self.max_nodes <= 0:

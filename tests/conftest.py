@@ -1,7 +1,7 @@
 """Shared naive reference implementations and the kernel fixtures.
 
 The references are written directly from the arc definitions with plain
-loops and sets, independently of the package's interval arithmetic and
+loops and sets, independently of the package's closed-form run images and
 bitset kernels, so tests can compare optimized code against an artifact
 that is obviously correct.
 """
@@ -74,15 +74,6 @@ def power_sum_run(d: int, m: int, k: int) -> tuple[int, list[int]]:
     size = -(-n // sum(d ** j for j in range(k + 1)))
     x = sum(d ** (m - j * (k + 1)) for j in range(1, m // (k + 1) + 1))
     return size, [(x + i) % n for i in range(size)]
-
-
-def case_split_interval(i: int, j: int, n: int) -> set[int]:
-    """The two-branch textbook definition of a wrapping residue run."""
-    i %= n
-    j %= n
-    if i <= j:
-        return set(range(i, j + 1))
-    return set(range(i, n)) | set(range(0, j + 1))
 
 
 @pytest.fixture(scope="session")

@@ -16,10 +16,9 @@ from dbkdom.construct import (build_anchor_run, build_lower_prefix,
                               remainder_window)
 from dbkdom.cli import debruijn_necessity_report, kautz_upper_report
 from dbkdom.digraph import (FAMILIES, GeneralizedDigraph, VertexSet,
-                            ith_out_neighborhood_interval,
-                            set_out_neighborhood)
+                            run_image, set_out_neighborhood)
 from dbkdom.domination import bounds, verify
-from dbkdom.modular import (ModInterval, ceil_div, geometric_sum,
+from dbkdom.modular import (ceil_div, geometric_sum, run_mask,
                             solve_linear_congruence)
 from dbkdom.oracle import ABSENT, exists_dominating_of_size, min_dominating
 
@@ -173,30 +172,33 @@ def test_acceptance_7_closed_form_matches_reference_expansion():
                     layers.append(
                         [set_out_neighborhood(g, VertexSet(n, m)).mask
                          for m in layers[-1]])
+                # closed form: the i-th image of each run, one step a pass
+                images = {(s, length): (s, length) for s in range(n)
+                          for length in range(1, n + 1)}
                 for i in range(6):
                     masks = layers[i]
                     for s in range(n):
                         union = 0
                         for length in range(1, n + 1):
                             union |= masks[(s + length - 1) % n]
-                            run = ModInterval(s, length, n)
-                            image = ith_out_neighborhood_interval(g, run, i)
-                            assert image.mask() == union, \
+                            image = images[s, length]
+                            assert run_mask(*image, n) == union, \
                                 (family, n, d, i, s, length)
+                            images[s, length] = run_image(g, *image)
                             pairs += 1
                 if n > 14:
                     continue
                 # same claim without the union-of-singletons shortcut:
-                # expand the interval itself one step at a time
+                # expand the run itself one step at a time
                 for s in range(n):
                     for length in range(1, n + 1):
-                        run = ModInterval(s, length, n)
-                        expanded = VertexSet.from_interval(run)
+                        closed = (s, length)
+                        expanded = VertexSet(n, run_mask(s, length, n))
                         for i in range(6):
-                            closed = ith_out_neighborhood_interval(g, run, i)
-                            assert closed.mask() == expanded.mask, \
+                            assert run_mask(*closed, n) == expanded.mask, \
                                 (family, n, d, i, s, length)
                             expanded = set_out_neighborhood(g, expanded)
+                            closed = run_image(g, *closed)
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE 7: closed-form interval image equals iterated "
           f"expansion on {pairs} (run, i) pairs, zero mismatches; "

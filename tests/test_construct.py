@@ -16,8 +16,8 @@ from dbkdom.construct import (AnchorWitness, ConstructionError, GammaResult,
                               remainder_window, run_scan, two_run_cover)
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph, VertexSet, ball
 from dbkdom.domination import DominationCertificate, bounds, verify
-from dbkdom.modular import (ModInterval, ceil_div, geometric_sum,
-                            mod_interval, solve_linear_congruence)
+from dbkdom.modular import (ceil_div, geometric_sum, run_mask,
+                            solve_linear_congruence)
 from dbkdom.oracle import OracleLimits, min_dominating
 from dbkdom.problems import COUNTEREXAMPLE, debruijn_necessity_report
 
@@ -74,7 +74,7 @@ def default_envelope(family):
 
 
 def run_set(n, start, length):
-    return VertexSet.from_interval(ModInterval(start, length, n))
+    return VertexSet(n, run_mask(start, length, n))
 
 
 def rejecting_verify(g, dset, k):
@@ -115,11 +115,10 @@ class TestFindAnchor:
         anchor = find_anchor(n, d, k)
         assert 0 <= anchor.h <= d - 2
         assert (d * anchor.x) % n == (anchor.x + lower - anchor.h) % n
-        window = mod_interval(anchor.x + lower - (d - 2),
-                              anchor.x + lower, n)
+        window = run_set(n, anchor.x + lower - (d - 2), d - 1)
         assert (d * anchor.x) % n in window
         for x in range(anchor.x):
-            earlier = mod_interval(x + lower - (d - 2), x + lower, n)
+            earlier = run_set(n, x + lower - (d - 2), d - 1)
             assert (d * x) % n not in earlier
 
     def test_matches_reference_scan_on_wide_envelope(self):
@@ -183,8 +182,7 @@ class TestCongruenceWitness:
         else:
             assert (got.h, got.x) == expected
             lower = ceil_div(n, geometric_sum(d, k))
-            assert set(got.run.members()) == \
-                set(mod_interval(got.x, got.x + lower - 1, n))
+            assert got.run == run_set(n, got.x, lower)
             assert naive_is_dominating("debruijn", n, d,
                                        got.run.members(), k)
 
@@ -414,8 +412,7 @@ class TestClassify:
         result = classify(GeneralizedDigraph.debruijn(n, 3), 3)
         assert result.gamma == 25000
         assert result.method == "congruence"
-        assert result.witness == VertexSet.from_interval(
-            mod_interval(12500, 12500 + 25000 - 1, n))
+        assert result.witness == run_set(n, 12500, 25000)
         assert len(calls) == 1
 
     def test_oracle_decides_upper_value(self):

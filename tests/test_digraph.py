@@ -1,4 +1,5 @@
-"""Digraph families: arc rules, interval images, reference expansion."""
+"""Digraph families: arc rules, closed-form run images, reference
+expansion."""
 
 import random
 
@@ -8,17 +9,21 @@ from hypothesis import strategies as st
 
 from conftest import naive_ball, naive_image, naive_out_neighbors
 from dbkdom.digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
-                            VertexSet, ball, export_graph,
-                            interval_out_neighborhood,
-                            ith_out_neighborhood_interval, out_neighbors,
-                            set_out_neighborhood)
-from dbkdom.modular import ModInterval, mod_interval
+                            VertexSet, ball, export_graph, run_image,
+                            run_layers, set_out_neighborhood)
+from dbkdom.modular import run_mask
 
 
 def instances(max_n=60):
     return st.tuples(st.sampled_from(sorted(FAMILIES)),
                      st.integers(2, max_n),
                      st.integers(2, 5)).filter(lambda t: t[1] >= t[2])
+
+
+def run_members(run, n):
+    """The residues of a (start, length) run, listed one by one."""
+    start, length = run
+    return {(start + t) % n for t in range(length)}
 
 
 class TestGeneralizedDigraph:
@@ -44,7 +49,7 @@ class TestVertexSet:
         assert 5 in s and 6 not in s
 
     def test_from_interval_and_complement(self):
-        s = VertexSet.from_interval(mod_interval(8, 1, 10))
+        s = VertexSet(10, run_mask(8, 4, 10))
         assert s.members() == [0, 1, 8, 9]
         assert s.complement().members() == [2, 3, 4, 5, 6, 7]
         assert VertexSet.full(4).is_full()
@@ -74,20 +79,11 @@ class TestVertexSet:
 
 class TestOutNeighbors:
     def test_examples(self):
-        assert set(out_neighbors(GeneralizedDigraph.debruijn(6, 3), 2)) == \
-            {0, 1, 2}
-        assert set(out_neighbors(GeneralizedDigraph.kautz(9, 2), 0)) == \
-            {7, 8}
+        assert run_image(GeneralizedDigraph.debruijn(6, 3), 2, 1) == (0, 3)
+        assert run_image(GeneralizedDigraph.kautz(9, 2), 0, 1) == (7, 2)
         for d in (2, 3, 5):
             g = GeneralizedDigraph.debruijn(20, d)
-            assert set(out_neighbors(g, 0)) == set(range(d))
-
-    def test_vertex_range_checked(self):
-        g = GeneralizedDigraph.debruijn(6, 3)
-        with pytest.raises(ValueError):
-            out_neighbors(g, 6)
-        with pytest.raises(ValueError):
-            out_neighbors(g, -1)
+            assert run_members(run_image(g, 0, 1), 20) == set(range(d))
 
     def test_exhaustive_small_against_definition(self):
         for family in sorted(FAMILIES):
@@ -97,7 +93,7 @@ class TestOutNeighbors:
                         continue
                     g = GeneralizedDigraph(family=family, n=n, d=d)
                     for v in range(n):
-                        assert set(out_neighbors(g, v)) == \
+                        assert run_members(run_image(g, v, 1), n) == \
                             naive_out_neighbors(family, n, d, v), (family, n, d, v)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -109,36 +105,21 @@ class TestOutNeighbors:
             for n in range(d, 301):
                 g = GeneralizedDigraph(family=family, n=n, d=d)
                 for x in range(n):
-                    run = out_neighbors(g, x)
-                    assert out_neighbors(g, n - 1 - x) == \
-                        ModInterval(n - run.start - d, d, n), (n, d, x)
+                    start, length = run_image(g, x, 1)
+                    assert length == d
+                    assert run_image(g, n - 1 - x, 1) == \
+                        ((n - start - d) % n, d), (n, d, x)
 
     def test_saturates_only_at_n_equals_d(self):
-        assert out_neighbors(GeneralizedDigraph.debruijn(3, 3), 1).is_full()
-        assert not out_neighbors(GeneralizedDigraph.debruijn(4, 3), 1).is_full()
+        assert run_image(GeneralizedDigraph.debruijn(3, 3), 1, 1)[1] == 3
+        assert run_image(GeneralizedDigraph.debruijn(4, 3), 1, 1)[1] < 4
 
 
 class TestIntervalImage:
     def test_examples(self):
-        gb = GeneralizedDigraph.debruijn(10, 2)
-        assert interval_out_neighborhood(gb, mod_interval(3, 4, 10)) == \
-            mod_interval(6, 9, 10)
-        gk = GeneralizedDigraph.kautz(7, 2)
-        assert interval_out_neighborhood(gk, mod_interval(0, 1, 7)) == \
-            mod_interval(3, 6, 7)
-
-    def test_full_in_full_out(self):
-        for g in (GeneralizedDigraph.debruijn(9, 2),
-                  GeneralizedDigraph.kautz(9, 2)):
-            assert interval_out_neighborhood(
-                g, ModInterval(0, 9, 9)).is_full()
-
-    def test_empty_rejected(self):
-        g = GeneralizedDigraph.debruijn(9, 2)
-        with pytest.raises(ValueError):
-            interval_out_neighborhood(g, ModInterval(0, 0, 9))
-        with pytest.raises(ValueError):
-            interval_out_neighborhood(g, ModInterval(0, 1, 8))
+        # {3, 4} -> {6..9} (de Bruijn) and {0, 1} -> {3..6} (Kautz)
+        assert run_image(GeneralizedDigraph.debruijn(10, 2), 3, 2) == (6, 4)
+        assert run_image(GeneralizedDigraph.kautz(7, 2), 0, 2) == (3, 4)
 
     def test_exhaustive_small_against_reference(self):
         for family in sorted(FAMILIES):
@@ -149,29 +130,26 @@ class TestIntervalImage:
                     g = GeneralizedDigraph(family=family, n=n, d=d)
                     for start in range(n):
                         for length in range(1, n + 1):
-                            run = ModInterval(start, length, n)
-                            assert set(interval_out_neighborhood(g, run)) \
-                                == naive_image(family, n, d, set(run))
+                            run = (start, length)
+                            assert run_members(run_image(g, *run), n) \
+                                == naive_image(family, n, d,
+                                               run_members(run, n))
 
 
 class TestIthImage:
     def test_identity_at_zero(self):
         g = GeneralizedDigraph.kautz(9, 2)
-        run = mod_interval(3, 5, 9)
-        assert ith_out_neighborhood_interval(g, run, 0) == run
+        assert run_layers(g, 3, 3, 0) == [(3, 3)]
 
     def test_singleton_two_steps(self):
         g = GeneralizedDigraph.debruijn(40, 3)
         for x in range(40):
-            run = ith_out_neighborhood_interval(
-                g, ModInterval(x, 1, 40), 2)
-            assert run.start == 9 * x % 40
-            assert run.length == 9
+            assert run_layers(g, x, 1, 2)[2] == (9 * x % 40, 9)
 
     def test_kautz_saturation(self):
+        # the layers stop at the first full run, a fixed point of the image
         g = GeneralizedDigraph.kautz(7, 2)
-        assert ith_out_neighborhood_interval(
-            g, mod_interval(0, 1, 7), 2).is_full()
+        assert [m for _, m in run_layers(g, 0, 2, 5)] == [2, 4, 7]
 
     def test_size_law(self):
         # |O_i(D)| = min(n, d**i * |D|) for consecutive D
@@ -180,10 +158,10 @@ class TestIthImage:
                 g = GeneralizedDigraph(family=family, n=n, d=d)
                 for start in (0, 5, n - 1):
                     for length in (1, 2, 5):
-                        for i in range(6):
-                            run = ith_out_neighborhood_interval(
-                                g, ModInterval(start, length, n), i)
-                            assert run.length == min(n, d ** i * length)
+                        layers = run_layers(g, start, length, 5)
+                        for i, (_, m) in enumerate(layers):
+                            assert m == min(n, d ** i * length)
+                        assert len(layers) == 6 or layers[-1][1] == n
 
     @settings(max_examples=400, deadline=None)
     @given(instances(), st.data())
@@ -193,12 +171,12 @@ class TestIthImage:
         start = data.draw(st.integers(0, n - 1))
         length = data.draw(st.integers(1, n))
         i = data.draw(st.integers(0, 5))
-        expected = set(ModInterval(start, length, n))
+        expected = run_members((start, length), n)
         for _ in range(i):
             expected = naive_image(family, n, d, expected)
-        got = ith_out_neighborhood_interval(
-            g, ModInterval(start, length, n), i)
-        assert set(got) == expected
+        # the layers stop early only at a full run, which the image keeps
+        got = run_layers(g, start, length, i)[-1]
+        assert run_members(got, n) == expected
 
     def test_kautz_prefix_parity(self):
         # images of a prefix alternate: even steps start at 0, odd end at n-1
@@ -206,15 +184,14 @@ class TestIthImage:
             for d in (2, 3):
                 for c in range(1, 5):
                     g = GeneralizedDigraph.kautz(n, d)
-                    for i in range(6):
-                        run = ith_out_neighborhood_interval(
-                            g, ModInterval(0, c, n), i)
-                        if run.is_full():
+                    for i, (start, m) in enumerate(run_layers(g, 0, c, 5)):
+                        if m == n:
                             continue
                         if i % 2 == 0:
-                            assert run.start == 0, (n, d, c, i)
+                            assert start == 0, (n, d, c, i)
                         else:
-                            assert run.end == n - 1, (n, d, c, i)
+                            assert (start + m - 1) % n == n - 1, \
+                                (n, d, c, i)
 
 
 class TestSetImage:
@@ -315,7 +292,7 @@ class TestDegreeAccounting:
                     arc_total += len(targets)
                     for y in targets:
                         in_deg[y] += 1
-                    assert set(out_neighbors(g, v)) == targets
+                    assert run_members(run_image(g, v, 1), n) == targets
                 assert slot_total == n * d
                 assert sum(in_deg) == arc_total <= n * d
 

@@ -1,4 +1,4 @@
-"""Integer and modular-interval arithmetic."""
+"""Integer and residue-run arithmetic."""
 
 import math
 
@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import case_split_interval
-from dbkdom.modular import (ModInterval, ceil_div, geometric_sum,
-                            mod_interval, run_mask, solve_linear_congruence)
+from dbkdom.modular import (ceil_div, geometric_sum, run_mask,
+                            solve_linear_congruence)
 
 
 class TestGeometricSum:
@@ -49,66 +48,18 @@ class TestCeilDiv:
         assert (q - 1) * b < a <= q * b or (a == 0 and q == 0)
 
 
-class TestModInterval:
-    def test_examples(self):
-        assert set(mod_interval(6, 8, 6)) == {0, 1, 2}
-        assert set(mod_interval(4, 1, 6)) == {4, 5, 0, 1}
-        assert mod_interval(0, 9, 10).is_full()
-
-    def test_wrap_order_preserved(self):
-        assert list(mod_interval(4, 1, 6)) == [4, 5, 0, 1]
-
-    def test_exhaustive_against_case_split(self):
-        for n in range(1, 61):
-            for i in range(n):
-                for j in range(n):
-                    assert set(mod_interval(i, j, n)) == \
-                        case_split_interval(i, j, n), (i, j, n)
-
-    @given(st.integers(min_value=1, max_value=200),
-           st.integers(), st.integers())
-    def test_case_split_any_integers(self, n, i, j):
-        got = set(mod_interval(i, j, n))
-        assert got == case_split_interval(i, j, n)
-        assert len(got) == ((j - i) % n) + 1
-
-    def test_member_enumerate_agree_exhaustive(self):
-        for n in range(1, 51):
-            for start in range(n):
-                for length in range(n + 1):
-                    run = ModInterval(start, length, n)
-                    members = set(run)
-                    assert len(members) == length
-                    for v in range(n):
-                        assert (v in run) == (v in members)
-
-    def test_full_and_empty_are_canonical(self):
-        # set equality must coincide with dataclass equality
-        assert ModInterval(3, 5, 5) == ModInterval(0, 5, 5)
-        assert ModInterval(4, 0, 9) == ModInterval(0, 0, 9)
-        assert ModInterval(2, 3, 9) != ModInterval(3, 3, 9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ModInterval(0, 6, 5)
-        with pytest.raises(ValueError):
-            ModInterval(0, -1, 5)
-        with pytest.raises(ValueError):
-            ModInterval(0, 0, 0)
-
-    def test_mask_round_trip(self):
-        for n in range(1, 40):
-            for start in range(n):
-                for length in range(n + 1):
-                    run = ModInterval(start, length, n)
-                    assert run.mask() == sum(1 << v for v in run)
-
-
 class TestRunMasks:
     def test_run_mask_wraps(self):
         assert run_mask(4, 4, 6) == 0b110011
         assert run_mask(0, 0, 6) == 0
         assert run_mask(2, 6, 6) == 0b111111
+
+    def test_mask_round_trip(self):
+        for n in range(1, 40):
+            for start in range(n):
+                for length in range(n + 1):
+                    assert run_mask(start, length, n) == \
+                        sum(1 << (start + t) % n for t in range(length))
 
 
 class TestSolveLinearCongruence:

@@ -8,9 +8,10 @@ from dbkdom import _cover_py
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph
 from dbkdom.domination import bounds, verify
 from dbkdom.modular import ceil_div, geometric_sum
-from dbkdom.oracle import (ABSENT, FOUND, INCONCLUSIVE, OracleLimits,
-                           coverage_table, exists_dominating_of_size,
-                           kernel_backend, min_dominating)
+from dbkdom.oracle import (ABSENT, DEFAULT_TABLE_CEILING, FOUND,
+                           INCONCLUSIVE, OracleLimits, coverage_table,
+                           exists_dominating_of_size, kernel_backend,
+                           min_dominating)
 
 
 def ball_members(table, v: int) -> list[int]:
@@ -377,3 +378,13 @@ class TestPrunings:
 class TestBackendSelection:
     def test_backend_reported(self):
         assert kernel_backend() in ("pure", "compiled")
+
+
+class TestOracleLimits:
+    def test_max_n_above_table_ceiling_rejected(self):
+        # coverage_table refuses larger orders, so such a limit would only
+        # fail mid-row, inside classify
+        with pytest.raises(ValueError, match=str(DEFAULT_TABLE_CEILING)):
+            OracleLimits(max_n=DEFAULT_TABLE_CEILING + 1)
+        assert OracleLimits(max_n=DEFAULT_TABLE_CEILING).allows(
+            DEFAULT_TABLE_CEILING)

@@ -1,4 +1,5 @@
-"""Every name the benchmark's traced run wraps exists on its module.
+"""Every exported name and every name the benchmark's traced run wraps
+exists on its module.
 
 ``perfbench/tracing.py`` wraps package functions by attribute name, and
 perfbench's own tests sit outside these test paths, so without this check a
@@ -24,3 +25,12 @@ def test_every_traced_name_resolves():
     missing = [(owner.__name__, attr) for owner, attr, _, _ in targets
                if not callable(getattr(owner, attr, None))]
     assert targets and missing == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dbkdom.__all__
+               if not hasattr(dbkdom, name)]
+    assert missing == []
+    namespace = {}
+    exec("from dbkdom import *", namespace)
+    assert set(dbkdom.__all__) <= namespace.keys()
