@@ -37,7 +37,7 @@ from .oracle import coverage_table, exists_dominating_of_size  # noqa: F401
 from .oracle import DEFAULT_LIMITS, OracleLimits
 from .problems import (CONSISTENT, COUNTEREXAMPLE, INCONCLUSIVE_VERDICT,
                        PROBLEM_DEBRUIJN, PROBLEMS, debruijn_necessity_report,
-                       kautz_upper_report)
+                       instances, kautz_upper_report)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -118,8 +118,8 @@ def _resolve_ranges(args) -> dict:
 
 
 def _open_out(path: str | None):
-    """Stdout, or the --out file opened for writing.  Sweeps open it before
-    their first row, so an unwritable path fails before any work is done."""
+    """Stdout, or the --out file opened for writing.  Every command opens
+    it before its work, so an unwritable path fails before any is done."""
     if not path:
         return contextlib.nullcontext(sys.stdout)
     try:
@@ -127,11 +127,6 @@ def _open_out(path: str | None):
     except OSError as e:
         raise UsageError(
             f"cannot write --out {path}: {e.strerror or e}") from None
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    with _open_out(out_path) as fh:
-        fh.write(text)
 
 
 def _render_kv_table(pairs: list[tuple[str, str]]) -> str:
@@ -185,31 +180,34 @@ def row_to_csv_fields(row: dict) -> list[str]:
             cell(row.get("ms"))]
 
 
-def write_rows(fh, rows, fmt: str) -> list[dict]:
+# row exit codes from least to most severe
+_ROW_EXITS = (EXIT_OK, EXIT_BRACKET, EXIT_INCONCLUSIVE, EXIT_INVALID)
+
+
+def _row_exit(row: dict) -> int:
+    if row["method"] == "error":
+        return EXIT_INVALID
+    if row["method"] == "inconclusive":
+        return EXIT_INCONCLUSIVE
+    return EXIT_BRACKET if row["gamma"] is None else EXIT_OK
+
+
+def write_rows(fh, rows, fmt: str) -> int:
     """Write rows as CSV (header first) or JSON lines, flushing each one so
-    a killed run keeps every finished row; returns the rows written."""
+    a killed run keeps every finished row; keeps none of them, and returns
+    the most severe row exit code (0 for no rows)."""
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-    written = []
+    worst = EXIT_OK
     for row in rows:
         if fmt == "csv":
             writer.writerow(row_to_csv_fields(row))
         else:
             fh.write(json.dumps(row) + "\n")
         fh.flush()
-        written.append(row)
-    return written
-
-
-def _exit_for_rows(rows: list[dict]) -> int:
-    if any(row["method"] == "error" for row in rows):
-        return EXIT_INVALID
-    if any(row["method"] == "inconclusive" for row in rows):
-        return EXIT_INCONCLUSIVE
-    if any(row["gamma"] is None for row in rows):
-        return EXIT_BRACKET
-    return EXIT_OK
+        worst = max(worst, _row_exit(row), key=_ROW_EXITS.index)
+    return worst
 
 
 def cmd_gamma(args) -> int:
@@ -217,26 +215,22 @@ def cmd_gamma(args) -> int:
     _checked({key: [getattr(args, key)] for key in "ndk"})
     # refuses n < d; past this point a failure is an error row, exit 1
     GeneralizedDigraph(family=args.family, n=args.n, d=args.d)
-    row = classify_row(args.family, args.n, args.d, args.k, limits)
     with _open_out(args.out) as fh:
+        row = classify_row(args.family, args.n, args.d, args.k, limits)
         if args.format == "json":
             fh.write(json.dumps(row, indent=2) + "\n")
         elif args.format == "csv":
             write_rows(fh, [row], "csv")
         else:
             fh.write(_gamma_table(row))
-    return _exit_for_rows([row])
+    return _row_exit(row)
 
 
-def sweep_rows(families: list[str], ns: list[int], ds: list[int],
+def sweep_rows(families: tuple[str, ...], ns: list[int], ds: list[int],
                ks: list[int], limits: OracleLimits, jobs: int = 1):
-    """The rows of the grid, yielded in output order as they finish;
-    instances with n < d are skipped because neither family is defined
-    there."""
-    tasks = [(family, n, d, k, limits)
-             for family in sorted(families)
-             for n in ns for d in ds for k in ks
-             if n >= d]
+    """The rows of the grid's ``instances``, yielded in output order as
+    they finish."""
+    tasks = [(*inst, limits) for inst in instances(families, ns, ds, ks)]
     # the pool starts every worker at the first submit, so never ask it
     # for more than there are tasks or cores
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -266,25 +260,25 @@ def cmd_sweep(args) -> int:
         raise UsageError("jobs must be a positive integer")
     families = FAMILIES if args.family == "both" else (args.family,)
     with _open_out(args.out) as fh:
-        rows = write_rows(fh, sweep_rows(list(families), ranges["n"],
-                                         ranges["d"], ranges["k"], limits,
-                                         args.jobs), args.format)
-    return _exit_for_rows(rows)
+        return write_rows(fh, sweep_rows(families, ranges["n"], ranges["d"],
+                                         ranges["k"], limits, args.jobs),
+                          args.format)
 
 
 def cmd_verify(args) -> int:
     g = GeneralizedDigraph(family=args.family, n=args.n, d=args.d)
     cert = verify(g, parse_set_literal(args.set, args.n), args.k).to_dict()
-    if args.format == "json":
-        _emit(json.dumps(cert, indent=2) + "\n", args.out)
-    else:
-        pairs = [(key, str(cert[key]))
-                 for key in ("family", "n", "d", "k")]
-        pairs.append(("set", ";".join(map(str, cert["set"]))))
-        pairs.append(("valid", "yes" if cert["valid"] else "no"))
-        pairs.append(("uncovered",
-                      ";".join(map(str, cert["uncovered"])) or "-"))
-        _emit(_render_kv_table(pairs), args.out)
+    with _open_out(args.out) as fh:
+        if args.format == "json":
+            fh.write(json.dumps(cert, indent=2) + "\n")
+        else:
+            pairs = [(key, str(cert[key]))
+                     for key in ("family", "n", "d", "k")]
+            pairs.append(("set", ";".join(map(str, cert["set"]))))
+            pairs.append(("valid", "yes" if cert["valid"] else "no"))
+            pairs.append(("uncovered",
+                          ";".join(map(str, cert["uncovered"])) or "-"))
+            fh.write(_render_kv_table(pairs))
     return EXIT_OK if cert["valid"] else EXIT_INVALID
 
 

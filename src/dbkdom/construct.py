@@ -155,8 +155,8 @@ def _check_instance(n: int, d: int, k: int) -> None:
         raise ValueError(f"radius must be >= 1, got {k}")
 
 
-def _verified_runs(g: GeneralizedDigraph, runs, k: int,
-                   what: str) -> VertexSet:
+def _verified_runs(g: GeneralizedDigraph, k: int, what: str,
+                   *runs: tuple[int, int]) -> VertexSet:
     """The union of the (start, length) runs, once ``verify`` accepts it."""
     mask = 0
     for start, length in runs:
@@ -168,11 +168,6 @@ def _verified_runs(g: GeneralizedDigraph, runs, k: int,
             f"{what} failed verification on {g.family} n={g.n} d={g.d} "
             f"k={k}: uncovered {cert.uncovered.members()[:10]}")
     return cover
-
-
-def _verified_run(g: GeneralizedDigraph, start: int, length: int,
-                  k: int, what: str) -> VertexSet:
-    return _verified_runs(g, [(start, length)], k, what)
 
 
 def find_anchor(n: int, d: int, k: int) -> AnchorWitness:
@@ -207,8 +202,8 @@ def build_anchor_run(n: int, d: int, k: int) -> VertexSet:
     lower = ceil_div(n, geometric_sum(d, k))
     anchor = find_anchor(n, d, k)
     g = GeneralizedDigraph.debruijn(n, d)
-    return _verified_run(g, anchor.x, lower + 1, k,
-                         "anchor run of length lower+1")
+    return _verified_runs(g, k, "anchor run of length lower+1",
+                          (anchor.x, lower + 1))
 
 
 def _first_offset(n: int, d: int, k: int) -> int | None:
@@ -239,8 +234,8 @@ def congruence_witness(n: int, d: int, k: int) -> CongruenceWitness | None:
         return None
     lower = ceil_div(n, geometric_sum(d, k))
     x = solve_linear_congruence(d - 1, lower - h, n)[0]
-    run = _verified_run(GeneralizedDigraph.debruijn(n, d), x, lower, k,
-                        f"congruence run (h={h}, x={x})")
+    run = _verified_runs(GeneralizedDigraph.debruijn(n, d), k,
+                         f"congruence run (h={h}, x={x})", (x, lower))
     return CongruenceWitness(x=x, h=h, run=run)
 
 
@@ -283,8 +278,9 @@ def build_window_run(n: int, d: int, k: int) -> VertexSet:
     lower = ceil_div(n, geometric_sum(d, k))
     anchor = find_anchor(n, d, k)
     g = GeneralizedDigraph.debruijn(n, d)
-    return _verified_run(g, anchor.x, lower, k,
-                         "anchor run of length lower (window condition)")
+    return _verified_runs(g, k,
+                          "anchor run of length lower (window condition)",
+                          (anchor.x, lower))
 
 
 def build_prefix_cover(n: int, d: int, k: int) -> VertexSet:
@@ -296,7 +292,7 @@ def build_prefix_cover(n: int, d: int, k: int) -> VertexSet:
     _check_instance(n, d, k)
     c = ceil_div(n, d ** k + d ** (k - 1))
     g = GeneralizedDigraph.kautz(n, d)
-    return _verified_run(g, 0, c, k, "prefix cover")
+    return _verified_runs(g, k, "prefix cover", (0, c))
 
 
 def prefix_condition(n: int, d: int, k: int) -> bool:
@@ -321,7 +317,7 @@ def build_lower_prefix(n: int, d: int, k: int) -> VertexSet:
             f"prefix condition does not hold for n={n} d={d} k={k}")
     lower = ceil_div(n, geometric_sum(d, k))
     g = GeneralizedDigraph.kautz(n, d)
-    return _verified_run(g, 0, lower, k, "prefix of length lower")
+    return _verified_runs(g, k, "prefix of length lower", (0, lower))
 
 
 class _RunBalls:
@@ -375,7 +371,7 @@ def run_scan(g: GeneralizedDigraph, k: int, size: int) -> VertexSet | None:
                    range(n - size + 1, (2 * n - size) // 2 + 1))
     for x in starts:
         if ball(x) == full:
-            return _verified_run(g, x, size, k, f"run scan (x={x})")
+            return _verified_runs(g, k, f"run scan (x={x})", (x, size))
     return None
 
 
@@ -407,8 +403,8 @@ def two_run_cover(g: GeneralizedDigraph, k: int,
                 # R must lie within m1..n-1, clear of the prefix
                 if m1 <= start <= n - m2 and head | ball(start) == full:
                     return _verified_runs(
-                        g, [(0, m1), (start, m2)], k,
-                        f"two-run cover (m1={m1}, start={start})")
+                        g, k, f"two-run cover (m1={m1}, start={start})",
+                        (0, m1), (start, m2))
     return None
 
 
@@ -416,17 +412,19 @@ def classify(g: GeneralizedDigraph, k: int,
              limits: OracleLimits = DEFAULT_LIMITS) -> GammaResult:
     """Best effort exact value, falling back to a two-sided bracket.
 
-    This is the one place an instance is decided.  de Bruijn order: the
-    congruence run, the run scan, then the oracle deciding lower vs
-    lower+1.  The gcd tests and the remainder window are reported in
-    ``conditions`` only: each implies the congruence run, so they never
-    decide a value.  Kautz order: the prefix condition (always true at
-    radius one, where the method reads ``radius_one``), a two-run cover of
-    size lower, then the oracle at lower; once it proves lower absent, a
-    two-run cover of size lower+1 is a minimum one, and only without one
-    does the oracle search upward from lower+1.  The scans run up to
-    COVER_SCAN_MAX_N and the oracle only inside ``limits``; a budget abort
-    degrades the answer to a bracket tagged inconclusive.
+    This is the one place an instance is decided, in the same order for
+    both families: a certificate of size lower, a scan for a cover of size
+    lower, then the oracle at lower.  Once the oracle proves lower absent,
+    a verified cover of size lower+1 is a minimum one, and only without
+    one does the oracle search upward from lower+1.  de Bruijn rows take
+    the congruence run, the run scan and the anchor run, which always
+    exists; the gcd tests and the remainder window are reported in
+    ``conditions`` only, since each implies the congruence run.  Kautz
+    rows take the prefix condition (always true at radius one, where the
+    method reads ``radius_one``) and two-run covers of both sizes.  The
+    scans run up to COVER_SCAN_MAX_N and the oracle only inside
+    ``limits``; a budget abort degrades the answer to a bracket tagged
+    inconclusive.
 
     From radius n.bit_length() + 1 on, d**k > n and every value equals its
     value at that radius, so the work is done there and only the reported
@@ -452,29 +450,19 @@ def classify(g: GeneralizedDigraph, k: int,
             "gcd_residue": tag == GCD_RESIDUE,
             "remainder_window": remainder_window(n, d, radius),
         }
-        if witness is not None:
-            return result(METHOD_CONGRUENCE, witness.run)
-        if scans and (run := run_scan(g, radius, b.lower)) is not None:
-            return result(METHOD_RUN_SCAN, run)
-        if not limits.allows(n):
-            return result(METHOD_BRACKET)
-        search = exists_dominating_of_size(
-            g, radius, b.lower, table=coverage_table(g, radius),
-            max_nodes=limits.max_nodes)
-        if search.status == FOUND:
-            return result(METHOD_ORACLE, search.witness, search.nodes)
-        if search.status == ABSENT:
-            return result(METHOD_ORACLE, build_anchor_run(n, d, radius),
-                          search.nodes)
-        return result(METHOD_INCONCLUSIVE, nodes=search.nodes)
+        cert_method, cert = METHOD_CONGRUENCE, witness.run if witness else None
+        scan_method, scan = METHOD_RUN_SCAN, run_scan
+    else:
+        fired = prefix_condition(n, d, radius)
+        conditions = {"radius_one": k == 1, "prefix_cover": fired}
+        cert_method = METHOD_RADIUS_ONE if k == 1 else METHOD_PREFIX_COVER
+        cert = build_lower_prefix(n, d, radius) if fired else None
+        scan_method, scan = METHOD_TWO_RUN, two_run_cover
 
-    fired = prefix_condition(n, d, radius)
-    conditions = {"radius_one": k == 1, "prefix_cover": fired}
-    if fired:
-        method = METHOD_RADIUS_ONE if k == 1 else METHOD_PREFIX_COVER
-        return result(method, build_lower_prefix(n, d, radius))
-    if scans and (cover := two_run_cover(g, radius, b.lower)) is not None:
-        return result(METHOD_TWO_RUN, cover)
+    if cert is not None:
+        return result(cert_method, cert)
+    if scans and (cover := scan(g, radius, b.lower)) is not None:
+        return result(scan_method, cover)
     if not limits.allows(n):
         return result(METHOD_BRACKET)
     table = coverage_table(g, radius)
@@ -484,8 +472,13 @@ def classify(g: GeneralizedDigraph, k: int,
         return result(METHOD_ORACLE, search.witness, search.nodes)
     if search.status != ABSENT:
         return result(METHOD_INCONCLUSIVE, nodes=search.nodes)
-    if scans and (cover := two_run_cover(g, radius, b.lower + 1)) is not None:
-        return result(METHOD_ORACLE, cover, search.nodes)
+    # a verified cover of size lower+1 is now a minimum one
+    if g.family == DEBRUIJN:
+        plus = build_anchor_run(n, d, radius)
+    else:
+        plus = two_run_cover(g, radius, b.lower + 1) if scans else None
+    if plus is not None:
+        return result(METHOD_ORACLE, plus, search.nodes)
     rest = min_dominating(g, radius, table=table, max_nodes=limits.max_nodes,
                           start=b.lower + 1)
     nodes = search.nodes + rest.nodes

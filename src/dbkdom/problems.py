@@ -38,17 +38,19 @@ def _certificate(result: GammaResult) -> dict:
                                  uncovered=VertexSet(g.n)).to_dict()
 
 
+def instances(families: tuple[str, ...], ns: list[int], ds: list[int],
+              ks: list[int]):
+    """The (family, n, d, k) instances of the grid in lexicographic order;
+    those with n < d are skipped because neither family is defined there."""
+    return ((family, n, d, k) for family in sorted(families)
+            for n in ns for d in ds if n >= d for k in ks)
+
+
 def _classified(family: str, ns: list[int], ds: list[int], ks: list[int],
                 limits: OracleLimits):
-    """classify results over the envelope in (n, d, k) order; instances
-    with n < d are skipped because neither family is defined there."""
-    for n in ns:
-        for d in ds:
-            if n < d:
-                continue
-            for k in ks:
-                yield classify(GeneralizedDigraph(family=family, n=n, d=d),
-                               k, limits)
+    """classify results over the envelope, in ``instances`` order."""
+    for family, n, d, k in instances((family,), ns, ds, ks):
+        yield classify(GeneralizedDigraph(family=family, n=n, d=d), k, limits)
 
 
 def _row(result: GammaResult, bound: str, condition: bool,

@@ -174,6 +174,7 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
+        ("gamma", "--family", "kautz", "-n", "12", "-d", "2", "-k", "1"),
         ("sweep", "--family", "both", "-n", "2..12", "-d", "2", "-k", "1"),
         ("problems", "-n", "2..12", "-d", "2", "-k", "1"),
     ], ids=lambda a: a[0])
@@ -197,6 +198,55 @@ class TestUsageErrors:
     def test_help_exits_zero(self):
         assert run_cli("--help")[0] == EXIT_OK
         assert run_cli("gamma", "--help")[0] == EXIT_OK
+
+
+def fake_row(method: str, gamma: int | None = None, **extra) -> dict:
+    return {"family": "debruijn", "n": 8, "d": 2, "k": 1, "lower": 3,
+            "upper": 4, "gamma": gamma, "method": method, "witness": None,
+            "ms": 0, **extra}
+
+
+class TestWriteRows:
+    def test_written_rows_are_dropped(self):
+        # a long sweep holds one row at a time, whatever its length
+        alive = []
+
+        class Sentinel:
+            def __init__(self):
+                alive.append(None)
+
+            def __del__(self):
+                alive.pop()
+
+        def rows():
+            for _ in range(50):
+                # write_rows still holds the row it wrote last
+                assert len(alive) <= 1
+                yield fake_row("congruence", 3, sentinel=Sentinel())
+
+        assert cli.write_rows(io.StringIO(), rows(), "csv") == EXIT_OK
+        assert alive == []
+
+    EXACT, BRACKET = fake_row("congruence", 3), fake_row("bracket")
+    INCONCLUSIVE, ERROR = fake_row("inconclusive"), fake_row("error")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows, expected", [
+        ([], EXIT_OK),
+        ([EXACT], EXIT_OK),
+        ([EXACT, BRACKET, EXACT], EXIT_BRACKET),
+        ([BRACKET, INCONCLUSIVE], EXIT_INCONCLUSIVE),
+        ([INCONCLUSIVE, BRACKET, EXACT], EXIT_INCONCLUSIVE),
+        ([ERROR, INCONCLUSIVE, BRACKET], EXIT_INVALID),
+        ([EXACT, INCONCLUSIVE, BRACKET, ERROR], EXIT_INVALID),
+    ], ids=["none", "exact", "bracket", "inconclusive", "inconclusive-first",
+            "error-first", "error-last"])
+    def test_exit_code_is_the_most_severe_row(self, rows, expected, fmt):
+        # error 1 > inconclusive 4 > bracket 3 > exact 0, in any order
+        out = io.StringIO()
+        assert cli.write_rows(out, iter(rows), fmt) == expected
+        assert len(out.getvalue().splitlines()) == (
+            len(rows) + (fmt == "csv"))
 
 
 class TestVerify:
