@@ -13,13 +13,13 @@ anywhere carries a witness set that has been re-verified against the arc
 definitions.
 """
 
-from .construct import (AnchorWitness, CongruenceWitness, ConstructionError,
-                        GammaResult, build_anchor_run, build_lower_prefix,
-                        build_prefix_cover, build_window_run, classify,
-                        congruence_witness, find_anchor, gcd_condition,
-                        prefix_condition, remainder_window)
+from .construct import (ConstructionError, GammaResult, build_anchor_run,
+                        build_lower_prefix, build_prefix_cover,
+                        build_window_run, classify, congruence_witness,
+                        find_anchor, gcd_divisibility, prefix_condition,
+                        remainder_window)
 from .digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
-                      VertexSet, ball, export_graph, run_image, run_layers,
+                      VertexSet, ball, run_image, run_layers,
                       set_out_neighborhood)
 from .domination import Bounds, DominationCertificate, bounds, verify
 from .modular import ceil_div, geometric_sum, solve_linear_congruence
@@ -30,15 +30,14 @@ from .oracle import (ABSENT, FOUND, INCONCLUSIVE, OracleLimits, SearchResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ABSENT", "AnchorWitness", "Bounds", "CongruenceWitness",
-    "ConstructionError", "DEBRUIJN", "DominationCertificate", "FAMILIES",
-    "FOUND", "GammaResult", "GeneralizedDigraph", "INCONCLUSIVE", "KAUTZ",
-    "OracleLimits", "SearchResult", "VertexSet", "ball", "bounds",
-    "build_anchor_run", "build_lower_prefix", "build_prefix_cover",
-    "build_window_run", "ceil_div", "classify", "congruence_witness",
-    "coverage_table", "exists_dominating_of_size", "export_graph",
-    "find_anchor", "gcd_condition", "geometric_sum", "kernel_backend",
-    "min_dominating", "prefix_condition", "remainder_window", "run_image",
-    "run_layers", "set_out_neighborhood", "solve_linear_congruence",
-    "verify",
+    "ABSENT", "Bounds", "ConstructionError", "DEBRUIJN",
+    "DominationCertificate", "FAMILIES", "FOUND", "GammaResult",
+    "GeneralizedDigraph", "INCONCLUSIVE", "KAUTZ", "OracleLimits",
+    "SearchResult", "VertexSet", "ball", "bounds", "build_anchor_run",
+    "build_lower_prefix", "build_prefix_cover", "build_window_run",
+    "ceil_div", "classify", "congruence_witness", "coverage_table",
+    "exists_dominating_of_size", "find_anchor", "gcd_divisibility",
+    "geometric_sum", "kernel_backend", "min_dominating", "prefix_condition",
+    "remainder_window", "run_image", "run_layers", "set_out_neighborhood",
+    "solve_linear_congruence", "verify",
 ]

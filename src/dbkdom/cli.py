@@ -95,8 +95,7 @@ def parse_set_literal(text: str, n: int) -> VertexSet:
 
 def resolve_limits(args) -> OracleLimits:
     budget, max_n = args.oracle_budget, args.oracle_max_n
-    # OracleLimits reads a negative budget as 'oracle off', the kernels as
-    # 'unlimited'; neither is documented, so refuse it
+    # OracleLimits refuses a negative limit too; this message names the flag
     for key, value in (("oracle_budget", budget), ("oracle_max_n", max_n)):
         if value is not None and value < 0:
             raise UsageError(f"{key} must be >= 0, got {value}")

@@ -7,8 +7,8 @@ conceivable size exists:
 * de Bruijn side: a run of length lower+1 starting at an "anchor" vertex
   always dominates, so the domination number is the lower bound or one more.
   A run of length exactly lower dominates when the congruence
-  (d-1)*x == lower - h (mod n) is solvable for some small offset h.  Two
-  gcd tests and a remainder window test are the paper's sufficient
+  (d-1)*x == lower - h (mod n) is solvable for some small offset h.  The
+  paper's gcd divisibility test and remainder window test are sufficient
   conditions; each implies that congruence, so they are reported but never
   decide a value on their own (tests pin both implications).
 * Kautz side: the prefix run {0..c-1} with c = ceil(n/(d**k + d**(k-1)))
@@ -59,9 +59,6 @@ METHODS = frozenset({
     METHOD_INCONCLUSIVE,
 })
 
-GCD_DIVISIBILITY = "divisibility"
-GCD_RESIDUE = "residue"
-
 # the largest order the run scan and the two-run scan try; a de Bruijn row
 # with no dominating run pays one screen per start, about 3.5 ms at n = 5000
 # and 15 ms at 10**4 on a 2-core x86-64 machine (benchmarks/bench_gamma.py)
@@ -74,27 +71,6 @@ TWO_RUN_MAX_PREFIX = 4
 
 class ConstructionError(RuntimeError):
     """A construction that is guaranteed to dominate failed verification."""
-
-
-@dataclass(frozen=True)
-class AnchorWitness:
-    """A vertex x with d*x == x + lower - h (mod n) for some h in [0, d-2]."""
-
-    x: int
-    h: int
-
-
-@dataclass(frozen=True)
-class CongruenceWitness:
-    """A verified dominating run of length exactly the lower bound.
-
-    x solves (d-1)*x == lower - h (mod n) for the smallest workable offset
-    h, and run is {x, ..., x + lower - 1}.
-    """
-
-    x: int
-    h: int
-    run: VertexSet
 
 
 @dataclass(frozen=True)
@@ -170,23 +146,21 @@ def _verified_runs(g: GeneralizedDigraph, k: int, what: str,
     return cover
 
 
-def find_anchor(n: int, d: int, k: int) -> AnchorWitness:
+def find_anchor(n: int, d: int, k: int) -> int:
     """Smallest vertex x with x + L - (d-2) <= d*x <= x + L (mod n).
 
     L is the a priori lower bound.  The window holds d*x exactly when
     (d-1)*x == L - h (mod n) for some h in [0, d-2], so x is the smallest
-    first solution over those offsets; h is unique because the d-1 values
-    L - h are distinct mod n >= d.  Such a vertex always exists (some L - h
-    is a multiple of gcd(d-1, n) <= d-1); none would falsify the existence
-    argument this package builds on, hence the loud error.
+    first solution over those offsets.  Such a vertex always exists (some
+    L - h is a multiple of gcd(d-1, n) <= d-1); none would falsify the
+    existence argument this package builds on, hence the loud error.
     """
     _check_instance(n, d, k)
     lower = ceil_div(n, geometric_sum(d, k))
-    firsts = [(xs[0], h) for h in range(d - 1)
+    firsts = [xs[0] for h in range(d - 1)
               if (xs := solve_linear_congruence(d - 1, lower - h, n))]
     if firsts:
-        x, h = min(firsts)
-        return AnchorWitness(x=x, h=h)
+        return min(firsts)
     raise ConstructionError(
         f"no anchor vertex exists for n={n} d={d} k={k}; "
         "this contradicts the anchor existence argument")
@@ -200,10 +174,9 @@ def build_anchor_run(n: int, d: int, k: int) -> VertexSet:
     """
     _check_instance(n, d, k)
     lower = ceil_div(n, geometric_sum(d, k))
-    anchor = find_anchor(n, d, k)
     g = GeneralizedDigraph.debruijn(n, d)
     return _verified_runs(g, k, "anchor run of length lower+1",
-                          (anchor.x, lower + 1))
+                          (find_anchor(n, d, k), lower + 1))
 
 
 def _first_offset(n: int, d: int, k: int) -> int | None:
@@ -220,8 +193,9 @@ def _first_offset(n: int, d: int, k: int) -> int | None:
     return h if h * geometric_sum(d, k - 1) <= s * lower - n else None
 
 
-def congruence_witness(n: int, d: int, k: int) -> CongruenceWitness | None:
-    """The dominating run of length exactly the lower bound L, if any.
+def congruence_witness(n: int, d: int, k: int) -> VertexSet | None:
+    """The verified dominating run {x, ..., x + L - 1} of length exactly the
+    lower bound L, if any.
 
     Uses the smallest offset h whose congruence (d-1)*x == L - h (mod n) is
     solvable while h * geometric_sum(d, k-1) stays within the slack S*L - n,
@@ -234,26 +208,20 @@ def congruence_witness(n: int, d: int, k: int) -> CongruenceWitness | None:
         return None
     lower = ceil_div(n, geometric_sum(d, k))
     x = solve_linear_congruence(d - 1, lower - h, n)[0]
-    run = _verified_runs(GeneralizedDigraph.debruijn(n, d), k,
-                         f"congruence run (h={h}, x={x})", (x, lower))
-    return CongruenceWitness(x=x, h=h, run=run)
+    return _verified_runs(GeneralizedDigraph.debruijn(n, d), k,
+                          f"congruence run (h={h}, x={x})", (x, lower))
 
 
-def gcd_condition(n: int, d: int, k: int) -> str | None:
-    """The paper's gcd tests for a dominating run of length L; arithmetic only.
+def gcd_divisibility(n: int, d: int, k: int) -> bool:
+    """The paper's gcd test: S divides n and gcd(d-1, n) divides n/S.
 
-    Returns 'divisibility' when S divides n and gcd(d-1, n) divides n/S,
-    'residue' when the residue L mod gcd(d-1, n), taken as the offset h,
-    fits the slack, and None otherwise.  Either tag fires exactly when
-    congruence_witness finds a run, which the tests pin.
+    Then L = n/S leaves no slack and L mod gcd(d-1, n) = 0, so the offset
+    h = 0 is admissible and congruence_witness finds a run (the tests pin
+    this implication).
     """
     _check_instance(n, d, k)
-    if _first_offset(n, d, k) is None:
-        return None
     s = geometric_sum(d, k)
-    if n % s == 0 and (n // s) % math.gcd(d - 1, n) == 0:
-        return GCD_DIVISIBILITY
-    return GCD_RESIDUE
+    return n % s == 0 and (n // s) % math.gcd(d - 1, n) == 0
 
 
 def remainder_window(n: int, d: int, k: int) -> bool:
@@ -276,11 +244,10 @@ def build_window_run(n: int, d: int, k: int) -> VertexSet:
         raise ValueError(
             f"remainder window condition does not hold for n={n} d={d} k={k}")
     lower = ceil_div(n, geometric_sum(d, k))
-    anchor = find_anchor(n, d, k)
     g = GeneralizedDigraph.debruijn(n, d)
     return _verified_runs(g, k,
                           "anchor run of length lower (window condition)",
-                          (anchor.x, lower))
+                          (find_anchor(n, d, k), lower))
 
 
 def build_prefix_cover(n: int, d: int, k: int) -> VertexSet:
@@ -418,8 +385,9 @@ def classify(g: GeneralizedDigraph, k: int,
     a verified cover of size lower+1 is a minimum one, and only without
     one does the oracle search upward from lower+1.  de Bruijn rows take
     the congruence run, the run scan and the anchor run, which always
-    exists; the gcd tests and the remainder window are reported in
-    ``conditions`` only, since each implies the congruence run.  Kautz
+    exists; gcd divisibility and the remainder window are reported in
+    ``conditions`` only, since each implies the congruence run, and
+    ``gcd_residue`` marks a congruence run without divisibility.  Kautz
     rows take the prefix condition (always true at radius one, where the
     method reads ``radius_one``) and two-run covers of both sizes.  The
     scans run up to COVER_SCAN_MAX_N and the oracle only inside
@@ -433,7 +401,6 @@ def classify(g: GeneralizedDigraph, k: int,
     radius = min(k, g.n.bit_length() + 1)
     b = bounds(g, radius)
     n, d = g.n, g.d
-    scans = n <= COVER_SCAN_MAX_N
 
     def result(method: str, witness: VertexSet | None = None,
                nodes: int = 0) -> GammaResult:
@@ -442,15 +409,15 @@ def classify(g: GeneralizedDigraph, k: int,
                            conditions=conditions, nodes=nodes)
 
     if g.family == DEBRUIJN:
-        witness = congruence_witness(n, d, radius)
-        tag = gcd_condition(n, d, radius)
+        cert = congruence_witness(n, d, radius)
+        divisibility = gcd_divisibility(n, d, radius)
         conditions = {
-            "congruence": witness is not None,
-            "gcd_divisibility": tag == GCD_DIVISIBILITY,
-            "gcd_residue": tag == GCD_RESIDUE,
+            "congruence": cert is not None,
+            "gcd_divisibility": divisibility,
+            "gcd_residue": cert is not None and not divisibility,
             "remainder_window": remainder_window(n, d, radius),
         }
-        cert_method, cert = METHOD_CONGRUENCE, witness.run if witness else None
+        cert_method = METHOD_CONGRUENCE
         scan_method, scan = METHOD_RUN_SCAN, run_scan
     else:
         fired = prefix_condition(n, d, radius)
@@ -461,7 +428,7 @@ def classify(g: GeneralizedDigraph, k: int,
 
     if cert is not None:
         return result(cert_method, cert)
-    if scans and (cover := scan(g, radius, b.lower)) is not None:
+    if n <= COVER_SCAN_MAX_N and (cover := scan(g, radius, b.lower)):
         return result(scan_method, cover)
     if not limits.allows(n):
         return result(METHOD_BRACKET)
@@ -476,7 +443,8 @@ def classify(g: GeneralizedDigraph, k: int,
     if g.family == DEBRUIJN:
         plus = build_anchor_run(n, d, radius)
     else:
-        plus = two_run_cover(g, radius, b.lower + 1) if scans else None
+        # n <= max_n <= DEFAULT_TABLE_CEILING <= COVER_SCAN_MAX_N here
+        plus = two_run_cover(g, radius, b.lower + 1)
     if plus is not None:
         return result(METHOD_ORACLE, plus, search.nodes)
     rest = min_dominating(g, radius, table=table, max_nodes=limits.max_nodes,

@@ -81,10 +81,6 @@ class VertexSet:
             mask |= 1 << v
         return cls(n, mask)
 
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(n, (1 << n) - 1)
-
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and (self.mask >> v) & 1 == 1
 
@@ -107,9 +103,6 @@ class VertexSet:
 
     def complement(self) -> "VertexSet":
         return VertexSet(self.n, self.mask ^ ((1 << self.n) - 1))
-
-    def is_full(self) -> bool:
-        return self.mask == (1 << self.n) - 1
 
     def is_empty(self) -> bool:
         return self.mask == 0
@@ -227,8 +220,3 @@ def _arc_lines(g: GeneralizedDigraph, fmt: str):
             yield f"{v}\t{y}\n" if edges else f"  {v} -> {y};\n"
     if not edges:
         yield "}\n"
-
-
-def export_graph(g: GeneralizedDigraph, fmt: str = "edges") -> str:
-    """The lines of ``export_lines`` as one string."""
-    return "".join(export_lines(g, fmt))

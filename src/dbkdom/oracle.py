@@ -52,22 +52,24 @@ class OracleLimits:
     max_nodes is the search node budget (None for unlimited, 0 to skip the
     oracle entirely); max_n is the largest instance the oracle is willing to
     tabulate during classification, at most DEFAULT_TABLE_CEILING, the
-    largest order ``coverage_table`` accepts.
+    largest order ``coverage_table`` accepts.  Neither may be negative.
     """
 
     max_nodes: int | None = None
     max_n: int = 500
 
     def __post_init__(self):
+        for key, value in (("max_nodes", self.max_nodes),
+                           ("max_n", self.max_n)):
+            if value is not None and value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         if self.max_n > DEFAULT_TABLE_CEILING:
             raise ValueError(f"max_n must be at most the coverage table "
                              f"ceiling {DEFAULT_TABLE_CEILING}, "
                              f"got {self.max_n}")
 
     def allows(self, n: int) -> bool:
-        if self.max_nodes is not None and self.max_nodes <= 0:
-            return False
-        return n <= self.max_n
+        return self.max_nodes != 0 and n <= self.max_n
 
 
 DEFAULT_LIMITS = OracleLimits()

@@ -148,7 +148,7 @@ def test_acceptance_6_construction_validity_randomized():
           lambda n, d, k: min(n, lower(n, d, k) + 1))
     check("debruijn",
           sample(lambda n, d, k: congruence_witness(n, d, k) is not None),
-          lambda n, d, k: congruence_witness(n, d, k).run, lower)
+          congruence_witness, lower)
     check("debruijn", sample(remainder_window), build_window_run, lower)
     check("kautz", sample(everything), build_prefix_cover,
           lambda n, d, k: ceil_div(n, d ** k + d ** (k - 1)))

@@ -19,7 +19,7 @@ from dbkdom import cli, domination, problems
 from dbkdom.cli import (CSV_COLUMNS, EXIT_BRACKET, EXIT_INCONCLUSIVE,
                         EXIT_INVALID, EXIT_OK, EXIT_USAGE, main)
 from dbkdom.construct import ConstructionError, classify
-from dbkdom.digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, export_graph
+from dbkdom.digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, export_lines
 from dbkdom.oracle import DEFAULT_TABLE_CEILING
 
 
@@ -583,8 +583,8 @@ class TestExport:
                                "-d", "3", "--format", "dot",
                                "--out", str(target))
         assert (code, out) == (EXIT_OK, "")
-        assert target.read_text() == export_graph(
-            GeneralizedDigraph.kautz(50, 3), "dot")
+        assert target.read_text() == "".join(export_lines(
+            GeneralizedDigraph.kautz(50, 3), "dot"))
 
 
 class TestOutputPins:

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 from conftest import naive_is_dominating, power_sum_run
 from dbkdom import construct
-from dbkdom.construct import (AnchorWitness, ConstructionError, GammaResult,
+from dbkdom.construct import (ConstructionError, GammaResult,
                               build_anchor_run, build_lower_prefix,
                               build_prefix_cover, build_window_run, classify,
                               congruence_witness, find_anchor,
-                              gcd_condition, prefix_condition,
+                              gcd_divisibility, prefix_condition,
                               remainder_window, run_scan, two_run_cover)
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph, VertexSet, ball
 from dbkdom.domination import DominationCertificate, bounds, verify
 from dbkdom.modular import (ceil_div, geometric_sum, run_mask,
                             solve_linear_congruence)
-from dbkdom.oracle import OracleLimits, min_dominating
+from dbkdom.oracle import DEFAULT_TABLE_CEILING, OracleLimits, min_dominating
 from dbkdom.problems import COUNTEREXAMPLE, debruijn_necessity_report
 
 
@@ -56,14 +56,23 @@ def first_offset(n, d, k):
     return None
 
 
+def run_offset(n, d, k, x):
+    """The offset h = (x + L - d*x) mod n of the run of length L from x,
+    which solves (d-1)*x == L - h (mod n)."""
+    return (x + ceil_div(n, geometric_sum(d, k)) - d * x) % n
+
+
+def run_start(run):
+    """The first vertex of a run that is not the whole ring."""
+    return next(x for x in run if (x - 1) % run.n not in run)
+
+
 def scan_anchor(n, d, k):
-    """Arithmetic reference for the anchor: the first x whose offset
-    h = x + L - d*x (mod n) lies in [0, d-2], found by scanning x."""
-    lower = ceil_div(n, geometric_sum(d, k))
+    """Arithmetic reference for the anchor: the first x whose offset lies
+    in [0, d-2], found by scanning x."""
     for x in range(n):
-        h = (x + lower - d * x) % n
-        if h <= d - 2:
-            return AnchorWitness(x=x, h=h)
+        if run_offset(n, d, k, x) <= d - 2:
+            return x
     return None
 
 
@@ -95,17 +104,18 @@ class TestFindAnchor:
         for n in (5, 17, 40, 59):
             for k in (1, 2, 3):
                 lower = ceil_div(n, geometric_sum(2, k))
-                anchor = find_anchor(n, 2, k)
-                assert anchor == AnchorWitness(x=lower % n, h=0)
+                x = find_anchor(n, 2, k)
+                assert (x, run_offset(n, 2, k, x)) == (lower % n, 0)
 
     def test_headline_instance(self):
-        anchor = find_anchor(40, 3, 3)
-        assert anchor.x == 0
-        assert anchor.h == 1  # 3*0 = 0 = 0 + 1 - 1
+        x = find_anchor(40, 3, 3)
+        assert x == 0
+        assert run_offset(40, 3, 3, x) == 1  # 3*0 = 0 = 0 + 1 - 1
 
     def test_small_instance_by_scan(self):
         # first x with 3x mod 6 inside [x+1, x+2] (L = 2) is x = 1
-        assert find_anchor(6, 3, 1) == AnchorWitness(x=1, h=0)
+        x = find_anchor(6, 3, 1)
+        assert (x, run_offset(6, 3, 1, x)) == (1, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(debruijn_instances(300))
@@ -113,11 +123,10 @@ class TestFindAnchor:
         n, d, k = inst
         lower = ceil_div(n, geometric_sum(d, k))
         anchor = find_anchor(n, d, k)
-        assert 0 <= anchor.h <= d - 2
-        assert (d * anchor.x) % n == (anchor.x + lower - anchor.h) % n
-        window = run_set(n, anchor.x + lower - (d - 2), d - 1)
-        assert (d * anchor.x) % n in window
-        for x in range(anchor.x):
+        assert 0 <= run_offset(n, d, k, anchor) <= d - 2
+        window = run_set(n, anchor + lower - (d - 2), d - 1)
+        assert (d * anchor) % n in window
+        for x in range(anchor):
             earlier = run_set(n, x + lower - (d - 2), d - 1)
             assert (d * x) % n not in earlier
 
@@ -162,11 +171,14 @@ class TestCongruenceWitness:
         assert congruence_witness(40, 3, 3) is None
 
     def test_present_examples(self):
-        w = congruence_witness(7, 2, 2)
-        assert (w.x, w.h) == (1, 0)
-        assert w.run.members() == [1]
-        w = congruence_witness(8, 3, 2)
-        assert (w.x, w.h) == (0, 1)  # 2x == 1 (mod 8) unsolvable, h=1 next
+        run = congruence_witness(7, 2, 2)
+        x = run_start(run)
+        assert (x, run_offset(7, 2, 2, x)) == (1, 0)
+        assert run.members() == [1]
+        run = congruence_witness(8, 3, 2)
+        x = run_start(run)
+        # 2x == 1 (mod 8) is unsolvable, so h = 1 is next
+        assert (x, run_offset(8, 3, 2, x)) == (0, 1)
 
     def test_deterministic(self):
         assert congruence_witness(30, 3, 2) == congruence_witness(30, 3, 2)
@@ -180,39 +192,49 @@ class TestCongruenceWitness:
         if expected is None:
             assert got is None
         else:
-            assert (got.h, got.x) == expected
+            x = run_start(got)
+            assert (run_offset(n, d, k, x), x) == expected
             lower = ceil_div(n, geometric_sum(d, k))
-            assert got.run == run_set(n, got.x, lower)
-            assert naive_is_dominating("debruijn", n, d,
-                                       got.run.members(), k)
+            assert got == run_set(n, x, lower)
+            assert naive_is_dominating("debruijn", n, d, got.members(), k)
 
     def test_degree_two_always_fires(self):
         # d = 2 makes the h = 0 congruence x == L (mod n) always solvable
         for n in range(2, 120):
             for k in (1, 2, 3):
-                w = congruence_witness(n, 2, k)
-                assert w is not None and w.h == 0
+                run = congruence_witness(n, 2, k)
+                assert run is not None
+                assert run_offset(n, 2, k, run_start(run)) == 0
+
+
+def gcd_tags(n, d, k):
+    conditions = classify(GeneralizedDigraph.debruijn(n, d), k).conditions
+    return conditions["gcd_divisibility"], conditions["gcd_residue"]
 
 
 class TestGcdCondition:
     def test_headline_instance_fails_both(self):
-        assert gcd_condition(40, 3, 3) is None
+        assert not gcd_divisibility(40, 3, 3)
+        assert gcd_tags(40, 3, 3) == (False, False)
 
     def test_divisibility(self):
-        assert gcd_condition(7, 2, 2) == "divisibility"
+        assert gcd_divisibility(7, 2, 2)
+        assert gcd_tags(7, 2, 2) == (True, False)
 
     def test_residue(self):
-        assert gcd_condition(41, 3, 3) == "residue"
+        assert not gcd_divisibility(41, 3, 3)
+        assert gcd_tags(41, 3, 3) == (False, True)
 
-    def test_tags_equivalent_to_congruence_search(self):
-        # both gcd tests reduce to "the first solvable offset is admissible",
-        # so they fire exactly when the congruence search succeeds; classify
-        # relies on this and never decides a value by a gcd tag
+    def test_divisibility_implies_congruence_run(self):
+        # S | n and gcd(d-1, n) | n/S leave no slack and make h = 0
+        # solvable, so the congruence run exists; classify relies on this
+        # and never decides a value by the divisibility test
         envelope = wide_envelope()
         assert len(envelope) == 89865
-        for n, d, k in envelope:
-            fired = gcd_condition(n, d, k) is not None
-            assert fired == (first_offset(n, d, k) is not None), (n, d, k)
+        fired = [inst for inst in envelope if gcd_divisibility(*inst)]
+        assert len(fired) == 4070
+        for n, d, k in fired:
+            assert first_offset(n, d, k) == 0, (n, d, k)
 
 
 class TestRemainderWindow:
@@ -498,12 +520,12 @@ class TestRadiusCap:
                             assert result.conditions["prefix_cover"] == (
                                 prefix_condition(n, d, k))
                             continue
-                        tag = gcd_condition(n, d, k)
+                        run = congruence_witness(n, d, k) is not None
+                        divisibility = gcd_divisibility(n, d, k)
                         assert result.conditions == {
-                            "congruence": (
-                                congruence_witness(n, d, k) is not None),
-                            "gcd_divisibility": tag == "divisibility",
-                            "gcd_residue": tag == "residue",
+                            "congruence": run,
+                            "gcd_divisibility": divisibility,
+                            "gcd_residue": run and not divisibility,
                             "remainder_window": remainder_window(n, d, k),
                         }
 
@@ -634,6 +656,11 @@ class TestTwoRunCover:
 
 class TestScanStages:
     """The run scan and the two-run scan inside classify."""
+
+    def test_scans_reach_every_order_the_oracle_may_take(self):
+        # classify runs the Kautz two-run scan at lower+1 after the oracle
+        # without testing n, so no oracle row may lie past the scan ceiling
+        assert construct.COVER_SCAN_MAX_N >= DEFAULT_TABLE_CEILING
 
     def test_scan_rows_match_the_oracle(self, oracle_kernel):
         counts = {"run_scan": 0, "two_run": 0}

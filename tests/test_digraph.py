@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import naive_ball, naive_image, naive_out_neighbors
 from dbkdom.digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
-                            VertexSet, ball, export_graph, run_image,
+                            VertexSet, ball, export_lines, run_image,
                             run_layers, set_out_neighborhood)
 from dbkdom.modular import run_mask
 
@@ -52,7 +52,6 @@ class TestVertexSet:
         s = VertexSet(10, run_mask(8, 4, 10))
         assert s.members() == [0, 1, 8, 9]
         assert s.complement().members() == [2, 3, 4, 5, 6, 7]
-        assert VertexSet.full(4).is_full()
         assert VertexSet(4).is_empty()
 
     def test_union_requires_same_modulus(self):
@@ -71,7 +70,7 @@ class TestVertexSet:
     @pytest.mark.parametrize("n", [1, 5, 64, 65, 1000])
     def test_mask_range_checked(self, n):
         assert VertexSet(n, 0).is_empty()
-        assert VertexSet(n, (1 << n) - 1).is_full()
+        assert len(VertexSet(n, (1 << n) - 1)) == n
         for mask in (1 << n, -1):
             with pytest.raises(ValueError, match="outside"):
                 VertexSet(n, mask)
@@ -254,17 +253,18 @@ class TestMembers:
 class TestBall:
     def test_kautz_headline(self):
         g = GeneralizedDigraph.kautz(7, 2)
-        assert ball(g, VertexSet.from_members(7, [0, 1]), 2).is_full()
+        covered = ball(g, VertexSet.from_members(7, [0, 1]), 2)
+        assert covered.mask == (1 << 7) - 1
 
     def test_no_single_vertex_suffices_at_40_3_3(self):
         g = GeneralizedDigraph.debruijn(40, 3)
         for x in range(40):
             covered = ball(g, VertexSet.from_members(40, [x]), 3)
-            assert not covered.is_full(), x
+            assert covered.mask != (1 << 40) - 1, x
 
     def test_whole_vertex_set_radius_zero(self):
         g = GeneralizedDigraph.debruijn(5, 2)
-        assert ball(g, VertexSet.full(5), 0).is_full()
+        assert ball(g, VertexSet(5, (1 << 5) - 1), 0).mask == (1 << 5) - 1
 
     def test_covered_contains_start_and_grows(self):
         g = GeneralizedDigraph.kautz(11, 3)
@@ -297,9 +297,13 @@ class TestDegreeAccounting:
                 assert sum(in_deg) == arc_total <= n * d
 
 
+def export_text(g, fmt):
+    return "".join(export_lines(g, fmt))
+
+
 class TestExport:
     def test_edge_list_debruijn_6_3(self):
-        text = export_graph(GeneralizedDigraph.debruijn(6, 3), "edges")
+        text = export_text(GeneralizedDigraph.debruijn(6, 3), "edges")
         lines = text.strip().split("\n")
         assert lines[0] == "# debruijn 6 3"
         arcs = [tuple(map(int, line.split("\t"))) for line in lines[1:]]
@@ -310,7 +314,7 @@ class TestExport:
 
     def test_edge_list_deduplicates_slots(self):
         # n = d: every vertex's d slots reach all n targets, once each
-        text = export_graph(GeneralizedDigraph.kautz(2, 2), "edges")
+        text = export_text(GeneralizedDigraph.kautz(2, 2), "edges")
         arcs = [line for line in text.strip().split("\n")[1:]]
         assert len(arcs) == len(set(arcs)) == 4
 
@@ -320,11 +324,11 @@ class TestExport:
         for d in range(2, 6):
             for n in range(d, d + 7):
                 g = GeneralizedDigraph(family, n, d)
-                arcs = export_graph(g, "edges").splitlines()[1:]
+                arcs = export_text(g, "edges").splitlines()[1:]
                 assert len(arcs) == len(set(arcs)) == n * d
 
     def test_dot_output(self):
-        text = export_graph(GeneralizedDigraph.kautz(9, 2), "dot")
+        text = export_text(GeneralizedDigraph.kautz(9, 2), "dot")
         assert text.startswith("digraph kautz_9_2 {")
         assert text.rstrip().endswith("}")
         assert "  0 -> 8;" in text
@@ -332,14 +336,14 @@ class TestExport:
 
     def test_deterministic(self):
         g = GeneralizedDigraph.debruijn(30, 4)
-        assert export_graph(g, "edges") == export_graph(g, "edges")
-        assert export_graph(g, "dot") == export_graph(g, "dot")
+        assert export_text(g, "edges") == export_text(g, "edges")
+        assert export_text(g, "dot") == export_text(g, "dot")
 
     def test_size_guard(self):
         g = GeneralizedDigraph.debruijn(6 * 10**6, 2)
         with pytest.raises(ValueError):
-            export_graph(g, "edges")
+            export_text(g, "edges")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            export_graph(GeneralizedDigraph.debruijn(6, 3), "gml")
+            export_lines(GeneralizedDigraph.debruijn(6, 3), "gml")

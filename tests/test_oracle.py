@@ -388,3 +388,12 @@ class TestOracleLimits:
             OracleLimits(max_n=DEFAULT_TABLE_CEILING + 1)
         assert OracleLimits(max_n=DEFAULT_TABLE_CEILING).allows(
             DEFAULT_TABLE_CEILING)
+
+    @pytest.mark.parametrize("key", ["max_nodes", "max_n"])
+    def test_negative_limit_rejected(self, key):
+        # a negative budget used to switch the oracle off without a word,
+        # while the kernels read one as no budget at all
+        with pytest.raises(ValueError, match=key):
+            OracleLimits(**{key: -5})
+        assert not OracleLimits(max_nodes=0).allows(1)
+        assert OracleLimits(max_nodes=None).allows(1)
