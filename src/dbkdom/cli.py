@@ -53,67 +53,34 @@ DEFAULT_PROBLEM_D = "2..5"
 DEFAULT_PROBLEM_K = "1..4"
 
 
-class UsageError(ValueError):
-    """Bad flags or malformed values; rendered as exit code 2, like every
-    ValueError that reaches ``main``."""
-
-
-def parse_range(text: str, what: str) -> list[int]:
-    """Parse '7' or '2..60' (inclusive) into a list of ints."""
-    text = text.strip()
-    try:
-        if ".." in text:
-            left, right = text.split("..", 1)
-            a, b = int(left), int(right)
-            if a > b:
-                raise UsageError(f"{what}: empty range {text!r}")
-            return list(range(a, b + 1))
-        return [int(text)]
-    except ValueError:
-        raise UsageError(
-            f"{what}: expected an integer or a..b range, got {text!r}"
-        ) from None
-
-
-def parse_set_literal(text: str, n: int) -> VertexSet:
-    members = []
-    for token in text.replace(";", ",").split(","):
-        token = token.strip()
-        if not token:
-            continue
+def _integer(least: int, ranged: bool = False):
+    """The argparse type of a numeric flag: an integer no smaller than
+    ``least``; a ranged flag also takes an inclusive range 'a..b' and
+    gives the list of its values ('7' gives [7])."""
+    def parse(text: str):
+        text = text.strip()
+        ends = text.split("..", 1) if ranged else [text]
         try:
-            v = int(token)
+            a, b = int(ends[0]), int(ends[-1])
         except ValueError:
-            raise UsageError(f"set literal: bad member {token!r}") from None
-        if not 0 <= v < n:
-            raise UsageError(f"set literal: member {v} outside [0, {n})")
-        members.append(v)
-    if not members:
-        raise UsageError("set literal: no members")
-    return VertexSet.from_members(n, members)
+            shape = "an integer or a..b range" if ranged else "an integer"
+            raise argparse.ArgumentTypeError(
+                f"expected {shape}, got {text!r}") from None
+        if a > b:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        if a < least:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {least}, got {text!r}")
+        return list(range(a, b + 1)) if ranged else a
+    return parse
 
 
-def resolve_limits(args) -> OracleLimits:
-    budget, max_n = args.oracle_budget, args.oracle_max_n
-    # OracleLimits refuses a negative limit too; this message names the flag
-    for key, value in (("oracle_budget", budget), ("oracle_max_n", max_n)):
-        if value is not None and value < 0:
-            raise UsageError(f"{key} must be >= 0, got {value}")
-    return OracleLimits(max_nodes=budget, max_n=max_n)
-
-
-def _checked(ranges: dict) -> dict:
-    """The n, d and k value lists, refused when one holds a value no
-    instance can have."""
-    for key, least in (("d", 2), ("k", 1), ("n", 1)):
-        if min(ranges[key]) < least:
-            raise UsageError(f"{key} must be >= {least}")
-    return ranges
-
-
-def _resolve_ranges(args) -> dict:
-    return _checked({key: parse_range(getattr(args, key), key)
-                     for key in "ndk"})
+def _members(text: str) -> list[int]:
+    """The argparse type of --set: comma or semicolon separated vertices."""
+    tokens = [t for t in text.replace(";", ",").split(",") if t.strip()]
+    if not tokens:
+        raise argparse.ArgumentTypeError("no members")
+    return [_integer(0)(token) for token in tokens]
 
 
 def _open_out(path: str | None):
@@ -124,7 +91,7 @@ def _open_out(path: str | None):
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as e:
-        raise UsageError(
+        raise ValueError(
             f"cannot write --out {path}: {e.strerror or e}") from None
 
 
@@ -210,8 +177,7 @@ def write_rows(fh, rows, fmt: str) -> int:
 
 
 def cmd_gamma(args) -> int:
-    limits = resolve_limits(args)
-    _checked({key: [getattr(args, key)] for key in "ndk"})
+    limits = OracleLimits(args.oracle_budget, args.oracle_max_n)
     # refuses n < d; past this point a failure is an error row, exit 1
     GeneralizedDigraph(family=args.family, n=args.n, d=args.d)
     with _open_out(args.out) as fh:
@@ -253,20 +219,18 @@ def sweep_rows(families: tuple[str, ...], ns: list[int], ds: list[int],
 
 
 def cmd_sweep(args) -> int:
-    limits = resolve_limits(args)
-    ranges = _resolve_ranges(args)
-    if args.jobs < 1:
-        raise UsageError("jobs must be a positive integer")
+    limits = OracleLimits(args.oracle_budget, args.oracle_max_n)
     families = FAMILIES if args.family == "both" else (args.family,)
     with _open_out(args.out) as fh:
-        return write_rows(fh, sweep_rows(families, ranges["n"], ranges["d"],
-                                         ranges["k"], limits, args.jobs),
+        return write_rows(fh, sweep_rows(families, args.n, args.d, args.k,
+                                         limits, args.jobs),
                           args.format)
 
 
 def cmd_verify(args) -> int:
     g = GeneralizedDigraph(family=args.family, n=args.n, d=args.d)
-    cert = verify(g, parse_set_literal(args.set, args.n), args.k).to_dict()
+    cert = verify(g, VertexSet.from_members(args.n, args.set),
+                  args.k).to_dict()
     with _open_out(args.out) as fh:
         if args.format == "json":
             fh.write(json.dumps(cert, indent=2) + "\n")
@@ -311,16 +275,14 @@ def _exit_for_reports(reports: list[dict]) -> int:
 
 
 def cmd_problems(args) -> int:
-    limits = resolve_limits(args)
-    ranges = _resolve_ranges(args)
+    limits = OracleLimits(args.oracle_budget, args.oracle_max_n)
     selected = PROBLEMS if args.problem == "all" else (args.problem,)
     with _open_out(args.out) as fh:
         reports = []
         for tag in selected:
             build = (debruijn_necessity_report if tag == PROBLEM_DEBRUIJN
                      else kautz_upper_report)
-            reports.append(build(ranges["n"], ranges["d"], ranges["k"],
-                                 limits))
+            reports.append(build(args.n, args.d, args.k, limits))
         if args.format == "json":
             payload = reports[0] if len(reports) == 1 else {"reports": reports}
             fh.write(json.dumps(payload, indent=2) + "\n")
@@ -337,18 +299,20 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
+def _add_common(sub, least_k: int = 1):
     sub.add_argument("--family", required=True, choices=list(FAMILIES))
-    sub.add_argument("-n", type=int, required=True, help="order")
-    sub.add_argument("-d", type=int, required=True, help="degree")
-    sub.add_argument("-k", type=int, required=True, help="radius")
+    sub.add_argument("-n", type=_integer(1), required=True, help="order")
+    sub.add_argument("-d", type=_integer(2), required=True, help="degree")
+    sub.add_argument("-k", type=_integer(least_k), required=True,
+                     help="radius")
     sub.add_argument("--out", help="write output to this file")
 
 
 def _add_oracle_flags(sub):
-    sub.add_argument("--oracle-budget", type=int,
+    sub.add_argument("--oracle-budget", type=_integer(0),
                      help="search node budget (0 disables the oracle)")
-    sub.add_argument("--oracle-max-n", type=int, default=DEFAULT_LIMITS.max_n,
+    sub.add_argument("--oracle-max-n", type=_integer(0),
+                     default=DEFAULT_LIMITS.max_n,
                      help="largest order the oracle will attempt")
 
 
@@ -369,19 +333,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="classify a parameter grid")
     p.add_argument("--family", required=True,
                    choices=[*FAMILIES, "both"])
-    p.add_argument("-n", required=True, help="order range a..b")
-    p.add_argument("-d", required=True, help="degree range a..b")
-    p.add_argument("-k", required=True, help="radius range a..b")
+    p.add_argument("-n", type=_integer(1, ranged=True), required=True,
+                   help="order range a..b")
+    p.add_argument("-d", type=_integer(2, ranged=True), required=True,
+                   help="degree range a..b")
+    p.add_argument("-k", type=_integer(1, ranged=True), required=True,
+                   help="radius range a..b")
     p.add_argument("--out", help="write output to this file")
     _add_oracle_flags(p)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_integer(1), default=1,
                    help="parallel workers (default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("verify", help="verify a candidate dominating set")
-    _add_common(p)
-    p.add_argument("--set", required=True,
+    # radius 0: the set must hold every vertex
+    _add_common(p, least_k=0)
+    p.add_argument("--set", type=_members, required=True,
                    help="comma separated members, e.g. 0,1,5")
     p.add_argument("--format", default="json", choices=["json", "table"])
     p.set_defaults(func=cmd_verify)
@@ -390,11 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="empirical search on the two open conjectures")
     p.add_argument("--problem", default="all",
                    choices=[*PROBLEMS, "all"])
-    p.add_argument("-n", default=DEFAULT_PROBLEM_N,
+    # argparse parses a string default with the flag's type
+    p.add_argument("-n", type=_integer(1, ranged=True),
+                   default=DEFAULT_PROBLEM_N,
                    help=f"order range (default {DEFAULT_PROBLEM_N})")
-    p.add_argument("-d", default=DEFAULT_PROBLEM_D,
+    p.add_argument("-d", type=_integer(2, ranged=True),
+                   default=DEFAULT_PROBLEM_D,
                    help=f"degree range (default {DEFAULT_PROBLEM_D})")
-    p.add_argument("-k", default=DEFAULT_PROBLEM_K,
+    p.add_argument("-k", type=_integer(1, ranged=True),
+                   default=DEFAULT_PROBLEM_K,
                    help=f"radius range (default {DEFAULT_PROBLEM_K})")
     p.add_argument("--out", help="write output to this file")
     _add_oracle_flags(p)
@@ -403,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("export", help="write the arc list of one instance")
     p.add_argument("--family", required=True, choices=list(FAMILIES))
-    p.add_argument("-n", type=int, required=True, help="order")
-    p.add_argument("-d", type=int, required=True, help="degree")
+    p.add_argument("-n", type=_integer(1), required=True, help="order")
+    p.add_argument("-d", type=_integer(2), required=True, help="degree")
     p.add_argument("--format", default="edges", choices=["edges", "dot"])
     p.add_argument("--out", help="write output to this file")
     p.set_defaults(func=cmd_export)

@@ -20,7 +20,7 @@ from dbkdom.cli import (CSV_COLUMNS, EXIT_BRACKET, EXIT_INCONCLUSIVE,
                         EXIT_INVALID, EXIT_OK, EXIT_USAGE, main)
 from dbkdom.construct import ConstructionError, classify
 from dbkdom.digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, export_lines
-from dbkdom.oracle import DEFAULT_TABLE_CEILING
+from dbkdom.oracle import DEFAULT_LIMITS, DEFAULT_TABLE_CEILING
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -119,7 +119,9 @@ class TestGamma:
         code, out, err = run_cli("gamma", "--family", "debruijn",
                                  "-n", "40", "-d", "3", "-k", "0")
         assert code == EXIT_USAGE
-        assert (out, err) == ("", "error: k must be >= 1\n")
+        assert out == "" and err.startswith("usage: dbkdom gamma ")
+        assert err.endswith(
+            "\ndbkdom gamma: error: argument -k: must be >= 1, got '0'\n")
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_internal_failure_is_an_error_row(self, monkeypatch, fmt):
@@ -139,6 +141,13 @@ class TestGamma:
             assert (row["method"], row["error"]) == ("error", message)
         else:
             assert "method   error\n" in out and message in out
+
+    def test_error_row_has_the_result_keys(self):
+        # the CSV writer and the JSON readers take both kinds of row
+        row = cli.classify_row("debruijn", 2, 3, 1, DEFAULT_LIMITS)
+        result = classify(GeneralizedDigraph(family=DEBRUIJN, n=3, d=3), 1)
+        assert row["method"] == "error"
+        assert list(row) == [*result.to_dict(), "error", "ms"]
 
     def test_unwritable_out_file_is_usage_error(self, tmp_path):
         # exit 1 would read as an invalid set or a counterexample
@@ -172,6 +181,28 @@ class TestUsageErrors:
     def test_exit_two(self, argv):
         code, _, _ = run_cli(*argv)
         assert code == EXIT_USAGE
+
+    OUT_OF_RANGE = [
+        (("sweep", "--family", "both", "-n", "5..2", "-d", "2", "-k", "1"),
+         "-n", "empty range '5..2'"),
+        (("sweep", "--family", "both", "-n", "2..5", "-d", "1..3", "-k", "1"),
+         "-d", "must be >= 2, got '1..3'"),
+        (("sweep", "--family", "both", "-n", "2..5", "-d", "2", "-k", "1",
+          "--jobs", "0"), "--jobs", "must be >= 1, got '0'"),
+        (("verify", "--family", "kautz", "-n", "7", "-d", "2", "-k", "-1",
+          "--set", "0"), "-k", "must be >= 0, got '-1'"),
+        (("export", "--family", "kautz", "-n", "7", "-d", "1"),
+         "-d", "must be >= 2, got '1'"),
+        (("gamma", "--family", "kautz", "-n", "7", "-d", "2", "-k", "1",
+          "--oracle-max-n", "-5"), "--oracle-max-n", "must be >= 0, got '-5'"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, message", OUT_OF_RANGE,
+                             ids=[" ".join(a) for a, _, _ in OUT_OF_RANGE])
+    def test_out_of_range_flag_is_named(self, argv, flag, message):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f": error: argument {flag}: {message}\n" in err
 
     @pytest.mark.parametrize("argv", [
         ("gamma", "--family", "kautz", "-n", "12", "-d", "2", "-k", "1"),
@@ -436,7 +467,8 @@ class TestSweep:
 
 
 class TestConfig:
-    """Settings are flags only; argparse owns their defaults and types."""
+    """Settings are flags only; argparse owns their defaults, types and
+    ranges."""
 
     def test_problems_default_envelope(self):
         # sweep requires explicit ranges; problems falls back to defaults,
@@ -464,9 +496,10 @@ class TestConfig:
     def test_negative_limits_rejected(self, key):
         # a negative budget used to switch the oracle off without a word
         argv = ("gamma", "--family", "kautz", "-n", "31", "-d", "2", "-k", "2")
-        code, out, err = run_cli(*argv, "--" + key.replace("_", "-"), "-5")
-        assert code == EXIT_USAGE
-        assert key in err and out == ""
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run_cli(*argv, flag, "-5")
+        assert code == EXIT_USAGE and out == ""
+        assert f": error: argument {flag}: must be >= 0, got '-5'\n" in err
 
 
 class TestProblems:
