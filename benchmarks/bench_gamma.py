@@ -66,9 +66,9 @@ def stage_rows(repeat: int) -> list[dict]:
         g = GeneralizedDigraph(family, n, D)
         lower = bounds(g, K).lower
         if family == "debruijn":
-            return (construct.congruence_witness(n, D, K) is None
+            return (construct.congruence_witness(g, K) is None
                     and construct.run_scan(g, K, lower) is None)
-        return (not construct.prefix_condition(n, D, K)
+        return (not construct.prefix_condition(g, K)
                 and construct.two_run_cover(g, K, lower) is None)
 
     rows = []

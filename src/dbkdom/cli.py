@@ -28,6 +28,8 @@ import json
 import os
 import sys
 import time
+from collections.abc import Sequence
+from itertools import islice
 
 from .construct import classify
 from .digraph import FAMILIES, GeneralizedDigraph, VertexSet, export_lines
@@ -56,7 +58,7 @@ DEFAULT_PROBLEM_K = "1..4"
 def _integer(least: int, ranged: bool = False):
     """The argparse type of a numeric flag: an integer no smaller than
     ``least``; a ranged flag also takes an inclusive range 'a..b' and
-    gives the list of its values ('7' gives [7])."""
+    gives the ``range`` of its values ('7' gives range(7, 8))."""
     def parse(text: str):
         text = text.strip()
         ends = text.split("..", 1) if ranged else [text]
@@ -71,7 +73,7 @@ def _integer(least: int, ranged: bool = False):
         if a < least:
             raise argparse.ArgumentTypeError(
                 f"must be >= {least}, got {text!r}")
-        return list(range(a, b + 1)) if ranged else a
+        return range(a, b + 1) if ranged else a
     return parse
 
 
@@ -191,31 +193,57 @@ def cmd_gamma(args) -> int:
     return _row_exit(row)
 
 
-def sweep_rows(families: tuple[str, ...], ns: list[int], ds: list[int],
-               ks: list[int], limits: OracleLimits, jobs: int = 1):
+def _sweep_worker(conn, grid, limits: OracleLimits, index: int,
+                  workers: int) -> None:
+    """Send down ``conn`` the row of every ``workers``-th instance of
+    ``grid`` from the ``index``-th on; Ctrl-C kills the worker outright."""
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    with contextlib.suppress(BrokenPipeError):  # the reader is gone
+        for inst in islice(instances(*grid), index, None, workers):
+            conn.send(classify_row(*inst, limits))
+
+
+def sweep_rows(families: tuple[str, ...], ns: Sequence[int],
+               ds: Sequence[int], ks: Sequence[int], limits: OracleLimits,
+               jobs: int = 1):
     """The rows of the grid's ``instances``, yielded in output order as
-    they finish."""
-    tasks = [(*inst, limits) for inst in instances(families, ns, ds, ks)]
-    # the pool starts every worker at the first submit, so never ask it
-    # for more than there are tasks or cores
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: the pool's modules cost every process start
-        # a third of its import time
-        import signal
-        from concurrent.futures import ProcessPoolExecutor
-        # workers die on Ctrl-C, and leaving early drops the queued chunks
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=signal.signal,
-            initargs=(signal.SIGINT, signal.SIG_DFL))
-        try:
-            chunk = max(1, len(tasks) // (workers * 8))
-            yield from pool.map(classify_row, *zip(*tasks), chunksize=chunk)
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        for task in tasks:
-            yield classify_row(*task)
+    they finish; the grid is streamed, never listed."""
+    grid = (families, ns, ds, ks)
+    workers = min(jobs, os.cpu_count() or 1,
+                  sum(1 for _ in islice(instances(*grid), jobs)))
+    if workers < 2:
+        for inst in instances(*grid):
+            yield classify_row(*inst, limits)
+        return
+    # imported here: multiprocessing would add a third to the import time
+    # of every process start.  Spawned workers share no state with this one.
+    import multiprocessing
+    context = multiprocessing.get_context("spawn")
+    readers, procs = [], []
+    try:
+        for index in range(workers):
+            reader, writer = context.Pipe(duplex=False)
+            proc = context.Process(
+                target=_sweep_worker, daemon=True,
+                args=(writer, grid, limits, index, workers))
+            proc.start()
+            procs.append(proc)
+            readers.append(reader)
+            # the worker holds the only write end, so its death reads as
+            # EOF here and never as a message that does not come
+            writer.close()
+        # worker i has row j exactly when j % workers == i
+        for j, _ in enumerate(instances(*grid)):
+            try:
+                yield readers[j % workers].recv()
+            except EOFError:
+                raise RuntimeError(f"sweep worker {j % workers} exited "
+                                   f"before sending row {j}") from None
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()
 
 
 def cmd_sweep(args) -> int:

@@ -122,15 +122,6 @@ class GammaResult:
         }
 
 
-def _check_instance(n: int, d: int, k: int) -> None:
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    if n < d:
-        raise ValueError(f"order must be >= degree, got n={n} < d={d}")
-    if k < 1:
-        raise ValueError(f"radius must be >= 1, got {k}")
-
-
 def _verified_runs(g: GeneralizedDigraph, k: int, what: str,
                    *runs: tuple[int, int]) -> VertexSet:
     """The union of the (start, length) runs, once ``verify`` accepts it."""
@@ -146,7 +137,7 @@ def _verified_runs(g: GeneralizedDigraph, k: int, what: str,
     return cover
 
 
-def find_anchor(n: int, d: int, k: int) -> int:
+def find_anchor(g: GeneralizedDigraph, k: int) -> int:
     """Smallest vertex x with x + L - (d-2) <= d*x <= x + L (mod n).
 
     L is the a priori lower bound.  The window holds d*x exactly when
@@ -155,8 +146,7 @@ def find_anchor(n: int, d: int, k: int) -> int:
     L - h is a multiple of gcd(d-1, n) <= d-1); none would falsify the
     existence argument this package builds on, hence the loud error.
     """
-    _check_instance(n, d, k)
-    lower = ceil_div(n, geometric_sum(d, k))
+    lower, n, d = bounds(g, k).lower, g.n, g.d
     firsts = [xs[0] for h in range(d - 1)
               if (xs := solve_linear_congruence(d - 1, lower - h, n))]
     if firsts:
@@ -166,125 +156,105 @@ def find_anchor(n: int, d: int, k: int) -> int:
         "this contradicts the anchor existence argument")
 
 
-def build_anchor_run(n: int, d: int, k: int) -> VertexSet:
+def build_anchor_run(g: GeneralizedDigraph, k: int) -> VertexSet:
     """The verified dominating run {x, ..., x + L} of length L + 1.
 
     This is the construction behind the de Bruijn upper bound L + 1, so the
     domination number is always L or L + 1.
     """
-    _check_instance(n, d, k)
-    lower = ceil_div(n, geometric_sum(d, k))
-    g = GeneralizedDigraph.debruijn(n, d)
     return _verified_runs(g, k, "anchor run of length lower+1",
-                          (find_anchor(n, d, k), lower + 1))
+                          (find_anchor(g, k), bounds(g, k).lower + 1))
 
 
-def _first_offset(n: int, d: int, k: int) -> int | None:
-    """The smallest admissible offset h, or None when there is none.
-
-    (d-1)*x == L - h (mod n) is solvable exactly when gcd(d-1, n) divides
-    L - h, so the smallest solvable offset is L mod gcd(d-1, n).  It is
-    admissible when h * geometric_sum(d, k-1) fits the slack S*L - n; a
-    larger offset needs more slack, so if this one does not fit none does.
-    """
-    s = geometric_sum(d, k)
-    lower = ceil_div(n, s)
-    h = lower % math.gcd(d - 1, n)
-    return h if h * geometric_sum(d, k - 1) <= s * lower - n else None
-
-
-def congruence_witness(n: int, d: int, k: int) -> VertexSet | None:
+def congruence_witness(g: GeneralizedDigraph, k: int) -> VertexSet | None:
     """The verified dominating run {x, ..., x + L - 1} of length exactly the
     lower bound L, if any.
 
-    Uses the smallest offset h whose congruence (d-1)*x == L - h (mod n) is
-    solvable while h * geometric_sum(d, k-1) stays within the slack S*L - n,
-    and the smallest solution x, so the witness is deterministic.  Returns
-    None when no admissible offset gives a solvable congruence.
+    (d-1)*x == L - h (mod n) is solvable exactly when gcd(d-1, n) divides
+    L - h, so the smallest solvable offset is h = L mod gcd(d-1, n).  It is
+    admissible when h * geometric_sum(d, k-1) fits the slack S*L - n; a
+    larger offset needs more slack, so if this one does not fit none does
+    and the result is None.  The run starts at the smallest solution x, so
+    the witness is deterministic.
     """
-    _check_instance(n, d, k)
-    h = _first_offset(n, d, k)
-    if h is None:
+    lower, n, d = bounds(g, k).lower, g.n, g.d
+    h = lower % math.gcd(d - 1, n)
+    if h * geometric_sum(d, k - 1) > geometric_sum(d, k) * lower - n:
         return None
-    lower = ceil_div(n, geometric_sum(d, k))
     x = solve_linear_congruence(d - 1, lower - h, n)[0]
-    return _verified_runs(GeneralizedDigraph.debruijn(n, d), k,
-                          f"congruence run (h={h}, x={x})", (x, lower))
+    return _verified_runs(g, k, f"congruence run (h={h}, x={x})",
+                          (x, lower))
 
 
-def gcd_divisibility(n: int, d: int, k: int) -> bool:
+def gcd_divisibility(g: GeneralizedDigraph, k: int) -> bool:
     """The paper's gcd test: S divides n and gcd(d-1, n) divides n/S.
 
     Then L = n/S leaves no slack and L mod gcd(d-1, n) = 0, so the offset
     h = 0 is admissible and congruence_witness finds a run (the tests pin
     this implication).
     """
-    _check_instance(n, d, k)
-    s = geometric_sum(d, k)
-    return n % s == 0 and (n // s) % math.gcd(d - 1, n) == 0
+    lower = bounds(g, k).lower
+    return (lower * geometric_sum(g.d, k) == g.n
+            and lower % math.gcd(g.d - 1, g.n) == 0)
 
 
-def remainder_window(n: int, d: int, k: int) -> bool:
+def remainder_window(g: GeneralizedDigraph, k: int) -> bool:
     """True when n = p*S + q with p >= 1 and 1 <= q <= min(1 + 2*T, S - 1).
 
     T is geometric_sum(d, k-1); S - 1 equals the sum of d**j for j = 1..k.
-    Inside this window the anchor run of length exactly L dominates.
+    It reads p = L - 1 and q = n - p*S, which lies in 1..S and is S (q = 0
+    above) exactly when S divides n.  Inside this window the anchor run of
+    length exactly L dominates.
     """
-    _check_instance(n, d, k)
-    s = geometric_sum(d, k)
-    p, q = divmod(n, s)
-    if p < 1 or q < 1:
-        return False
-    return q <= min(1 + 2 * geometric_sum(d, k - 1), s - 1)
+    lower = bounds(g, k).lower
+    s = geometric_sum(g.d, k)
+    q = g.n - (lower - 1) * s
+    return lower >= 2 and q <= min(1 + 2 * geometric_sum(g.d, k - 1),
+                                   s - 1)
 
 
-def build_window_run(n: int, d: int, k: int) -> VertexSet:
+def build_window_run(g: GeneralizedDigraph, k: int) -> VertexSet:
     """The verified dominating run {x, ..., x + L - 1} for window instances."""
-    if not remainder_window(n, d, k):
-        raise ValueError(
-            f"remainder window condition does not hold for n={n} d={d} k={k}")
-    lower = ceil_div(n, geometric_sum(d, k))
-    g = GeneralizedDigraph.debruijn(n, d)
+    if not remainder_window(g, k):
+        raise ValueError(f"remainder window condition does not hold for "
+                         f"n={g.n} d={g.d} k={k}")
     return _verified_runs(g, k,
                           "anchor run of length lower (window condition)",
-                          (find_anchor(n, d, k), lower))
+                          (find_anchor(g, k), bounds(g, k).lower))
 
 
-def build_prefix_cover(n: int, d: int, k: int) -> VertexSet:
-    """The verified Kautz dominating prefix {0..c-1}, c = ceil(n/(d^k+d^(k-1))).
+def build_prefix_cover(g: GeneralizedDigraph, k: int) -> VertexSet:
+    """The verified Kautz dominating prefix {0..c-1}, c the upper bound
+    ceil(n/(d^k+d^(k-1))) that ``bounds`` gives.
 
     The last two neighborhood layers of this prefix alone cover everything,
-    which gives the Kautz upper bound.
+    which gives that bound.
     """
-    _check_instance(n, d, k)
-    c = ceil_div(n, d ** k + d ** (k - 1))
-    g = GeneralizedDigraph.kautz(n, d)
-    return _verified_runs(g, k, "prefix cover", (0, c))
+    return _verified_runs(g, k, "prefix cover", (0, bounds(g, k).upper))
 
 
-def prefix_condition(n: int, d: int, k: int) -> bool:
+def prefix_condition(g: GeneralizedDigraph, k: int) -> bool:
     """True when the prefix of length exactly L dominates the Kautz instance.
 
     Either the two top layers of the prefix are large enough on their own
-    ((d**(k-1) + d**k) * L >= n), or the layer k-1 image swallows a whole
-    radius-one dominating prefix or suffix (d**(k-1) * L >= ceil(n/(d+1))).
-    At k = 1 the second test is trivially true.
+    ((d**(k-1) + d**k) * L >= n, which holds exactly when L reaches the
+    Kautz upper bound, and so equals it), or the layer k-1 image swallows a
+    whole radius-one dominating prefix or suffix
+    (d**(k-1) * L >= ceil(n/(d+1))).  At k = 1 the second test is trivially
+    true.
     """
-    _check_instance(n, d, k)
-    lower = ceil_div(n, geometric_sum(d, k))
-    if (d ** (k - 1) + d ** k) * lower >= n:
-        return True
-    return d ** (k - 1) * lower >= ceil_div(n, d + 1)
+    b = bounds(g, k)
+    return (b.lower == b.upper
+            or g.d ** (k - 1) * b.lower >= ceil_div(g.n, g.d + 1))
 
 
-def build_lower_prefix(n: int, d: int, k: int) -> VertexSet:
+def build_lower_prefix(g: GeneralizedDigraph, k: int) -> VertexSet:
     """The verified Kautz dominating prefix {0..L-1} for firing instances."""
-    if not prefix_condition(n, d, k):
+    if not prefix_condition(g, k):
         raise ValueError(
-            f"prefix condition does not hold for n={n} d={d} k={k}")
-    lower = ceil_div(n, geometric_sum(d, k))
-    g = GeneralizedDigraph.kautz(n, d)
-    return _verified_runs(g, k, "prefix of length lower", (0, lower))
+            f"prefix condition does not hold for n={g.n} d={g.d} k={k}")
+    return _verified_runs(g, k, "prefix of length lower",
+                          (0, bounds(g, k).lower))
 
 
 class _RunBalls:
@@ -400,7 +370,7 @@ def classify(g: GeneralizedDigraph, k: int,
     """
     radius = min(k, g.n.bit_length() + 1)
     b = bounds(g, radius)
-    n, d = g.n, g.d
+    n = g.n
 
     def result(method: str, witness: VertexSet | None = None,
                nodes: int = 0) -> GammaResult:
@@ -409,21 +379,21 @@ def classify(g: GeneralizedDigraph, k: int,
                            conditions=conditions, nodes=nodes)
 
     if g.family == DEBRUIJN:
-        cert = congruence_witness(n, d, radius)
-        divisibility = gcd_divisibility(n, d, radius)
+        cert = congruence_witness(g, radius)
+        divisibility = gcd_divisibility(g, radius)
         conditions = {
             "congruence": cert is not None,
             "gcd_divisibility": divisibility,
             "gcd_residue": cert is not None and not divisibility,
-            "remainder_window": remainder_window(n, d, radius),
+            "remainder_window": remainder_window(g, radius),
         }
         cert_method = METHOD_CONGRUENCE
         scan_method, scan = METHOD_RUN_SCAN, run_scan
     else:
-        fired = prefix_condition(n, d, radius)
+        fired = prefix_condition(g, radius)
         conditions = {"radius_one": k == 1, "prefix_cover": fired}
         cert_method = METHOD_RADIUS_ONE if k == 1 else METHOD_PREFIX_COVER
-        cert = build_lower_prefix(n, d, radius) if fired else None
+        cert = build_lower_prefix(g, radius) if fired else None
         scan_method, scan = METHOD_TWO_RUN, two_run_cover
 
     if cert is not None:
@@ -441,7 +411,7 @@ def classify(g: GeneralizedDigraph, k: int,
         return result(METHOD_INCONCLUSIVE, nodes=search.nodes)
     # a verified cover of size lower+1 is now a minimum one
     if g.family == DEBRUIJN:
-        plus = build_anchor_run(n, d, radius)
+        plus = build_anchor_run(g, radius)
     else:
         # n <= max_n <= DEFAULT_TABLE_CEILING <= COVER_SCAN_MAX_N here
         plus = two_run_cover(g, radius, b.lower + 1)

@@ -97,10 +97,9 @@ def _family_code(g: GeneralizedDigraph) -> int:
 def coverage_table(g: GeneralizedDigraph, k: int):
     """The kernel's radius-k coverage table of ``g``: ``family`` (kernel
     code), ``n``, ``d``, ``k``, ``max_ball``, ``ball_mask(v)``,
-    ``coverer_list(v)`` and ``search``.  Refuses n > DEFAULT_TABLE_CEILING.
+    ``coverer_list(v)`` and ``search``.  Refuses n > DEFAULT_TABLE_CEILING,
+    and the kernel refuses k < 0.
     """
-    if k < 0:
-        raise ValueError(f"radius must be >= 0, got {k}")
     if g.n > DEFAULT_TABLE_CEILING:
         raise ValueError(f"order {g.n} exceeds the oracle table ceiling "
                          f"{DEFAULT_TABLE_CEILING}")

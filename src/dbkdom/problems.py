@@ -13,6 +13,8 @@ value is out of reach is inconclusive, never support.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .construct import GammaResult, classify
 from .digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, VertexSet
 from .domination import DominationCertificate
@@ -38,16 +40,16 @@ def _certificate(result: GammaResult) -> dict:
                                  uncovered=VertexSet(g.n)).to_dict()
 
 
-def instances(families: tuple[str, ...], ns: list[int], ds: list[int],
-              ks: list[int]):
+def instances(families: tuple[str, ...], ns: Sequence[int],
+              ds: Sequence[int], ks: Sequence[int]):
     """The (family, n, d, k) instances of the grid in lexicographic order;
     those with n < d are skipped because neither family is defined there."""
     return ((family, n, d, k) for family in sorted(families)
             for n in ns for d in ds if n >= d for k in ks)
 
 
-def _classified(family: str, ns: list[int], ds: list[int], ks: list[int],
-                limits: OracleLimits):
+def _classified(family: str, ns: Sequence[int], ds: Sequence[int],
+                ks: Sequence[int], limits: OracleLimits):
     """classify results over the envelope, in ``instances`` order."""
     for family, n, d, k in instances((family,), ns, ds, ks):
         yield classify(GeneralizedDigraph(family=family, n=n, d=d), k, limits)
@@ -65,16 +67,17 @@ def _row(result: GammaResult, bound: str, condition: bool,
 
 
 def _report(problem: str, question: str, rows: list[dict],
-            ns: list[int], ds: list[int], ks: list[int]) -> dict:
+            ns: Sequence[int], ds: Sequence[int], ks: Sequence[int]) -> dict:
     counts = {CONSISTENT: 0, COUNTEREXAMPLE: 0, INCONCLUSIVE_VERDICT: 0}
     for row in rows:
         counts[row["verdict"]] += 1
     return {"problem": problem, "question": question,
-            "envelope": {"n": ns, "d": ds, "k": ks},
+            "envelope": {"n": list(ns), "d": list(ds), "k": list(ks)},
             "rows": rows, "counts": counts}
 
 
-def debruijn_necessity_report(ns: list[int], ds: list[int], ks: list[int],
+def debruijn_necessity_report(ns: Sequence[int], ds: Sequence[int],
+                              ks: Sequence[int],
                               limits: OracleLimits = DEFAULT_LIMITS) -> dict:
     """Is the gcd condition necessary for the lower bound to be attained?
 
@@ -98,7 +101,8 @@ def debruijn_necessity_report(ns: list[int], ds: list[int], ks: list[int],
                    "condition fires?", rows, ns, ds, ks)
 
 
-def kautz_upper_report(ns: list[int], ds: list[int], ks: list[int],
+def kautz_upper_report(ns: Sequence[int], ds: Sequence[int],
+                       ks: Sequence[int],
                        limits: OracleLimits = DEFAULT_LIMITS) -> dict:
     """Does every instance missed by the prefix condition sit at the
     ceil(n / (d**k + d**(k-1))) upper value?

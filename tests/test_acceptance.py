@@ -124,35 +124,35 @@ def test_acceptance_6_construction_validity_randomized():
     rng = random.Random(20260815)
     target, cap = 1000, 200000
 
-    def sample(condition):
+    def sample(family, condition):
         found = []
         for _ in range(cap):
             n, d, k = _random_instance(rng)
-            if condition(n, d, k):
-                found.append((n, d, k))
+            g = GeneralizedDigraph(family=family, n=n, d=d)
+            if condition(g, k):
+                found.append((g, k))
                 if len(found) == target:
                     return found
         raise AssertionError("sampling cap reached before 1000 instances")
 
-    def check(family, instances, builder, expect_size):
-        for n, d, k in instances:
-            dset = builder(n, d, k)
-            g = GeneralizedDigraph(family=family, n=n, d=d)
-            assert verify(g, dset, k).valid, (family, n, d, k)
-            assert len(dset) == expect_size(n, d, k), (family, n, d, k)
+    def check(instances, builder, expect_size):
+        for g, k in instances:
+            dset = builder(g, k)
+            assert verify(g, dset, k).valid, (g, k)
+            assert len(dset) == expect_size(g.n, g.d, k), (g, k)
 
     lower = lambda n, d, k: ceil_div(n, geometric_sum(d, k))
 
-    everything = lambda n, d, k: True
-    check("debruijn", sample(everything), build_anchor_run,
+    everything = lambda g, k: True
+    check(sample("debruijn", everything), build_anchor_run,
           lambda n, d, k: min(n, lower(n, d, k) + 1))
-    check("debruijn",
-          sample(lambda n, d, k: congruence_witness(n, d, k) is not None),
+    check(sample("debruijn",
+                 lambda g, k: congruence_witness(g, k) is not None),
           congruence_witness, lower)
-    check("debruijn", sample(remainder_window), build_window_run, lower)
-    check("kautz", sample(everything), build_prefix_cover,
+    check(sample("debruijn", remainder_window), build_window_run, lower)
+    check(sample("kautz", everything), build_prefix_cover,
           lambda n, d, k: ceil_div(n, d ** k + d ** (k - 1)))
-    check("kautz", sample(prefix_condition), build_lower_prefix, lower)
+    check(sample("kautz", prefix_condition), build_lower_prefix, lower)
     print("ACCEPTANCE 6: five constructions each verified on 1000 "
           "randomized instances, zero failures: PASS")
 

@@ -1,11 +1,12 @@
 """Command line behaviour: exit codes, formats, determinism, settings."""
 
-import concurrent.futures
 import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from dbkdom import cli, domination, problems
 from dbkdom.cli import (CSV_COLUMNS, EXIT_BRACKET, EXIT_INCONCLUSIVE,
                         EXIT_INVALID, EXIT_OK, EXIT_USAGE, main)
 from dbkdom.construct import ConstructionError, classify
-from dbkdom.digraph import DEBRUIJN, KAUTZ, GeneralizedDigraph, export_lines
+from dbkdom.digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
+                            export_lines)
 from dbkdom.oracle import DEFAULT_LIMITS, DEFAULT_TABLE_CEILING
 
 
@@ -346,39 +348,75 @@ class TestSweep:
 
     @pytest.mark.parametrize("cores", [None, 1, 2, 3, 64])
     def test_workers_capped_by_tasks_and_cores(self, monkeypatch, cores):
-        # a real pool forks all max_workers processes at its first submit;
-        # the fake records the request and maps in this process
-        requested = []
+        # the fake records each worker started and runs it in this process
+        started = []
 
-        class FakePool:
-            def __init__(self, max_workers, **options):
-                requested.append(max_workers)
+        class FakeProcess:
+            def __init__(self, target, args, daemon):
+                self.target, self.args = target, args
 
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
+            def start(self):
+                started.append(self)
+                handler = signal.getsignal(signal.SIGINT)
+                try:
+                    self.target(*self.args)
+                finally:
+                    signal.signal(signal.SIGINT, handler)
 
-            def shutdown(self, cancel_futures=False):
+            def kill(self):
+                pass
+
+            def join(self):
                 pass
 
         four = ("sweep", "--family", "both", "-n", "2..3", "-d", "2",
                 "-k", "1")
         one = ("sweep", "--family", "kautz", "-n", "2", "-d", "2", "-k", "1")
         serial = [strip_ms(run_cli(*args)[1]) for args in (four, one)]
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            FakePool)
+        monkeypatch.setattr(multiprocessing.get_context("spawn"), "Process",
+                            FakeProcess)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         for args, expected in zip((four, one), serial):
             code, out, _ = run_cli(*args, "--jobs", "1000")
             assert code == EXIT_OK
             assert strip_ms(out) == expected
         workers = min(4, cores or 1)
-        assert requested == ([workers] if workers > 1 else [])
+        assert len(started) == (workers if workers > 1 else 0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_is_streamed(self, jobs):
+        # a grid of about 10**13 rows could never be listed first
+        args = cli.build_parser().parse_args(
+            ["sweep", "--family", "both", "-n", "2..999999999999",
+             "-d", "2..5", "-k", "1..4"])
+        assert args.n == range(2, 10 ** 12)
+        rows = cli.sweep_rows(FAMILIES, args.n, args.d, args.k,
+                              DEFAULT_LIMITS, jobs)
+        first = next(rows)
+        rows.close()
+        assert [first[key] for key in ("family", "n", "d", "k")] == [
+            DEBRUIJN, 2, 2, 1]
+
+    def test_killed_worker_is_an_error(self, monkeypatch):
+        # a worker killed mid-send leaves half a row in its pipe; reading
+        # on must end in an error, neither a hang nor a short output
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rows = cli.sweep_rows(FAMILIES, range(2, 10 ** 12), range(2, 6),
+                              range(1, 5), DEFAULT_LIMITS, jobs=2)
+        next(rows)
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        workers[0].kill()
+        with pytest.raises(RuntimeError, match="exited before sending"):
+            for _ in rows:
+                pass
+        assert multiprocessing.active_children() == []
 
     def test_import_leaves_process_pool_unloaded(self):
-        # only a sweep with workers loads the pool and multiprocessing
+        # only a sweep with workers loads multiprocessing
         proc = run_process(sys.executable, "-c",
                            "import sys, dbkdom.cli; print("
-                           "'concurrent.futures.process' in sys.modules)")
+                           "'multiprocessing' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -440,6 +478,47 @@ class TestSweep:
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (EXIT_INVALID, b"")
+
+    def test_closed_pipe_stops_parallel_sweep(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dbkdom.cli", "sweep", "--family", "both",
+             "-n", "2..200", "-d", "2..5", "-k", "1..4", "--jobs", "2"],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
+        try:
+            proc.stdout.readline()
+            proc.stdout.close()
+            # the workers share stderr, so it ends when they are gone too
+            _, err = proc.communicate(timeout=30)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert (proc.returncode, err) == (EXIT_INVALID, b"")
+
+    def test_workers_exit_when_the_main_process_dies(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dbkdom.cli", "sweep", "--family", "both",
+             "-n", "2..200", "-d", "2..5", "-k", "1..4", "--jobs", "2",
+             "--oracle-budget", "20000"],
+            env=child_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            proc.stdout.readline()
+            proc.stdout.readline()
+            proc.kill()
+            proc.wait()
+            # each worker holds stdout open until it exits
+            fd, deadline = proc.stdout.fileno(), time.monotonic() + 30
+            while True:
+                ready, _, _ = select.select(
+                    [fd], [], [], max(0.0, deadline - time.monotonic()))
+                assert ready, "a worker outlived the main process"
+                if not os.read(fd, 1 << 16):
+                    break
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.stdout.close()
 
     def test_json_lines(self):
         code, out, _ = run_cli("sweep", "--family", "kautz",

@@ -21,6 +21,8 @@ from dbkdom.modular import (ceil_div, geometric_sum, run_mask,
 from dbkdom.oracle import DEFAULT_TABLE_CEILING, OracleLimits, min_dominating
 from dbkdom.problems import COUNTEREXAMPLE, debruijn_necessity_report
 
+debruijn, kautz = GeneralizedDigraph.debruijn, GeneralizedDigraph.kautz
+
 
 def debruijn_instances(max_n=80):
     return st.tuples(st.integers(2, max_n), st.integers(2, 5),
@@ -104,17 +106,17 @@ class TestFindAnchor:
         for n in (5, 17, 40, 59):
             for k in (1, 2, 3):
                 lower = ceil_div(n, geometric_sum(2, k))
-                x = find_anchor(n, 2, k)
+                x = find_anchor(debruijn(n, 2), k)
                 assert (x, run_offset(n, 2, k, x)) == (lower % n, 0)
 
     def test_headline_instance(self):
-        x = find_anchor(40, 3, 3)
+        x = find_anchor(debruijn(40, 3), 3)
         assert x == 0
         assert run_offset(40, 3, 3, x) == 1  # 3*0 = 0 = 0 + 1 - 1
 
     def test_small_instance_by_scan(self):
         # first x with 3x mod 6 inside [x+1, x+2] (L = 2) is x = 1
-        x = find_anchor(6, 3, 1)
+        x = find_anchor(debruijn(6, 3), 1)
         assert (x, run_offset(6, 3, 1, x)) == (1, 0)
 
     @settings(max_examples=300, deadline=None)
@@ -122,7 +124,7 @@ class TestFindAnchor:
     def test_membership_and_minimality(self, inst):
         n, d, k = inst
         lower = ceil_div(n, geometric_sum(d, k))
-        anchor = find_anchor(n, d, k)
+        anchor = find_anchor(debruijn(n, d), k)
         assert 0 <= run_offset(n, d, k, anchor) <= d - 2
         window = run_set(n, anchor + lower - (d - 2), d - 1)
         assert (d * anchor) % n in window
@@ -132,26 +134,27 @@ class TestFindAnchor:
 
     def test_matches_reference_scan_on_wide_envelope(self):
         for n, d, k in wide_envelope():
-            assert find_anchor(n, d, k) == scan_anchor(n, d, k), (n, d, k)
+            assert find_anchor(debruijn(n, d), k) == scan_anchor(n, d, k), \
+                (n, d, k)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            find_anchor(5, 1, 1)
+            find_anchor(debruijn(5, 1), 1)
         with pytest.raises(ValueError):
-            find_anchor(2, 3, 1)
+            find_anchor(debruijn(2, 3), 1)
         with pytest.raises(ValueError):
-            find_anchor(9, 3, 0)
+            find_anchor(debruijn(9, 3), 0)
 
 
 class TestAnchorRun:
     def test_headline_run_is_minimum(self):
-        run = build_anchor_run(40, 3, 3)
+        run = build_anchor_run(debruijn(40, 3), 3)
         assert run.members() == [0, 1]
 
     def test_length_and_validity(self):
         for (n, d, k) in ((7, 2, 1), (7, 2, 2), (41, 3, 3), (59, 5, 2),
                           (6, 3, 1), (100, 4, 4)):
-            run = build_anchor_run(n, d, k)
+            run = build_anchor_run(debruijn(n, d), k)
             lower = ceil_div(n, geometric_sum(d, k))
             assert len(run) == lower + 1
             g = GeneralizedDigraph.debruijn(n, d)
@@ -162,33 +165,34 @@ class TestAnchorRun:
     @given(debruijn_instances(200))
     def test_always_dominates(self, inst):
         n, d, k = inst
-        run = build_anchor_run(n, d, k)
+        run = build_anchor_run(debruijn(n, d), k)
         assert verify(GeneralizedDigraph.debruijn(n, d), run, k).valid
 
 
 class TestCongruenceWitness:
     def test_absent_on_headline_instance(self):
-        assert congruence_witness(40, 3, 3) is None
+        assert congruence_witness(debruijn(40, 3), 3) is None
 
     def test_present_examples(self):
-        run = congruence_witness(7, 2, 2)
+        run = congruence_witness(debruijn(7, 2), 2)
         x = run_start(run)
         assert (x, run_offset(7, 2, 2, x)) == (1, 0)
         assert run.members() == [1]
-        run = congruence_witness(8, 3, 2)
+        run = congruence_witness(debruijn(8, 3), 2)
         x = run_start(run)
         # 2x == 1 (mod 8) is unsolvable, so h = 1 is next
         assert (x, run_offset(8, 3, 2, x)) == (0, 1)
 
     def test_deterministic(self):
-        assert congruence_witness(30, 3, 2) == congruence_witness(30, 3, 2)
+        g = debruijn(30, 3)
+        assert congruence_witness(g, 2) == congruence_witness(g, 2)
 
     @settings(max_examples=300, deadline=None)
     @given(debruijn_instances(150))
     def test_matches_brute_force_tie_break(self, inst):
         n, d, k = inst
         expected = brute_congruence(n, d, k)
-        got = congruence_witness(n, d, k)
+        got = congruence_witness(debruijn(n, d), k)
         if expected is None:
             assert got is None
         else:
@@ -202,7 +206,7 @@ class TestCongruenceWitness:
         # d = 2 makes the h = 0 congruence x == L (mod n) always solvable
         for n in range(2, 120):
             for k in (1, 2, 3):
-                run = congruence_witness(n, 2, k)
+                run = congruence_witness(debruijn(n, 2), k)
                 assert run is not None
                 assert run_offset(n, 2, k, run_start(run)) == 0
 
@@ -214,15 +218,15 @@ def gcd_tags(n, d, k):
 
 class TestGcdCondition:
     def test_headline_instance_fails_both(self):
-        assert not gcd_divisibility(40, 3, 3)
+        assert not gcd_divisibility(debruijn(40, 3), 3)
         assert gcd_tags(40, 3, 3) == (False, False)
 
     def test_divisibility(self):
-        assert gcd_divisibility(7, 2, 2)
+        assert gcd_divisibility(debruijn(7, 2), 2)
         assert gcd_tags(7, 2, 2) == (True, False)
 
     def test_residue(self):
-        assert not gcd_divisibility(41, 3, 3)
+        assert not gcd_divisibility(debruijn(41, 3), 3)
         assert gcd_tags(41, 3, 3) == (False, True)
 
     def test_divisibility_implies_congruence_run(self):
@@ -231,7 +235,8 @@ class TestGcdCondition:
         # and never decides a value by the divisibility test
         envelope = wide_envelope()
         assert len(envelope) == 89865
-        fired = [inst for inst in envelope if gcd_divisibility(*inst)]
+        fired = [(n, d, k) for n, d, k in envelope
+                 if gcd_divisibility(debruijn(n, d), k)]
         assert len(fired) == 4070
         for n, d, k in fired:
             assert first_offset(n, d, k) == 0, (n, d, k)
@@ -239,31 +244,31 @@ class TestGcdCondition:
 
 class TestRemainderWindow:
     def test_examples(self):
-        assert remainder_window(41, 3, 3)      # q = 1
-        assert not remainder_window(40, 3, 3)  # q = 0
-        assert remainder_window(20, 2, 2)      # q = 6 == min(7, 6)
-        assert not remainder_window(6, 2, 2)   # p = 0
+        assert remainder_window(debruijn(41, 3), 3)      # q = 1
+        assert not remainder_window(debruijn(40, 3), 3)  # q = 0
+        assert remainder_window(debruijn(20, 2), 2)      # q = 6 == min(7, 6)
+        assert not remainder_window(debruijn(6, 2), 2)   # p = 0
 
     def test_build_window_run(self):
-        run = build_window_run(20, 2, 2)
+        run = build_window_run(debruijn(20, 2), 2)
         assert len(run) == 3
         assert naive_is_dominating("debruijn", 20, 2, run.members(), 2)
         with pytest.raises(ValueError):
-            build_window_run(40, 3, 3)
+            build_window_run(debruijn(40, 3), 3)
 
     def test_window_implies_congruence(self):
         # the window q bounds force the first solvable offset into range;
         # classify relies on this and never decides a value by the window
-        firing = [inst for inst in wide_envelope()
-                  if remainder_window(*inst)]
+        firing = [(n, d, k) for n, d, k in wide_envelope()
+                  if remainder_window(debruijn(n, d), k)]
         assert len(firing) == 41981
         for n, d, k in firing:
             assert first_offset(n, d, k) is not None, (n, d, k)
 
     def test_window_instances_attain_lower(self):
         for (n, d, k) in ((41, 3, 3), (20, 2, 2), (8, 2, 2), (15, 2, 2)):
-            assert remainder_window(n, d, k)
-            run = build_window_run(n, d, k)
+            assert remainder_window(debruijn(n, d), k)
+            run = build_window_run(debruijn(n, d), k)
             assert len(run) == ceil_div(n, geometric_sum(d, k))
 
 
@@ -325,9 +330,9 @@ class TestDegreePowers:
 
 class TestKautzPrefix:
     def test_prefix_cover_examples(self):
-        assert build_prefix_cover(7, 2, 2).members() == [0, 1]
-        assert build_prefix_cover(9, 2, 1).members() == [0, 1, 2]
-        assert build_prefix_cover(5, 2, 2).members() == [0]
+        assert build_prefix_cover(kautz(7, 2), 2).members() == [0, 1]
+        assert build_prefix_cover(kautz(9, 2), 1).members() == [0, 1, 2]
+        assert build_prefix_cover(kautz(5, 2), 2).members() == [0]
 
     def test_prefix_cover_validity_grid(self):
         for n in range(2, 70):
@@ -335,25 +340,43 @@ class TestKautzPrefix:
                 if n < d:
                     continue
                 for k in (1, 2, 3):
-                    run = build_prefix_cover(n, d, k)
+                    run = build_prefix_cover(kautz(n, d), k)
                     assert len(run) == ceil_div(n, d ** k + d ** (k - 1))
                     assert verify(GeneralizedDigraph.kautz(n, d),
                                   run, k).valid
 
     def test_condition_examples(self):
-        assert not prefix_condition(7, 2, 2)
-        assert prefix_condition(12, 2, 2)
+        assert not prefix_condition(kautz(7, 2), 2)
+        assert prefix_condition(kautz(12, 2), 2)
         for n in range(2, 60):
             for d in (2, 3, 4):
                 if n >= d:
-                    assert prefix_condition(n, d, 1)
+                    assert prefix_condition(kautz(n, d), 1)
+
+    def test_condition_matches_paper_formula(self):
+        # the first clause reads lower == upper in the code and
+        # (d**(k-1) + d**k) * L >= n in the paper
+        count = 0
+        for d in range(2, 9):
+            for k in range(1, 7):
+                for n in range(d, 4000):
+                    g = kautz(n, d)
+                    lower = ceil_div(n, geometric_sum(d, k))
+                    top_layers = (d ** (k - 1) + d ** k) * lower >= n
+                    b = bounds(g, k)
+                    assert (b.lower == b.upper) == top_layers, (n, d, k)
+                    paper = (top_layers or
+                             d ** (k - 1) * lower >= ceil_div(n, d + 1))
+                    assert prefix_condition(g, k) == paper, (n, d, k)
+                    count += 1
+        assert count == 167790
 
     def test_lower_prefix(self):
-        run = build_lower_prefix(12, 2, 2)
+        run = build_lower_prefix(kautz(12, 2), 2)
         assert run.members() == [0, 1]
         assert naive_is_dominating("kautz", 12, 2, [0, 1], 2)
         with pytest.raises(ValueError):
-            build_lower_prefix(7, 2, 2)
+            build_lower_prefix(kautz(7, 2), 2)
 
     def test_lower_prefix_validity_when_condition_fires(self):
         for n in range(2, 70):
@@ -361,10 +384,33 @@ class TestKautzPrefix:
                 if n < d:
                     continue
                 for k in (1, 2, 3):
-                    if prefix_condition(n, d, k):
-                        run = build_lower_prefix(n, d, k)
+                    if prefix_condition(kautz(n, d), k):
+                        run = build_lower_prefix(kautz(n, d), k)
                         assert len(run) == \
                             ceil_div(n, geometric_sum(d, k))
+
+
+class TestOtherFamily:
+    def test_builders_verify_against_the_digraph_given(self):
+        # no builder checks the family: given a digraph of the other
+        # family, it returns a cover verified on that digraph or raises a
+        # ConstructionError that names the family
+        errors = 0
+        for builder in (build_anchor_run, congruence_witness,
+                        build_window_run, build_prefix_cover,
+                        build_lower_prefix):
+            for g in default_envelope("debruijn") + default_envelope("kautz"):
+                for k in (1, 2, 3):
+                    try:
+                        cover = builder(g, k)
+                    except ConstructionError as e:
+                        assert f"on {g.family} n={g.n} " in str(e)
+                        errors += 1
+                        continue
+                    except ValueError:
+                        continue  # the builder's condition does not hold
+                    assert cover is None or verify(g, cover, k).valid
+        assert errors > 0
 
 
 class TestClassify:
@@ -518,15 +564,15 @@ class TestRadiusCap:
                         assert verify(g, result.witness, k).valid
                         if family == "kautz":
                             assert result.conditions["prefix_cover"] == (
-                                prefix_condition(n, d, k))
+                                prefix_condition(g, k))
                             continue
-                        run = congruence_witness(n, d, k) is not None
-                        divisibility = gcd_divisibility(n, d, k)
+                        run = congruence_witness(g, k) is not None
+                        divisibility = gcd_divisibility(g, k)
                         assert result.conditions == {
                             "congruence": run,
                             "gcd_divisibility": divisibility,
                             "gcd_residue": run and not divisibility,
-                            "remainder_window": remainder_window(n, d, k),
+                            "remainder_window": remainder_window(g, k),
                         }
 
     def test_huge_radius_returns(self):

@@ -169,11 +169,11 @@ class TestMinDominating:
                     continue
                 for k in (1, 2, 3, 4):
                     g = GeneralizedDigraph.debruijn(n, d)
-                    if congruence_witness(n, d, k) is not None:
+                    if congruence_witness(g, k) is not None:
                         assert min_dominating(g, k).gamma == \
                             bounds(g, k).lower
                     gk = GeneralizedDigraph.kautz(n, d)
-                    if prefix_condition(n, d, k):
+                    if prefix_condition(gk, k):
                         assert min_dominating(gk, k).gamma == \
                             bounds(gk, k).lower
 
