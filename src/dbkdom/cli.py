@@ -34,12 +34,13 @@ from itertools import islice
 from .construct import classify
 from .digraph import FAMILIES, GeneralizedDigraph, VertexSet, export_lines
 from .domination import verify
-# unused here; perfbench/tracing.py wraps these names on this module
-from .oracle import coverage_table, exists_dominating_of_size  # noqa: F401
 from .oracle import DEFAULT_LIMITS, OracleLimits
 from .problems import (CONSISTENT, COUNTEREXAMPLE, INCONCLUSIVE_VERDICT,
-                       PROBLEM_DEBRUIJN, PROBLEMS, debruijn_necessity_report,
-                       instances, kautz_upper_report)
+                       PROBLEMS, instances, report)
+# unused here; perfbench calls or wraps these names on this module
+from .oracle import coverage_table, exists_dominating_of_size  # noqa: F401
+from .problems import (debruijn_necessity_report,  # noqa: F401
+                       kautz_upper_report)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -196,9 +197,7 @@ def cmd_gamma(args) -> int:
 def _sweep_worker(conn, grid, limits: OracleLimits, index: int,
                   workers: int) -> None:
     """Send down ``conn`` the row of every ``workers``-th instance of
-    ``grid`` from the ``index``-th on; Ctrl-C kills the worker outright."""
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    ``grid`` from the ``index``-th on."""
     with contextlib.suppress(BrokenPipeError):  # the reader is gone
         for inst in islice(instances(*grid), index, None, workers):
             conn.send(classify_row(*inst, limits))
@@ -219,20 +218,35 @@ def sweep_rows(families: tuple[str, ...], ns: Sequence[int],
     # imported here: multiprocessing would add a third to the import time
     # of every process start.  Spawned workers share no state with this one.
     import multiprocessing
+    import signal
+    import threading
     context = multiprocessing.get_context("spawn")
     readers, procs = [], []
+    # a worker inherits an ignored SIGINT, so Ctrl-C stops only this
+    # process, which kills the workers below; blocked meanwhile, a Ctrl-C
+    # during the starts stays pending until the handler is back.  Only the
+    # main thread may set a handler; from another, workers start as is.
+    main = threading.current_thread() is threading.main_thread()
+    if main:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        handler = signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        for index in range(workers):
-            reader, writer = context.Pipe(duplex=False)
-            proc = context.Process(
-                target=_sweep_worker, daemon=True,
-                args=(writer, grid, limits, index, workers))
-            proc.start()
-            procs.append(proc)
-            readers.append(reader)
-            # the worker holds the only write end, so its death reads as
-            # EOF here and never as a message that does not come
-            writer.close()
+        try:
+            for index in range(workers):
+                reader, writer = context.Pipe(duplex=False)
+                proc = context.Process(
+                    target=_sweep_worker, daemon=True,
+                    args=(writer, grid, limits, index, workers))
+                proc.start()
+                procs.append(proc)
+                readers.append(reader)
+                # the worker holds the only write end, so its death reads
+                # as EOF here and never as a message that does not come
+                writer.close()
+        finally:
+            if main:
+                signal.signal(signal.SIGINT, handler)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         # worker i has row j exactly when j % workers == i
         for j, _ in enumerate(instances(*grid)):
             try:
@@ -257,9 +271,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     g = GeneralizedDigraph(family=args.family, n=args.n, d=args.d)
-    cert = verify(g, VertexSet.from_members(args.n, args.set),
-                  args.k).to_dict()
+    # refuses a member >= n before --out is opened
+    dset = VertexSet.from_members(args.n, args.set)
     with _open_out(args.out) as fh:
+        cert = verify(g, dset, args.k).to_dict()
         if args.format == "json":
             fh.write(json.dumps(cert, indent=2) + "\n")
         else:
@@ -306,11 +321,8 @@ def cmd_problems(args) -> int:
     limits = OracleLimits(args.oracle_budget, args.oracle_max_n)
     selected = PROBLEMS if args.problem == "all" else (args.problem,)
     with _open_out(args.out) as fh:
-        reports = []
-        for tag in selected:
-            build = (debruijn_necessity_report if tag == PROBLEM_DEBRUIJN
-                     else kautz_upper_report)
-            reports.append(build(args.n, args.d, args.k, limits))
+        reports = [report(tag, args.n, args.d, args.k, limits)
+                   for tag in selected]
         if args.format == "json":
             payload = reports[0] if len(reports) == 1 else {"reports": reports}
             fh.write(json.dumps(payload, indent=2) + "\n")

@@ -10,6 +10,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -210,18 +211,23 @@ class TestUsageErrors:
         ("gamma", "--family", "kautz", "-n", "12", "-d", "2", "-k", "1"),
         ("sweep", "--family", "both", "-n", "2..12", "-d", "2", "-k", "1"),
         ("problems", "-n", "2..12", "-d", "2", "-k", "1"),
+        ("verify", "--family", "kautz", "-n", "12", "-d", "2", "-k", "1",
+         "--set", "0,5"),
     ], ids=lambda a: a[0])
     def test_unwritable_out_fails_before_any_row(self, monkeypatch, tmp_path,
                                                  argv):
         # every classified row would be lost when --out fails at the end
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return classify(*args, **kwargs)
+        def counting(function):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return function(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(cli, "classify", counting)
-        monkeypatch.setattr(problems, "classify", counting)
+        monkeypatch.setattr(cli, "classify", counting(classify))
+        monkeypatch.setattr(problems, "classify", counting(classify))
+        monkeypatch.setattr(cli, "verify", counting(cli.verify))
         target = tmp_path / "missing" / "rows.csv"
         code, out, err = run_cli(*argv, "--out", str(target))
         assert code == EXIT_USAGE
@@ -315,6 +321,14 @@ class TestVerify:
                                "--set", "0;1", "--format", "table")
         assert code == EXIT_OK
         assert "valid" in out and "yes" in out
+
+    def test_member_out_of_range_opens_no_out(self, tmp_path):
+        target = tmp_path / "cert.json"
+        code, out, err = run_cli("verify", "--family", "kautz",
+                                 "-n", "7", "-d", "2", "-k", "1",
+                                 "--set", "0,9", "--out", str(target))
+        assert (code, out) == (EXIT_USAGE, "") and err
+        assert not target.exists()
 
 
 class TestSweep:
@@ -467,6 +481,88 @@ class TestSweep:
         assert text.endswith("\n") and lines[0] == ",".join(CSV_COLUMNS)
         assert all(len(line.split(",")) == len(CSV_COLUMNS)
                    for line in lines[1:])
+
+    def test_sigint_to_starting_workers_is_ignored(self, tmp_path):
+        # Ctrl-C is the main process's to act on: a worker that gets it
+        # while still starting up must neither die nor print a traceback.
+        # Each worker records its pid and sleeps in sitecustomize, before
+        # any dbkdom code runs, and gets SIGINT alone during that sleep;
+        # the main process sees two cores, so it starts two workers.
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        (tmp_path / "sitecustomize.py").write_text(
+            "import os, sys, time\n"
+            "if '--multiprocessing-fork' not in sys.orig_argv:\n"
+            "    os.cpu_count = lambda: 2\n"
+            "else:\n"
+            f"    open(os.path.join({str(pids)!r}, str(os.getpid())),"
+            " 'w').close()\n"
+            "    time.sleep(2)\n")
+        env = child_env()
+        env["PYTHONPATH"] = os.pathsep.join((str(tmp_path),
+                                             env["PYTHONPATH"]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dbkdom.cli", "sweep", "--family", "both",
+             "-n", "2..30", "-d", "2..3", "-k", "1..2", "--jobs", "2",
+             "--format", "json"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(pids.iterdir())) < 2:
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.02)
+            for pid in pids.iterdir():
+                os.kill(int(pid.name), signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert (proc.returncode, err) == (EXIT_OK, b"")
+        assert len(out.splitlines()) == 228
+
+    def test_sigint_during_the_starts_is_held_not_lost(self, monkeypatch):
+        # SIGINT is ignored while the workers start, so that they inherit
+        # that, and blocked, so a Ctrl-C then arrives once they are started
+        started = []
+
+        class FakeProcess:
+            def __init__(self, target, args, daemon):
+                pass
+
+            def start(self):
+                started.append(self)
+                os.kill(os.getpid(), signal.SIGINT)
+
+            def kill(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing.get_context("spawn"), "Process",
+                            FakeProcess)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rows = cli.sweep_rows(FAMILIES, range(2, 8), [2], [1],
+                              DEFAULT_LIMITS, jobs=2)
+        with pytest.raises(KeyboardInterrupt):
+            next(rows)
+        assert len(started) == 2
+
+    def test_parallel_sweep_off_the_main_thread(self):
+        # only the main thread may set a signal handler, so the workers
+        # start without the SIGINT guard there and the rows still match
+        serial = list(cli.sweep_rows(FAMILIES, range(2, 8), [2], [1],
+                                     DEFAULT_LIMITS))
+        rows = []
+        thread = threading.Thread(target=lambda: rows.extend(cli.sweep_rows(
+            FAMILIES, range(2, 8), [2], [1], DEFAULT_LIMITS, jobs=2)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        for row in serial + rows:
+            del row["ms"]
+        assert rows == serial
 
     def test_closed_pipe_exits_quietly(self):
         proc = subprocess.Popen(
@@ -719,6 +815,15 @@ class TestOutputPins:
         assert code == EXIT_INVALID  # both reports hold counterexamples
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "05f577893cb991c43a3cbe633456f61c294829412d6ad1d62fd243190cf567a2")
+
+    def test_problems_json_without_search(self):
+        # the default pin has no inconclusive row; here 35 de Bruijn and 91
+        # Kautz rows are, and no search runs, so both kernels give it
+        code, out, _ = run_cli("problems", "--format", "json",
+                               "--oracle-budget", "0")
+        assert code == EXIT_INVALID
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3641c5db4351055630c5fcc9dc3a75bcb5ba811f030a66592826379d7eee0491")
 
 
 # The console script pip writes for a [project.scripts] entry

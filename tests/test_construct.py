@@ -714,6 +714,11 @@ class TestScanStages:
             for g in default_envelope(family):
                 for k in range(1, 5):
                     result = classify(g, k)
+                    # the necessity report reads the gcd condition as this
+                    c = result.conditions
+                    if "congruence" in c:
+                        assert c["congruence"] == (c["gcd_divisibility"]
+                                                   or c["gcd_residue"])
                     if result.method in counts:
                         counts[result.method] += 1
                         assert result.nodes == 0
