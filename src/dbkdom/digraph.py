@@ -12,17 +12,23 @@ again a run.  ``run_image`` gives that image in closed form and
 ``run_layers`` iterates it.  ``set_out_neighborhood`` is the reference
 route: it expands every member of an arbitrary set and never consults the
 closed form, so tests check the two against each other.  It spreads every
-member v at once: it parses the membership bits in base 2**d (past int()'s
-base 36, the bits written to every d-th place of a zero bytearray and read
-in base 2), which puts v's bit at position d*v, multiplies by 2**d - 1 to
-fill the slots d*v .. d*v+d-1 of the arc formula, and folds that
-(d*n)-bit integer mod n in d chunks of n bits.  Each step is linear in n.
+member v at once, a byte of members at a time: d 256-entry tables, one per
+output byte, map a byte of the membership mask to the d bytes in which its
+members v own the slots d*v .. d*v+d-1 of the arc formula, and the d
+translated strings, interleaved, form the (d*n)-bit spread.  Up to
+n = ``SMALL_ORDER`` a table of 256 ints, one spread per byte, is cheaper.
+The spread is folded mod n by ORing its upper half of n-bit chunks onto its
+lower half until one chunk is left.  Each step is linear in d*n.
+
+``VertexSet`` lists a set of at most two runs, as every construction
+witness is, run by run, so that costs the runs rather than n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import lru_cache
+from itertools import chain, compress
 
 DEBRUIJN = "debruijn"
 KAUTZ = "kautz"
@@ -31,6 +37,7 @@ FAMILIES = (DEBRUIJN, KAUTZ)
 EXPORT_GUARD = 10 ** 7  # refuse to materialize more than this many arcs
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,13 @@ class VertexSet:
 
     @classmethod
     def from_members(cls, n: int, members) -> "VertexSet":
-        mask = 0
+        # one byte per vertex, 0 or 1; the constructor refuses n < 1
+        flags = bytearray(max(n, 1))
         for v in members:
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} out of range [0, {n})")
-            mask |= 1 << v
-        return cls(n, mask)
+            flags[v] = 1
+        return cls(n, int(flags[::-1].translate(_BIT_DIGITS), 2))
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and (self.mask >> v) & 1 == 1
@@ -88,9 +96,23 @@ class VertexSet:
         return self.mask.bit_count()
 
     def __iter__(self):
-        # one byte per vertex, lowest vertex first, each 0 or 1
-        flags = format(self.mask, "b").encode()[::-1].translate(_BIT_BYTES)
-        return compress(range(self.n), flags)
+        mask = self.mask
+        starts = mask & ~(mask << 1)  # the first member of each run
+        runs = starts.bit_count()
+        if runs > 2:
+            # one byte per vertex, lowest vertex first, each 0 or 1
+            flags = format(mask, "b").encode()[::-1].translate(_BIT_BYTES)
+            return compress(range(self.n), flags)
+        # every construction witness is one run, or two (a wrapped run, or
+        # a two-run cover)
+        if runs == 0:
+            return iter(())
+        ends = mask & ~(mask >> 1)  # the last member of each run
+        first = range((starts & -starts).bit_length() - 1,
+                      (ends & -ends).bit_length())
+        if runs == 1:
+            return iter(first)
+        return chain(first, range(starts.bit_length() - 1, mask.bit_length()))
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         if self.n != other.n:
@@ -141,34 +163,89 @@ def run_layers(g: GeneralizedDigraph, start: int, length: int,
     return layers
 
 
+# up to this order, spreading the members a byte at a time by one int table
+# beats d translations, by 0.1-2 us a call in process at d = 3..5 (at d = 2
+# the two are within 0.3 us); from about n = 128 on, the translations win
+SMALL_ORDER = 128
+
+
+def _or_table(parts) -> list[int]:
+    """The 256 entries b -> the OR of ``parts[t]`` over the bits t set in
+    the byte b."""
+    table = [0]
+    for part in parts:
+        table += [entry | part for entry in table]
+    return table
+
+
+@lru_cache(maxsize=32)
+def _byte_spreads(d: int, reflect: bool) -> tuple[int, ...]:
+    """Entry b is the filled spread of the byte b of members, in which
+    member t owns bits d*t .. d*t+d-1, or member 7-t with ``reflect``."""
+    parts = [((1 << d) - 1) << d * t for t in range(8)]
+    return tuple(_or_table(parts[::-1] if reflect else parts))
+
+
+@lru_cache(maxsize=32)
+def _spread_tables(d: int, reflect: bool) -> tuple[bytes, ...]:
+    """Table j maps a byte of members to byte j of its filled spread (see
+    ``_byte_spreads``), as a ``bytes.translate`` table.
+
+    Bytes whose slot patterns match share one table, so a large d builds
+    few.
+    """
+    shared = {}
+    tables = []
+    for j in range(d):
+        # bit p of byte j is spread bit 8*j+p, a slot of member (8*j+p) // d
+        parts = [0] * 8
+        for p in range(8):
+            parts[(8 * j + p) // d] |= 1 << p
+        key = tuple(parts[::-1] if reflect else parts)
+        if key not in shared:
+            shared[key] = bytes(_or_table(key))
+        tables.append(shared[key])
+    return tuple(tables)
+
+
 def set_out_neighborhood(g: GeneralizedDigraph, s: VertexSet) -> VertexSet:
     """Image of an arbitrary vertex set: the union of members' out-runs.
 
     This is the reference expansion route.  It never consults ``run_image``
-    above, so the two can be checked against each other.  Every member is
-    expanded from the de Bruijn arc formula x -> d*x + i; a Kautz
-    vertex v steps like the de Bruijn vertex n-1-v with slot d-i, so the
-    Kautz set is reflected first.
+    or ``run_layers`` above, so they can be checked against each other.
+    Every member v is expanded from the de Bruijn arc formula x -> d*x + i,
+    a byte of members at a time: its slots d*v .. d*v+d-1 are set by the
+    d translation tables of ``_spread_tables``, or up to ``SMALL_ORDER`` by
+    the int table of ``_byte_spreads``, and the (d*n)-bit spread is folded
+    mod n.  A Kautz vertex v steps like the de Bruijn vertex n-1-v with
+    slot d-i, so the Kautz set is reflected first: its bytes are read from
+    the other end, and every table reverses the bits of its byte.
     """
     if s.n != g.n:
         raise ValueError(f"ground set mismatch: {s.n} != {g.n}")
     n, d = g.n, g.d
-    bits = format(s.mask, f"0{n}b")  # vertex n-1 first
-    if g.family == KAUTZ:
-        bits = bits[::-1]
-    if 1 << d <= 36:  # int() accepts bases up to 36
-        spread = int(bits, 1 << d)
-    else:  # the same digits, d - 1 zeros apart, in base 2
-        buf = bytearray(b"0") * (d * n - d + 1)
-        buf[::d] = bits.encode()
-        spread = int(buf, 2)
-    spread *= (1 << d) - 1  # bit d*v -> bits d*v .. d*v + d - 1
-    full = (1 << n) - 1
-    mask = 0
-    while spread:
-        mask |= spread & full
-        spread >>= n
-    return VertexSet(n, mask)
+    size = (n + 7) >> 3
+    reflect = g.family == KAUTZ
+    if reflect:  # read from the top, vertex v is member n-1-v
+        members = (s.mask << (8 * size - n)).to_bytes(size, "big")
+    else:
+        members = s.mask.to_bytes(size, "little")
+    if n <= SMALL_ORDER:
+        spreads = _byte_spreads(d, reflect)
+        spread = 0
+        for byte in reversed(members):
+            spread = spread << 8 * d | spreads[byte]
+    else:
+        spread = bytearray(d * size)
+        for j, table in enumerate(_spread_tables(d, reflect)):
+            spread[j::d] = members.translate(table)
+        spread = int.from_bytes(spread, "little")  # drops the bytearray
+    chunks = d  # of n bits; the top one may be short
+    while chunks > 1:
+        chunks = (chunks + 1) >> 1
+        shift = chunks * n
+        spread = spread & ((1 << shift) - 1) | spread >> shift
+    return VertexSet(n, spread)
 
 
 def ball(g: GeneralizedDigraph, s: VertexSet, k: int) -> VertexSet:
@@ -179,14 +256,14 @@ def ball(g: GeneralizedDigraph, s: VertexSet, k: int) -> VertexSet:
     if s.n != g.n:
         raise ValueError(f"ground set mismatch: {s.n} != {g.n}")
     full = (1 << g.n) - 1
-    covered = s
+    covered = s.mask
     frontier = s
     for _ in range(k):
-        if covered.mask == full:
+        if covered == full:
             break
         frontier = set_out_neighborhood(g, frontier)
-        covered = covered | frontier
-    return covered
+        covered |= frontier.mask
+    return VertexSet(g.n, covered)
 
 
 def export_lines(g: GeneralizedDigraph, fmt: str = "edges"):

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_ball, naive_image, naive_out_neighbors
-from dbkdom.digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
-                            VertexSet, ball, export_lines, run_image,
-                            run_layers, set_out_neighborhood)
+from dbkdom.digraph import (DEBRUIJN, FAMILIES, KAUTZ, SMALL_ORDER,
+                            GeneralizedDigraph, VertexSet, ball,
+                            export_lines, run_image, run_layers,
+                            set_out_neighborhood)
 from dbkdom.modular import run_mask
 
 
@@ -62,10 +63,21 @@ class TestVertexSet:
         assert (a | VertexSet.from_members(5, [3])).members() == [0, 3]
 
     def test_member_range_checked(self):
-        with pytest.raises(ValueError):
-            VertexSet.from_members(5, [5])
-        with pytest.raises(ValueError):
-            VertexSet.from_members(5, [-1])
+        with pytest.raises(ValueError, match=r"vertex 5 out of range \[0, 5\)"):
+            VertexSet.from_members(5, [0, 5])
+        # a negative vertex is refused, never read as counted from the end
+        for v in (-1, -5, -6):
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                VertexSet.from_members(5, [1, v])
+        with pytest.raises(ValueError, match="ground set size"):
+            VertexSet.from_members(0, [])
+
+    def test_large_member_list(self):
+        n = 300_000
+        assert VertexSet.from_members(n, range(n)).mask == (1 << n) - 1
+        s = VertexSet.from_members(n, range(n - 1, -1, -3))
+        assert s.mask == int("100" * (n // 3), 2)
+        assert len(s) == n // 3
 
     @pytest.mark.parametrize("n", [1, 5, 64, 65, 1000])
     def test_mask_range_checked(self, n):
@@ -212,19 +224,40 @@ class TestSetImage:
         got = set_out_neighborhood(g, VertexSet.from_members(n, members))
         assert set(got.members()) == naive_image(family, n, d, members)
 
-    @pytest.mark.parametrize("d", range(2, 10))
+    @pytest.mark.parametrize("d", range(2, 18))
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_reference_across_word_edges(self, family, d):
-        # d >= 6 exceeds int()'s base limit and takes the binary spread;
-        # the orders straddle the 64-bit word edges
+        # every order mod 8 on both sides of SMALL_ORDER, where the int table
+        # gives way to the translation tables, and the 64-bit word edges;
+        # from d = 8 on one member's slots span whole bytes of the spread
         rng = random.Random(d)
-        for n in sorted({d, d + 1, 63, 64, 65, 127, 128, 129, 200}):
+        edges = range(SMALL_ORDER - 8, SMALL_ORDER + 9)
+        for n in sorted({d, d + 1, 63, 64, 65, 200, *edges}):
             g = GeneralizedDigraph(family=family, n=n, d=d)
             for members in _sample_sets(n, rng):
                 got = set_out_neighborhood(
                     g, VertexSet.from_members(n, members))
                 assert set(got) == naive_image(family, n, d, members), \
                     (n, sorted(members))
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_reference_at_large_degree(self, family):
+        rng = random.Random(40)
+        for d in range(18, 41):
+            for n in (d, d + 3, 2 * d + 5, 8 * d + 1):
+                g = GeneralizedDigraph(family, n, d)
+                for members in _sample_sets(n, rng):
+                    got = set_out_neighborhood(
+                        g, VertexSet.from_members(n, members))
+                    assert set(got) == naive_image(family, n, d, members), \
+                        (n, d, sorted(members))
+        n, d = 20_000, 1_000
+        g = GeneralizedDigraph(family, n, d)
+        for members in ({0}, {n - 1}, set(range(n - 30, n)) | {n // 3},
+                        set(rng.sample(range(n), 40))):
+            got = set_out_neighborhood(g, VertexSet.from_members(n, members))
+            assert set(got) == naive_image(family, n, d, members)
+        assert len(set_out_neighborhood(g, VertexSet(n, (1 << n) - 1))) == n
 
 
 def _sample_sets(n, rng):
@@ -248,6 +281,31 @@ class TestMembers:
             expected = [v for v in range(n) if (s.mask >> v) & 1]
             assert s.members() == expected
             assert list(iter(s)) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 63, 64, 65])
+    def test_runs(self, n):
+        # single runs, wrapped runs and two runs are listed run by run,
+        # three or more by the per-vertex scan
+        for start in range(n):
+            for length in range(n + 1):
+                for mask in (run_mask(start, length, n),
+                             run_mask(start, length, n)
+                             | run_mask(start + length + 1, 2, n),
+                             run_mask(start, length, n)
+                             | run_mask(start + length + 2, 1, n)
+                             | run_mask(start + length + 4, 3, n)):
+                    s = VertexSet(n, mask)
+                    expected = [v for v in range(n) if (mask >> v) & 1]
+                    assert s.members() == expected, (n, start, length)
+        assert VertexSet(n).members() == []
+        assert VertexSet(n, (1 << n) - 1).members() == list(range(n))
+
+    def test_one_run_at_large_order(self):
+        n = 10 ** 5
+        assert VertexSet(n, run_mask(n - 7, 20, n)).members() == \
+            [*range(13), *range(n - 7, n)]
+        assert VertexSet(n, run_mask(40_000, 3_000, n)).members() == \
+            list(range(40_000, 43_000))
 
 
 class TestBall:
