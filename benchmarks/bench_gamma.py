@@ -9,6 +9,12 @@ checkout holding this script.  Run from anywhere:
 
 Each row gives the fastest of the repeats and the row `gamma` printed.
 
+Process start hides the expansion at most orders, so the verify rows time
+``domination.verify`` in this process, on the witness each order's answer
+rests on: for each order, the de Bruijn congruence run (or the anchor run
+where none exists) and the Kautz prefix run of length ``upper``, at d=3,
+k=3, and one large-degree row, de Bruijn n = 10**5, d = 5000, k = 1.
+
 The stage rows time the two run scans of ``classify`` in this process at
 their worst case, where they find nothing and so try every candidate: the
 run scan on the first de Bruijn order from n on with no congruence run and
@@ -38,6 +44,7 @@ FAMILIES = ("debruijn", "kautz")
 ORDERS = [10 ** e for e in range(3, 8)]
 STAGE_ORDERS = [500, 1000, 2000, 5000, 10000]
 D, K = 3, 3
+LARGE_DEGREE = (10 ** 5, 5000, 1)  # (n, d, k) of the large-degree verify row
 
 
 def run_gamma(family: str, n: int) -> tuple[float, dict]:
@@ -55,9 +62,44 @@ def run_gamma(family: str, n: int) -> tuple[float, dict]:
     return elapsed, json.loads(proc.stdout)
 
 
+def verify_rows(repeat: int, max_n: int) -> list[dict]:
+    """Time of ``verify`` on each order's witness, in process."""
+    from dbkdom import construct
+    from dbkdom.digraph import GeneralizedDigraph
+    from dbkdom.domination import verify
+
+    def witness(g: GeneralizedDigraph, k: int):
+        if g.family == "kautz":
+            return "prefix", construct.build_prefix_cover(g, k)
+        run = construct.congruence_witness(g, k)
+        if run is not None:
+            return "congruence", run
+        return "anchor", construct.build_anchor_run(g, k)
+
+    cases = [(family, n, D, K) for family in FAMILIES for n in ORDERS]
+    cases.append(("debruijn", *LARGE_DEGREE))
+    rows = []
+    for family, n, d, k in cases:
+        if n > max_n:
+            continue
+        g = GeneralizedDigraph(family, n, d)
+        run, dset = witness(g, k)
+        times = []
+        for _ in range(repeat):
+            started = time.perf_counter()
+            cert = verify(g, dset, k)
+            times.append(time.perf_counter() - started)
+            if not cert.valid:
+                raise RuntimeError(f"{run} run failed verify: {g}, k={k}")
+        print(f"{family:<9} {n:>9} {d:>5} {k:>2}  {run:<10} {len(dset):>7} "
+              f"{min(times) * 1000:>9.3f} ms", flush=True)
+        rows.append({"family": family, "n": n, "d": d, "k": k, "run": run,
+                     "size": len(dset), "seconds": round(min(times), 6)})
+    return rows
+
+
 def stage_rows(repeat: int) -> list[dict]:
     """Worst-case time of the run scan and the two-run scan, in process."""
-    sys.path.insert(0, str(SRC))
     from dbkdom import construct
     from dbkdom.digraph import GeneralizedDigraph
     from dbkdom.domination import bounds
@@ -121,6 +163,12 @@ def main() -> None:
                          "method": row["method"], "gamma": row["gamma"],
                          "bracket": row["bracket"]})
 
+    sys.path.insert(0, str(SRC))  # the in-process rows import from here
+    print(f"\nverify in process, fastest of {args.repeat}")
+    print(f"{'family':<9} {'n':>9} {'d':>5} {'k':>2}  {'run':<10} "
+          f"{'size':>7} {'time':>12}")
+    verifies = verify_rows(args.repeat, args.max_n)
+
     print(f"\nworst-case run scans, d={D} k={K}, fastest of {args.repeat}")
     stages = stage_rows(args.repeat)
 
@@ -131,6 +179,7 @@ def main() -> None:
         "nproc": os.cpu_count(),
         "repeat": args.repeat,
         "rows": rows,
+        "verify": verifies,
         "stages": stages,
     }, indent=1) + "\n")
     print(f"\nwrote {OUT.name}")

@@ -12,13 +12,16 @@ again a run.  ``run_image`` gives that image in closed form and
 ``run_layers`` iterates it.  ``set_out_neighborhood`` is the reference
 route: it expands every member of an arbitrary set and never consults the
 closed form, so tests check the two against each other.  It spreads every
-member v at once, a byte of members at a time: d 256-entry tables, one per
-output byte, map a byte of the membership mask to the d bytes in which its
-members v own the slots d*v .. d*v+d-1 of the arc formula, and the d
-translated strings, interleaved, form the (d*n)-bit spread.  Up to
-n = ``SMALL_ORDER`` a table of 256 ints, one spread per byte, is cheaper.
-The spread is folded mod n by ORing its upper half of n-bit chunks onto its
-lower half until one chunk is left.  Each step is linear in d*n.
+member v at once, a byte of members at a time, over the span of bytes from
+the lowest member's to the highest's: d 256-entry tables, one per output
+byte, map a byte of the membership mask to the d bytes in which its members
+v own the slots d*v .. d*v+d-1 of the arc formula, and the d translated
+strings, interleaved, form the spread.  For a span of up to
+``SMALL_ORDER`` members a table of 256 ints, one spread per byte, is
+cheaper.  The spread is shifted into place and folded mod n by ORing its
+upper half of n-bit chunks onto its lower half until one chunk is left, so
+a call is linear in d times the span, plus the bits of its image, rather
+than in d*n: a run witness's ball costs about its own size.
 
 ``VertexSet`` lists a set of at most two runs, as every construction
 witness is, run by run, so that costs the runs rather than n.
@@ -163,9 +166,11 @@ def run_layers(g: GeneralizedDigraph, start: int, length: int,
     return layers
 
 
-# up to this order, spreading the members a byte at a time by one int table
-# beats d translations, by 0.1-2 us a call in process at d = 3..5 (at d = 2
-# the two are within 0.3 us); from about n = 128 on, the translations win
+# up to a span of this many members (SMALL_ORDER // 8 bytes, from the
+# lowest member's byte to the highest's), spreading them a byte at a time by
+# one int table beats d translations, by 0.1-2 us a call in process at
+# d = 3..5 (at d = 2 the two are within 0.3 us); from a span of about 128
+# members on, the translations win
 SMALL_ORDER = 128
 
 
@@ -214,33 +219,58 @@ def set_out_neighborhood(g: GeneralizedDigraph, s: VertexSet) -> VertexSet:
     This is the reference expansion route.  It never consults ``run_image``
     or ``run_layers`` above, so they can be checked against each other.
     Every member v is expanded from the de Bruijn arc formula x -> d*x + i,
-    a byte of members at a time: its slots d*v .. d*v+d-1 are set by the
-    d translation tables of ``_spread_tables``, or up to ``SMALL_ORDER`` by
-    the int table of ``_byte_spreads``, and the (d*n)-bit spread is folded
-    mod n.  A Kautz vertex v steps like the de Bruijn vertex n-1-v with
-    slot d-i, so the Kautz set is reflected first: its bytes are read from
-    the other end, and every table reverses the bits of its byte.
+    a byte of members at a time, over the span of bytes from the lowest
+    member's to the highest's: its slots d*v .. d*v+d-1 are set by the d
+    translation tables of ``_spread_tables``, or for a span of at most
+    ``SMALL_ORDER`` members by the int table of ``_byte_spreads``.  The
+    spread of the span is shifted into place, member 8*lo at slot
+    d*8*lo mod n, and folded mod n, so a call costs the span rather than
+    n.  A Kautz vertex v steps like the de Bruijn vertex n-1-v with slot
+    d-i, so the Kautz set is reflected first: its bytes are read from the
+    other end, and every table reverses the bits of its byte.
     """
     if s.n != g.n:
         raise ValueError(f"ground set mismatch: {s.n} != {g.n}")
-    n, d = g.n, g.d
-    size = (n + 7) >> 3
+    n, d, mask = g.n, g.d, s.mask
+    if not mask:
+        return s
     reflect = g.family == KAUTZ
+    # the span is the member bytes lo .. hi-1; a set holding a vertex under
+    # 8 takes the byte of vertex 0 as its first (or, reflected, last) byte,
+    # which spares the search for its lowest vertex
     if reflect:  # read from the top, vertex v is member n-1-v
-        members = (s.mask << (8 * size - n)).to_bytes(size, "big")
+        lo = (n - mask.bit_length()) >> 3
+        # vertex n-8*hi, member 8*hi-1, ends the span
+        if mask & 255:
+            hi = (n + 7) >> 3
+            span = mask << 8 * hi - n
+        else:  # the lowest vertex is 8 or more, so n-8*hi is 1 or more
+            hi = ((n - (mask & -mask).bit_length()) >> 3) + 1
+            span = mask >> n - 8 * hi
+        width = hi - lo
+        members = span.to_bytes(width, "big")
     else:
-        members = s.mask.to_bytes(size, "little")
-    if n <= SMALL_ORDER:
+        if mask & 255:
+            lo, span = 0, mask
+        else:
+            lo = ((mask & -mask).bit_length() - 1) >> 3
+            span = mask >> 8 * lo
+        width = ((mask.bit_length() + 7) >> 3) - lo
+        members = span.to_bytes(width, "little")
+    if width <= SMALL_ORDER >> 3:
         spreads = _byte_spreads(d, reflect)
+        step = 8 * d
         spread = 0
         for byte in reversed(members):
-            spread = spread << 8 * d | spreads[byte]
+            spread = spread << step | spreads[byte]
     else:
-        spread = bytearray(d * size)
+        spread = bytearray(d * width)
         for j, table in enumerate(_spread_tables(d, reflect)):
             spread[j::d] = members.translate(table)
         spread = int.from_bytes(spread, "little")  # drops the bytearray
-    chunks = d  # of n bits; the top one may be short
+    if lo:  # member 8*lo owns slot d*8*lo
+        spread <<= 8 * d * lo % n
+    chunks = -(-spread.bit_length() // n)  # of n bits; the top may be short
     while chunks > 1:
         chunks = (chunks + 1) >> 1
         shift = chunks * n

@@ -2,6 +2,7 @@
 expansion."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -259,10 +260,47 @@ class TestSetImage:
             assert set(got) == naive_image(family, n, d, members)
         assert len(set_out_neighborhood(g, VertexSet(n, (1 << n) - 1))) == n
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_cluster_slides_across_every_byte(self, family):
+        # {v, v+1, v+w} for every start v: the span of member bytes starts
+        # and ends at every byte offset in either reading of the mask, at
+        # every n mod 8; w = SMALL_ORDER - 1 puts the span at 16 or 17
+        # bytes, on either side of the switch to the translation tables
+        for n in (*range(200, 208), *range(1000, 1008)):
+            for d in (2, 5):
+                g = GeneralizedDigraph(family, n, d)
+                for w in (2, SMALL_ORDER - 1):
+                    for v in range(n):
+                        members = {v, (v + 1) % n, (v + w) % n}
+                        got = set_out_neighborhood(
+                            g, VertexSet.from_members(n, members))
+                        assert set(got) == naive_image(family, n, d,
+                                                       members), (n, d, v, w)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_sparse_set_costs_its_span(self, family):
+        # a cluster anywhere in a large order allocates a few masks of n
+        # bits, under n bytes, not the d*n/8 = 125*n bytes of a spread over
+        # every byte of the mask
+        n, d = 100_000, 1_000
+        g = GeneralizedDigraph(family, n, d)
+        set_out_neighborhood(g, VertexSet(n, 1))  # builds the int table
+        for members in ({n - 9, n - 5, n - 1}, {n // 2, n // 2 + 3}, {7, 8}):
+            s = VertexSet.from_members(n, members)
+            tracemalloc.start()
+            try:
+                got = set_out_neighborhood(g, s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert set(got) == naive_image(family, n, d, members)
+            assert peak < n, (sorted(members), peak)
+
 
 def _sample_sets(n, rng):
-    """Empty, full, the end singletons, a random singleton and random sets
-    of a few densities, over the ground set range(n)."""
+    """Empty, full, the end singletons, a random singleton, random sets of
+    a few densities, a run at a random offset, a cluster inside the top two
+    bytes and a wrapped run, over the ground set range(n)."""
     yield set()
     yield set(range(n))
     yield {0}
@@ -270,6 +308,13 @@ def _sample_sets(n, rng):
     yield {rng.randrange(n)}
     for density in (0.05, 0.3, 0.7):
         yield {v for v in range(n) if rng.random() < density}
+    start = rng.randrange(n)
+    yield set(range(start, min(n, start + rng.randint(1, 40))))
+    top = range(max(0, 8 * (((n + 7) >> 3) - 2)), n)
+    yield set(rng.sample(top, min(3, len(top))))
+    start = n - rng.randint(1, min(n, 20))
+    length = min(n, n - start + rng.randint(1, 20))
+    yield {(start + t) % n for t in range(length)}
 
 
 class TestMembers:
