@@ -92,9 +92,6 @@ class VertexSet:
             flags[v] = 1
         return cls(n, int(flags[::-1].translate(_BIT_DIGITS), 2))
 
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.mask >> v) & 1 == 1
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -117,20 +114,9 @@ class VertexSet:
             return iter(first)
         return chain(first, range(starts.bit_length() - 1, mask.bit_length()))
 
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        if self.n != other.n:
-            raise ValueError("ground set mismatch")
-        return VertexSet(self.n, self.mask | other.mask)
-
     def members(self) -> list[int]:
         """Members in ascending order."""
         return list(self)
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.n, self.mask ^ ((1 << self.n) - 1))
-
-    def is_empty(self) -> bool:
-        return self.mask == 0
 
 
 def run_image(g: GeneralizedDigraph, start: int,
@@ -280,16 +266,20 @@ def set_out_neighborhood(g: GeneralizedDigraph, s: VertexSet) -> VertexSet:
 
 def ball(g: GeneralizedDigraph, s: VertexSet, k: int) -> VertexSet:
     """Union of the 0-th through k-th out-neighborhoods of ``s``: every
-    vertex reachable from ``s`` by a directed walk of length <= k."""
+    vertex reachable from ``s`` by a directed walk of length <= k.
+
+    Expansion stops once every vertex is covered, which a non-empty set
+    reaches within ceil(log_d n) layers; the empty set reaches nothing, so
+    it returns at once whatever k is.
+    """
     if k < 0:
         raise ValueError(f"radius must be >= 0, got {k}")
     if s.n != g.n:
         raise ValueError(f"ground set mismatch: {s.n} != {g.n}")
-    full = (1 << g.n) - 1
     covered = s.mask
     frontier = s
-    for _ in range(k):
-        if covered == full:
+    for _ in range(k if covered else 0):
+        if covered.bit_count() == g.n:
             break
         frontier = set_out_neighborhood(g, frontier)
         covered |= frontier.mask

@@ -3,8 +3,9 @@
 A set D is a distance-k dominating set when every vertex lies in the union
 of the 0-th through k-th out-neighborhoods of D.  ``verify`` is the referee
 for every construction and oracle answer in this package: it recomputes the
-ball by plain set expansion and reports the uncovered vertices, so a valid
-certificate can always be rechecked independently of how the set was found.
+ball by plain set expansion and keeps it as the certificate's ``covered``
+set, so a valid certificate can always be rechecked independently of how
+the set was found.
 """
 
 from __future__ import annotations
@@ -17,16 +18,23 @@ from .modular import ceil_div, geometric_sum
 
 @dataclass(frozen=True)
 class DominationCertificate:
-    """Outcome of checking one candidate set at one radius."""
+    """Outcome of checking one candidate set at one radius: ``covered`` is
+    the radius-k ball of ``dset``, and ``valid`` and ``uncovered`` are
+    derived from it."""
 
     graph: GeneralizedDigraph
     dset: VertexSet
     k: int
-    uncovered: VertexSet
+    covered: VertexSet
 
     @property
     def valid(self) -> bool:
-        return self.uncovered.is_empty()
+        return len(self.covered) == self.graph.n
+
+    @property
+    def uncovered(self) -> VertexSet:
+        n = self.graph.n
+        return VertexSet(n, self.covered.mask ^ ((1 << n) - 1))
 
     def to_dict(self) -> dict:
         return {
@@ -56,12 +64,12 @@ def verify(g: GeneralizedDigraph, dset: VertexSet,
            k: int) -> DominationCertificate:
     """Check whether ``dset`` distance-k dominates ``g``.
 
-    Always returns a certificate; an invalid one carries the exact uncovered
-    set so a failure is reproducible.  ``ball`` refuses a negative radius
-    and a set of another order.
+    Always returns a certificate holding the ball it checked, so an invalid
+    one names the exact uncovered set and a failure is reproducible.
+    ``ball`` refuses a negative radius and a set of another order.
     """
-    uncovered = ball(g, dset, k).complement()
-    return DominationCertificate(graph=g, dset=dset, k=k, uncovered=uncovered)
+    return DominationCertificate(graph=g, dset=dset, k=k,
+                                 covered=ball(g, dset, k))
 
 
 def bounds(g: GeneralizedDigraph, k: int) -> Bounds:

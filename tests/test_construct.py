@@ -91,7 +91,7 @@ def run_set(n, start, length):
 def rejecting_verify(g, dset, k):
     """verify, but reporting vertex 0 uncovered whatever the set."""
     return DominationCertificate(graph=g, dset=dset, k=k,
-                                 uncovered=VertexSet(g.n, 1))
+                                 covered=VertexSet(g.n, (1 << g.n) - 2))
 
 
 def wide_envelope():
@@ -681,9 +681,10 @@ class TestTwoRunCover:
                     for size in (lower, lower + 1):
                         want = None
                         for m1, start in two_run_candidates(n, d, size):
-                            cover = run_set(n, 0, m1) if m1 else VertexSet(n)
+                            mask = run_mask(0, m1, n) if m1 else 0
                             if start is not None:
-                                cover |= run_set(n, start, size - m1)
+                                mask |= run_mask(start, size - m1, n)
+                            cover = VertexSet(n, mask)
                             if verify(g, cover, k).valid:
                                 want = cover
                                 break

@@ -21,7 +21,8 @@ class TestVerify:
         g = GeneralizedDigraph.kautz(7, 2)
         cert = verify(g, VertexSet.from_members(7, [0, 1]), 2)
         assert cert.valid
-        assert cert.uncovered.is_empty()
+        assert cert.covered.mask == (1 << 7) - 1
+        assert cert.uncovered.mask == 0
 
     def test_whole_vertex_set_always_valid(self):
         for k in (0, 1, 3):
@@ -40,6 +41,14 @@ class TestVerify:
         cert = verify(g, VertexSet(5), 2)
         assert not cert.valid
         assert cert.uncovered.mask == (1 << 5) - 1
+
+    def test_empty_set_returns_at_once(self):
+        # nothing to expand, so a huge radius costs no layers
+        g = GeneralizedDigraph.debruijn(10, 2)
+        cert = verify(g, VertexSet(10), 10 ** 9)
+        assert not cert.valid
+        assert cert.covered.mask == 0
+        assert cert.uncovered.members() == list(range(10))
 
     def test_radius_zero(self):
         g = GeneralizedDigraph.debruijn(6, 2)
@@ -61,6 +70,8 @@ class TestVerify:
         g = GeneralizedDigraph(family=family, n=n, d=d)
         cert = verify(g, VertexSet.from_members(n, members), k)
         covered = naive_ball(family, n, d, set(members), k)
+        assert set(cert.covered.members()) == covered
+        assert cert.valid == (cert.covered.mask == (1 << n) - 1)
         assert cert.valid == (len(covered) == n)
         assert set(cert.uncovered.members()) == set(range(n)) - covered
 
@@ -74,12 +85,14 @@ class TestVerify:
         dset = VertexSet.from_members(n, members)
         cert = verify(g, dset, k)
         # adding every uncovered vertex completes coverage
-        assert verify(g, dset | cert.uncovered, k).valid
+        completed = VertexSet(n, dset.mask | cert.uncovered.mask)
+        assert verify(g, completed, k).valid
         if cert.valid:
             # valid stays valid for bigger radius and bigger set
             assert verify(g, dset, k + 1).valid
             extra = data.draw(st.sets(st.integers(0, n - 1)))
-            assert verify(g, dset | VertexSet.from_members(n, extra), k).valid
+            more = dset.mask | VertexSet.from_members(n, extra).mask
+            assert verify(g, VertexSet(n, more), k).valid
 
 
 class TestBounds:
