@@ -1,10 +1,10 @@
 /* Compiled cover-search kernel.
  *
  * Returns what _cover_py returns: identical tables (balls, coverers,
- * max_ball) and, for every search, the identical (status, witness, nodes),
- * from the same branching order, prunings (counting bound, root reflection,
- * last pick) and node accounting.  How each
- * step is computed is each kernel's own; the parity tests pin the outputs.
+ * max_ball), built by the same rule, the layer runs of each vertex, and,
+ * for every search, the identical (status, witness, nodes), from the same
+ * branching order, prunings (counting bound, root reflection, last pick)
+ * and node accounting.  The parity tests pin the outputs.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
  * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat).
@@ -49,45 +49,43 @@ typedef struct {
     int found_len;
 } Search;
 
-/* Radius-k balls, breadth-first by distance.  The row doubles as the seen
- * set, so each vertex is enqueued at most once and qlen is the ball size.
+/* Radius-k balls from layer runs, as _cover_py.KernelTable._spans builds
+ * them: layer 0 is the run [v, v+1) and each layer the image run of the one
+ * before, [d*s, d*s + d*m) de Bruijn, [-d*(s+m), -d*s) Kautz, mod n, until
+ * layer k or the first layer of n or more vertices, which is the whole
+ * ring.  Each vertex is set once and counted in cov_idx as it is set.
  * Returns the total of all ball sizes. */
-static Py_ssize_t build_balls(KernelTable *t, Py_ssize_t *queue)
+static Py_ssize_t build_balls(KernelTable *t)
 {
-    int n = t->n, d = t->d, words = t->words;
+    int64_t n = t->n, d = t->d;  /* d * (s + m) < 2n * n: no overflow */
     Py_ssize_t total = 0;
     for (int v = 0; v < n; v++) {
-        uint64_t *row = t->balls + (size_t)v * words;
-        int head = 0, qlen = 1;
-        queue[0] = v;
-        row[v >> 6] |= BIT(v);
-        for (int step = 0; step < t->k && head < qlen; step++) {
-            int tail = qlen;
-            while (head < tail) {
-                int64_t u = queue[head++], base;
-                if (t->family == DEBRUIJN) {
-                    base = (d * u) % n;
-                } else {
-                    base = (-d * u - d) % n;
-                    if (base < 0)
-                        base += n;
+        uint64_t *row = t->balls + (size_t)v * t->words;
+        int64_t start = v, len = 1;
+        int size = 0;
+        for (int layer = 0;; layer++) {
+            if (len >= n)
+                start = 0, len = n;
+            for (int64_t i = 0, y = start; i < len; i++) {
+                if (!(row[y >> 6] & BIT(y))) {
+                    row[y >> 6] |= BIT(y);
+                    t->cov_idx[y + 1]++;
+                    size++;
                 }
-                for (int i = 0; i < d; i++) {
-                    int y = (int)base + i;  /* < 2n because d <= n */
-                    if (y >= n)
-                        y -= n;
-                    if (!(row[y >> 6] & BIT(y))) {
-                        row[y >> 6] |= BIT(y);
-                        queue[qlen++] = y;
-                    }
-                }
+                if (++y == n)
+                    y = 0;
             }
+            if (len == n || layer == t->k)
+                break;
+            start = (t->family == DEBRUIJN ? d * start
+                                           : -d * (start + len)) % n;
+            if (start < 0)
+                start += n;
+            len *= d;
         }
-        for (int q = 0; q < qlen; q++)
-            t->cov_idx[queue[q] + 1]++;
-        if (qlen > t->max_ball)
-            t->max_ball = qlen;
-        total += qlen;
+        if (size > t->max_ball)
+            t->max_ball = size;
+        total += size;
     }
     return total;
 }
@@ -128,8 +126,8 @@ static PyObject *KernelTable_new(PyTypeObject *type, PyObject *args,
     if (family != DEBRUIJN && family != KAUTZ)
         return PyErr_Format(PyExc_ValueError, "unknown family code %d",
                             family);
-    if (n < 1 || d < 1 || k < 0)
-        return PyErr_Format(PyExc_ValueError, "need n >= 1, d >= 1, k >= 0");
+    if (n < 1 || d < 2 || k < 0)
+        return PyErr_Format(PyExc_ValueError, "need n >= 1, d >= 2, k >= 0");
     if (d > n)
         return PyErr_Format(PyExc_ValueError,
                             "need d <= n, got n=%d, d=%d", n, d);
@@ -141,16 +139,15 @@ static PyObject *KernelTable_new(PyTypeObject *type, PyObject *args,
     self->d = d;
     self->k = k;
     self->words = (n + 63) >> 6;
-    Py_ssize_t *scratch = malloc((size_t)n * sizeof(Py_ssize_t));
+    Py_ssize_t *cursor = malloc((size_t)n * sizeof(Py_ssize_t));
     self->balls = calloc((size_t)n * self->words, sizeof(uint64_t));
     self->cov_idx = calloc((size_t)n + 1, sizeof(Py_ssize_t));
-    if (scratch != NULL && self->balls != NULL && self->cov_idx != NULL) {
-        self->cov_dat = malloc((size_t)build_balls(self, scratch)
-                               * sizeof(int32_t));
+    if (cursor != NULL && self->balls != NULL && self->cov_idx != NULL) {
+        self->cov_dat = malloc((size_t)build_balls(self) * sizeof(int32_t));
         if (self->cov_dat != NULL)
-            build_coverers(self, scratch);
+            build_coverers(self, cursor);
     }
-    free(scratch);
+    free(cursor);
     if (self->cov_dat == NULL) {
         Py_DECREF(self);
         return PyErr_NoMemory();

@@ -5,8 +5,8 @@ digraph and runs an exhaustive branch and bound search for a dominating set
 of a given size.  The compiled kernel in _cover_ext returns the same tables
 (balls, coverers, max_ball) and, for every search, the same (status,
 witness, nodes): the same branching order, prunings and node accounting.
-How each step is computed is each kernel's own affair; the outputs are the
-contract, and the parity tests pin them.
+Both build each ball by one rule, from the layer runs of its vertex (see
+``KernelTable._spans``); the parity tests pin the outputs.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ class KernelTable:
     def __init__(self, family: int, n: int, d: int, k: int):
         if family not in (DEBRUIJN, KAUTZ):
             raise ValueError(f"unknown family code {family}")
-        if n < 1 or d < 1 or k < 0:
-            raise ValueError("need n >= 1, d >= 1, k >= 0")
+        # a d = 1 layer run never grows, so _spans would take k + 1 steps
+        if n < 1 or d < 2 or k < 0:
+            raise ValueError("need n >= 1, d >= 2, k >= 0")
         if d > n:
-            # kept in step with the compiled kernel, which needs d <= n
             raise ValueError(f"need d <= n, got n={n}, d={d}")
         self.family = family
         self.n = n

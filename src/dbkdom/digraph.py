@@ -143,6 +143,8 @@ def run_layers(g: GeneralizedDigraph, start: int, length: int,
                k: int) -> list[tuple[int, int]]:
     """The 0-th through k-th images of a non-empty run, as (start, length)
     runs, stopping at the first full one."""
+    if length < 1:
+        raise ValueError(f"run length must be >= 1, got {length}")
     layers = [(start, length)]
     for _ in range(k):
         if length >= g.n:

@@ -1,11 +1,13 @@
-"""Test-only reference for the pure search kernel.
+"""Test-only reference for the search kernels.
 
 The straightforward form of what ``_cover_py.KernelTable`` computes: balls
 by breadth-first expansion from the arc formulas, coverers as the transpose
 of the ball table, and a recursive search that makes every node a call of
-its own.  The kernel builds its tables from layer runs and tests leaf
-children in place; both must give the same tables, and the kernel must
-give the same (status, witness, nodes) as this search with ``pruned=True``.
+its own.  Both kernels build their tables from layer runs, so breadth-first
+balls live only here, as the reference for both: the pure kernel must give
+this table, and the compiled kernel the pure kernel's.  The pure kernel
+tests leaf children in place, and must give the same (status, witness,
+nodes) as this search with ``pruned=True``.
 
 ``pruned=False`` is the search without the kernel's two prunings (root
 reflection and the last-pick test): wherever it decides, the pruned

@@ -147,6 +147,14 @@ class TestIthImage:
         g = GeneralizedDigraph.kautz(9, 2)
         assert run_layers(g, 3, 3, 0) == [(3, 3)]
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_empty_run_rejected(self, length):
+        # a run of no vertices never grows, so its layers would not stop
+        # before the k-th
+        g = GeneralizedDigraph.debruijn(10, 2)
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            run_layers(g, 0, length, 10**6)
+
     def test_singleton_two_steps(self):
         g = GeneralizedDigraph.debruijn(40, 3)
         for x in range(40):

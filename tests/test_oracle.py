@@ -279,6 +279,27 @@ class TestKernelParity:
         with pytest.raises(ValueError, match="d <= n"):
             kernel.KernelTable(*args)
 
+    def test_degree_one_rejected(self, kernel):
+        # as GeneralizedDigraph: a d = 1 layer run never grows, so the walk
+        # would take k + 1 steps per vertex
+        with pytest.raises(ValueError, match="d >= 2"):
+            kernel.KernelTable(0, 10, 1, 10**7)
+
+    @pytest.mark.parametrize("f", [0, 1])
+    @pytest.mark.parametrize("n, d", [(129, 2), (1000, 3), (64, 64)])
+    def test_largest_radius_tables_identical(self, compiled, f, n, d):
+        # k = 2**31 - 1 is the largest radius the compiled kernel parses;
+        # the walk stops at the first layer of n vertices, so both kernels
+        # build at once and every ball is the whole ring
+        k = 2**31 - 1
+        pure = _cover_py.KernelTable(f, n, d, k)
+        fast = compiled.KernelTable(f, n, d, k)
+        assert pure.max_ball == fast.max_ball == n
+        for v in range(n):
+            assert pure.ball_mask(v) == fast.ball_mask(v) == (1 << n) - 1
+            assert pure.coverer_list(v) == list(fast.coverer_list(v)) \
+                == list(range(n))
+
     @pytest.mark.parametrize("budget", [2**70, -2**70])
     def test_budget_past_64_bits_is_no_budget(self, kernel, budget):
         # above 2**63 nodes the count is never reached; a negative budget
