@@ -7,6 +7,10 @@ must also agree on the tables and on each search's (status, witness), but
 not on its node count, so a change to the search's prunings can be timed
 against its parent; each checkout's nodes are printed.  Each case builds
 one coverage table and, unless it is table-only, runs one search on it.
+A table-only case reports the build, and the build plus one
+``coverer_list`` of every vertex: the pure kernel builds a coverer list
+the first time it is read, so only the second timing does the same work
+in both kernels.  Each table is freed before the next build.
 
     python benchmarks/bench_kernel.py [--repeat N] [--src LABEL=DIR ...]
 
@@ -22,12 +26,14 @@ checkout.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
 import platform
 import sysconfig
 import time
+from array import array
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,20 +77,29 @@ def load_kernels(src: Path) -> list:
     return modules
 
 
-def run_once(module, case):
-    """Build and search seconds, the table and the search outcome as
-    (status, witness list, nodes), or None for a table-only case."""
+def run_once(module, case, check: bool):
+    """Build one table and time it, then time its search, or for a
+    table-only case one ``coverer_list`` of every vertex: (build seconds,
+    seconds after the build, the table's digest when ``check``, the search
+    outcome as (status, witness list, nodes) or None).  The table is gone
+    when this returns, so no build runs beside an earlier case's table."""
     _, code, n, d, k, size = case
     family = module.DEBRUIJN if code == 0 else module.KAUTZ
     started = time.perf_counter()
     table = module.KernelTable(family, n, d, k)
     built = time.perf_counter()
-    outcome = None if size is None else table.search(size)
-    searched = time.perf_counter()
+    if size is None:
+        outcome = None
+        for v in range(n):
+            table.coverer_list(v)
+    else:
+        outcome = table.search(size)
+    finished = time.perf_counter()
     if outcome is not None:
         status, witness, nodes = outcome
         outcome = (status, None if witness is None else list(witness), nodes)
-    return built - started, searched - built, table, outcome
+    return (built - started, finished - built,
+            digest(table, n) if check else None, outcome)
 
 
 def answer(outcome):
@@ -92,11 +107,15 @@ def answer(outcome):
     return None if outcome is None else outcome[:2]
 
 
-def same_table(a, b, n: int) -> bool:
-    return a.max_ball == b.max_ball and all(
-        a.ball_mask(v) == b.ball_mask(v)
-        and list(a.coverer_list(v)) == list(b.coverer_list(v))
-        for v in range(n))
+def digest(table, n: int) -> str:
+    """Hash of max_ball, every ball and every coverer list: equal tables
+    give equal digests, and no copy of a large table is kept."""
+    h = hashlib.sha256(str(table.max_ball).encode())
+    for v in range(n):
+        h.update(table.ball_mask(v).to_bytes((n + 7) // 8, "little"))
+        h.update(array("i", table.coverer_list(v)).tobytes())
+        h.update(b";")
+    return h.hexdigest()
 
 
 def main() -> None:
@@ -114,44 +133,50 @@ def main() -> None:
         runs[label] = load_kernels(Path(directory))
 
     header = (f"{'case':42} {'run':>14} {'kernel':>8} {'build':>10} "
-              f"{'search':>10} {'nodes':>7}")
+              f"{'search':>10} {'+lists':>10} {'nodes':>7}")
     print(header)
     print("-" * len(header))
     rows = {label: [] for label in runs}
     for case in CASES:
         label, n, size = case[0], case[2], case[5]
-        builds, searches = {}, {}
-        first_table = None  # every table must match it
+        builds, totals, searches = {}, {}, {}
+        first_digest = None  # every table must match it
         outcomes = {}  # each run's first outcome
         for repeat in range(args.repeat):
             for run, modules in runs.items():
                 for module in modules:
                     key = (run, module.BACKEND)
-                    build, search, table, outcome = run_once(module, case)
+                    build, after, fingerprint, outcome = run_once(
+                        module, case, check=repeat == 0)
                     builds[key] = min(builds.get(key, build), build)
-                    searches[key] = min(searches.get(key, search), search)
-                    if first_table is None:
-                        first_table = table
+                    totals[key] = min(totals.get(key, build + after),
+                                      build + after)
+                    searches[key] = min(searches.get(key, after), after)
+                    first_digest = first_digest or fingerprint
                     ours = outcomes.setdefault(run, outcome)
                     first = next(iter(outcomes.values()))
                     if outcome != ours or answer(outcome) != answer(first) or (
-                            repeat == 0
-                            and not same_table(table, first_table, n)):
+                            repeat == 0 and fingerprint != first_digest):
                         raise SystemExit(f"{run} {module.BACKEND} kernel "
                                          f"differs on {label}")
         for (run, backend), build in builds.items():
-            search = None if size is None else searches[run, backend]
-            nodes = None if size is None else outcomes[run][2]
+            table_only = size is None
+            search = None if table_only else searches[run, backend]
+            total = totals[run, backend] if table_only else None
+            nodes = None if table_only else outcomes[run][2]
             rows[run].append({
                 "case": label, "kernel": backend,
                 "build_ms": round(build * 1000, 3),
                 "search_ms": None if search is None
                 else round(search * 1000, 3),
+                "build_and_lists_ms": None if total is None
+                else round(total * 1000, 3),
                 "nodes": nodes})
             search_text = "-" if search is None else f"{search * 1000:.2f}ms"
+            total_text = "-" if total is None else f"{total * 1000:.2f}ms"
             print(f"{label:42} {run:>14} {backend:>8} {build * 1000:8.2f}ms "
-                  f"{search_text:>10} {'-' if nodes is None else nodes:>7}",
-                  flush=True)
+                  f"{search_text:>10} {total_text:>10} "
+                  f"{'-' if nodes is None else nodes:>7}", flush=True)
 
     OUT.write_text(json.dumps({
         "script": "benchmarks/bench_kernel.py",

@@ -49,39 +49,50 @@ typedef struct {
     int found_len;
 } Search;
 
-/* Radius-k balls from layer runs, as _cover_py.KernelTable._spans builds
+/* Layer runs of v, as _cover_py.KernelTable._balls builds balls from
  * them: layer 0 is the run [v, v+1) and each layer the image run of the one
  * before, [d*s, d*s + d*m) de Bruijn, [-d*(s+m), -d*s) Kautz, mod n, until
  * layer k or the first layer of n or more vertices, which is the whole
- * ring.  Each vertex is set once and counted in cov_idx as it is set.
- * Returns the total of all ball sizes. */
+ * ring.  Fills start[] and len[] and returns the number of runs: a run
+ * grows d >= 2 times a layer, so n < 2**31 allows at most 33. */
+#define MAX_RUNS 33
+static int layer_runs(const KernelTable *t, int v, int64_t *start,
+                      int64_t *len)
+{
+    int64_t n = t->n, d = t->d, s = v, m = 1;  /* d * (s + m) < 2n * n */
+    for (int layer = 0;; layer++) {
+        if (m >= n)
+            s = 0, m = n;
+        start[layer] = s;
+        len[layer] = m;
+        if (m == n || layer == t->k)
+            return layer + 1;
+        s = (t->family == DEBRUIJN ? d * s : -d * (s + m)) % n;
+        if (s < 0)
+            s += n;
+        m *= d;
+    }
+}
+
+/* Radius-k balls from layer runs.  Each vertex is set once and counted in
+ * cov_idx as it is set.  Returns the total of all ball sizes. */
 static Py_ssize_t build_balls(KernelTable *t)
 {
-    int64_t n = t->n, d = t->d;  /* d * (s + m) < 2n * n: no overflow */
+    int64_t start[MAX_RUNS], len[MAX_RUNS];
     Py_ssize_t total = 0;
-    for (int v = 0; v < n; v++) {
+    for (int v = 0; v < t->n; v++) {
         uint64_t *row = t->balls + (size_t)v * t->words;
-        int64_t start = v, len = 1;
-        int size = 0;
-        for (int layer = 0;; layer++) {
-            if (len >= n)
-                start = 0, len = n;
-            for (int64_t i = 0, y = start; i < len; i++) {
+        int runs = layer_runs(t, v, start, len), size = 0;
+        for (int r = 0; r < runs; r++) {
+            for (int64_t i = 0, y = start[r]; i < len[r]; i++) {
                 if (!(row[y >> 6] & BIT(y))) {
                     row[y >> 6] |= BIT(y);
                     t->cov_idx[y + 1]++;
                     size++;
                 }
-                if (++y == n)
+                if (++y == t->n)
                     y = 0;
             }
-            if (len == n || layer == t->k)
-                break;
-            start = (t->family == DEBRUIJN ? d * start
-                                           : -d * (start + len)) % n;
-            if (start < 0)
-                start += n;
-            len *= d;
         }
         if (size > t->max_ball)
             t->max_ball = size;
@@ -91,19 +102,27 @@ static Py_ssize_t build_balls(KernelTable *t)
 }
 
 /* Transpose of the ball table, from the per-vertex counts build_balls left
- * in cov_idx: the coverers of v are the u with v in ball(u), ascending
- * because u ascends. */
+ * in cov_idx: the layer runs are walked again with u ascending, so the
+ * coverers of v come out ascending, and the last coverer written for v is
+ * its stamp: v met twice in ball(u) is written once. */
 static void build_coverers(KernelTable *t, Py_ssize_t *cursor)
 {
+    int64_t start[MAX_RUNS], len[MAX_RUNS];
     for (int v = 0; v < t->n; v++) {
         t->cov_idx[v + 1] += t->cov_idx[v];
         cursor[v] = t->cov_idx[v];
     }
     for (int u = 0; u < t->n; u++) {
-        const uint64_t *row = t->balls + (size_t)u * t->words;
-        for (int w = 0; w < t->words; w++)
-            for (uint64_t x = row[w]; x; x &= x - 1)
-                t->cov_dat[cursor[(w << 6) + CTZ64(x)]++] = u;
+        int runs = layer_runs(t, u, start, len);
+        for (int r = 0; r < runs; r++) {
+            for (int64_t i = 0, v = start[r]; i < len[r]; i++) {
+                if (cursor[v] == t->cov_idx[v]
+                        || t->cov_dat[cursor[v] - 1] != u)
+                    t->cov_dat[cursor[v]++] = u;
+                if (++v == t->n)
+                    v = 0;
+            }
+        }
     }
 }
 

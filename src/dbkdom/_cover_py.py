@@ -6,7 +6,10 @@ of a given size.  The compiled kernel in _cover_ext returns the same tables
 (balls, coverers, max_ball) and, for every search, the same (status,
 witness, nodes): the same branching order, prunings and node accounting.
 Both build each ball by one rule, from the layer runs of its vertex (see
-``KernelTable._spans``); the parity tests pin the outputs.
+``KernelTable._balls``); the parity tests pin the outputs.  This kernel
+builds only the balls up front: a vertex's coverer list is computed from
+a closed form the first time a search or ``coverer_list`` reads it (see
+``KernelTable._column``), so a search pays for the lists it reads.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ class KernelTable:
     def __init__(self, family: int, n: int, d: int, k: int):
         if family not in (DEBRUIJN, KAUTZ):
             raise ValueError(f"unknown family code {family}")
-        # a d = 1 layer run never grows, so _spans would take k + 1 steps
+        # a d = 1 layer run never grows, so the walk would take k + 1 steps
         if n < 1 or d < 2 or k < 0:
             raise ValueError("need n >= 1, d >= 2, k >= 0")
         if d > n:
@@ -38,62 +41,55 @@ class KernelTable:
         self.n = n
         self.d = d
         self.k = k
-        self.balls, self.coverers = self._build()
+        # layer j of a ball is a cyclic run of d**j vertices, and one of n
+        # or more is the whole ring, where the walk stops; a Kautz layer of
+        # v at odd j (flip) is the de Bruijn layer of n-1-v, and the mirror
+        # x -> n-1-x of the de Bruijn layer of v
+        layers = [(1, False)]
+        while len(layers) <= k and layers[-1][0] < n:
+            layers.append((layers[-1][0] * d,
+                           family == KAUTZ and len(layers) % 2 == 1))
+        self._layers = layers
+        self.balls = self._balls()
         self.max_ball = max(m.bit_count() for m in self.balls)
-        self._bits = [1 << u for u in range(n)]
+        # the q-th coverer of y in layer j is (y + q*n) // d**j, or in a
+        # flipped layer (n-1-y + q*n) // d**j (see _column)
+        self._terms = [(-1, q * n + n - 1, m) if flip else (1, q * n, m)
+                       for m, flip in layers for q in range(m)
+                       ] if layers[-1][0] < n else []
+        self._columns: list[list[int] | None] = [None] * n  # built on read
 
-    def _spans(self, v: int) -> list[tuple[int, int]]:
-        """Ball of v as sorted, disjoint, non-adjacent ranges [a, b).
-
-        Layer j of the ball (the vertices at walk length exactly j) is one
-        cyclic run.  de Bruijn: start d**j * v, length d**j.  Kautz: the
-        out-arcs of a run [s, s+m) fill [-d*(s+m), -d*s), so layer j+1
-        starts at -d*(start_j + len_j) and has length d * len_j.
-        """
-        family, n, d = self.family, self.n, self.d
-        runs = []
-        start, length = v, 1
-        for _ in range(self.k + 1):
-            if length >= n:
-                return [(0, n)]
-            end = start + length
-            if end <= n:
-                runs.append((start, end))
-            else:
-                runs.append((start, n))
-                runs.append((0, end - n))
-            if family == DEBRUIJN:
-                start = start * d % n
-            else:
-                start = -d * end % n
-            length *= d
-        runs.sort()
-        merged = [runs[0]]
-        for a, b in runs[1:]:
-            last_a, last_b = merged[-1]
-            if a <= last_b:
-                if b > last_b:
-                    merged[-1] = (last_a, b)
-            else:
-                merged.append((a, b))
-        return merged
-
-    def _build(self) -> tuple[list[int], list[list[int]]]:
-        # balls[v] is the OR of v's layer runs; coverers[y] lists the v with
-        # y in ball(v), ascending because v ascends and the ranges of one
-        # ball are disjoint
+    def _balls(self) -> list[int]:
+        """Every ball as the OR of its vertex's layer runs: layer j of v
+        starts at d**j * v, or for a Kautz odd j at -d**j * (v + 1), since
+        the out-arcs of a Kautz run [s, s+m) fill [-d*(s+m), -d*s)."""
         n = self.n
+        full = (1 << n) - 1
+        if self._layers[-1][0] >= n:
+            return [full] * n
+        runs = [((1 << m) - 1, m, flip) for m, flip in self._layers]
         balls = []
-        coverers: list[list[int]] = [[] for _ in range(n)]
-        appends = [c.append for c in coverers]
         for v in range(n):
             mask = 0
-            for a, b in self._spans(v):
-                mask |= ((1 << (b - a)) - 1) << a
-                for add in appends[a:b]:
-                    add(v)
-            balls.append(mask)
-        return balls, coverers
+            for run, m, flip in runs:
+                mask |= run << m * (n - 1 - v if flip else v) % n
+            balls.append(mask & full | mask >> n)  # runs past n-1 wrap to 0
+        return balls
+
+    def _column(self, y: int) -> list[int]:
+        """Coverers of y, the v whose ball holds y, ascending; cached.
+
+        y is in de Bruijn layer j of v when y - d**j * v mod n is below
+        d**j, that is v = (y + q*n) // d**j for some q below d**j; it is in
+        a flipped layer of v when n-1-y is in the de Bruijn one.
+        """
+        if self._layers[-1][0] >= self.n:
+            found = range(self.n)
+        else:
+            found = {(sign * y + offset) // m
+                     for sign, offset, m in self._terms}
+        column = self._columns[y] = sorted(found)
+        return column
 
     def _require_vertex(self, v: int) -> None:
         # a negative v would otherwise index from the end
@@ -106,7 +102,7 @@ class KernelTable:
 
     def coverer_list(self, v: int) -> list[int]:
         self._require_vertex(v)
-        return list(self.coverers[v])
+        return list(self._columns[v] or self._column(v))
 
     def search(self, size: int,
                max_nodes: int | None = None) -> tuple[int, list[int] | None, int]:
@@ -141,13 +137,16 @@ class KernelTable:
         n = self.n
         full = (1 << n) - 1
         balls = self.balls
-        coverers = self.coverers
+        columns, column = self._columns, self._column
         max_ball = self.max_ball
-        bits = self._bits
         unlimited = max_nodes is None or max_nodes < 0
         # past 2**64 nodes the second test keeps an unlimited search going
         cap = 1 << 64 if unlimited else max_nodes
         nodes = 1  # the root
+        if cap < 1:
+            return INCONCLUSIVE, None, nodes
+        if size == 0 or size * max_ball < n:
+            return ABSENT, None, nodes
         chosen: list[int] = []
 
         def expand(covered: int, banned: int, remaining: int, ban) -> int:
@@ -161,7 +160,7 @@ class KernelTable:
             # many covered vertices; a full child always has them, and with
             # no picks left only a full child does
             need = n - left * max_ball
-            for u in coverers[v]:
+            for u in columns[v] or column(v):
                 if banned & bits[u]:
                     continue
                 nodes += 1
@@ -177,8 +176,9 @@ class KernelTable:
                         # non-banned coverers of its lowest uncovered
                         # vertex, and only a full one is not a leaf
                         rest = full ^ child
+                        y = (rest & -rest).bit_length() - 1
                         tried = 0
-                        for w in coverers[(rest & -rest).bit_length() - 1]:
+                        for w in columns[y] or column(y):
                             if banned & bits[w]:
                                 continue
                             tried += 1
@@ -198,14 +198,12 @@ class KernelTable:
                 banned |= ban[u]
             return ABSENT
 
-        if cap < 1:
-            return INCONCLUSIVE, None, nodes
-        if size == 0 or size * max_ball < n:
-            return ABSENT, None, nodes
         # a root coverer's subtree bans the coverer and its mirror in the
         # later root subtrees; at the root, with no pick made, the counting
         # bound alone already implies the last-pick test
-        mirrored = {u: bits[u] | bits[n - 1 - u] for u in coverers[0]}
+        bits = [1 << u for u in range(n)]
+        mirrored = {u: bits[u] | bits[n - 1 - u]
+                    for u in columns[0] or column(0)}
         limit = sys.getrecursionlimit()
         if size + 100 > limit:
             sys.setrecursionlimit(size + 200)
@@ -213,6 +211,7 @@ class KernelTable:
             status = expand(0, 0, size, mirrored)
         finally:
             sys.setrecursionlimit(limit)
+            del expand  # its closure cycle would keep the table until a gc
         if status == FOUND:
             return FOUND, sorted(chosen), nodes
         return status, None, nodes

@@ -149,6 +149,32 @@ def row_to_csv_fields(row: dict) -> list[str]:
             cell(row.get("ms"))]
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _indented_json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte, dict keys being str.
+
+    Given an indent, json.dumps takes its pure-Python encoder, so here a
+    container of scalars goes to the C encoder with the line break and
+    indent as its item separator, and only nested containers recurse.
+    """
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    is_dict = isinstance(obj, dict)
+    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
+        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+    elif is_dict:
+        body = sep.join(f"{json.dumps(key)}: {_indented_json(value, inner)}"
+                        for key, value in obj.items())
+    else:
+        body = sep.join(_indented_json(value, inner) for value in obj)
+    opener, closer = "{}" if is_dict else "[]"
+    return f"{opener}\n{inner}{body}\n{indent}{closer}"
+
+
 # row exit codes from least to most severe
 _ROW_EXITS = (EXIT_OK, EXIT_BRACKET, EXIT_INCONCLUSIVE, EXIT_INVALID)
 
@@ -186,7 +212,7 @@ def cmd_gamma(args) -> int:
     with _open_out(args.out) as fh:
         row = classify_row(args.family, args.n, args.d, args.k, limits)
         if args.format == "json":
-            fh.write(json.dumps(row, indent=2) + "\n")
+            fh.write(_indented_json(row) + "\n")
         elif args.format == "csv":
             write_rows(fh, [row], "csv")
         else:
@@ -276,7 +302,7 @@ def cmd_verify(args) -> int:
     with _open_out(args.out) as fh:
         cert = verify(g, dset, args.k).to_dict()
         if args.format == "json":
-            fh.write(json.dumps(cert, indent=2) + "\n")
+            fh.write(_indented_json(cert) + "\n")
         else:
             pairs = [(key, str(cert[key]))
                      for key in ("family", "n", "d", "k")]
@@ -325,7 +351,7 @@ def cmd_problems(args) -> int:
                    for tag in selected]
         if args.format == "json":
             payload = reports[0] if len(reports) == 1 else {"reports": reports}
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            fh.write(_indented_json(payload) + "\n")
         else:
             fh.write("".join(_problem_table(r) for r in reports))
     return _exit_for_reports(reports)

@@ -98,7 +98,9 @@ def coverage_table(g: GeneralizedDigraph, k: int):
     """The kernel's radius-k coverage table of ``g``: ``family`` (kernel
     code), ``n``, ``d``, ``k``, ``max_ball``, ``ball_mask(v)``,
     ``coverer_list(v)`` and ``search``.  Refuses n > DEFAULT_TABLE_CEILING,
-    and the kernel refuses k < 0.
+    and the kernel refuses k < 0.  The compiled kernel builds every ball
+    and coverer list here; the pure one builds the balls here and each
+    coverer list the first time a search or ``coverer_list`` reads it.
     """
     if g.n > DEFAULT_TABLE_CEILING:
         raise ValueError(f"order {g.n} exceeds the oracle table ceiling "

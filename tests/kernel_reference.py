@@ -42,17 +42,17 @@ class ReferenceTable:
     @staticmethod
     def _ball(family: int, n: int, d: int, k: int, v: int) -> set[int]:
         seen = {v}
-        frontier = [v]
+        frontier = {v}
         for _ in range(k):
-            nxt = []
-            for u in frontier:
-                base = d * u if family == DEBRUIJN else -d * u - d
-                for i in range(d):
-                    y = (base + i) % n
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
+            if family == DEBRUIJN:
+                image = {(d * u + i) % n for u in frontier for i in range(d)}
+            else:
+                image = {(-d * u - d + i) % n
+                         for u in frontier for i in range(d)}
+            frontier = image - seen
+            if not frontier:  # no new vertex, so no later layer adds one
+                break
+            seen |= frontier
         return seen
 
     def search(self, size: int, max_nodes: int | None = None,

@@ -20,10 +20,10 @@ import dbkdom
 from dbkdom import cli, domination, problems
 from dbkdom.cli import (CSV_COLUMNS, EXIT_BRACKET, EXIT_INCONCLUSIVE,
                         EXIT_INVALID, EXIT_OK, EXIT_USAGE, main)
-from dbkdom.construct import ConstructionError, classify
+from dbkdom.construct import METHODS, ConstructionError, classify
 from dbkdom.digraph import (DEBRUIJN, FAMILIES, KAUTZ, GeneralizedDigraph,
-                            export_lines)
-from dbkdom.oracle import DEFAULT_LIMITS, DEFAULT_TABLE_CEILING
+                            VertexSet, export_lines)
+from dbkdom.oracle import DEFAULT_LIMITS, DEFAULT_TABLE_CEILING, OracleLimits
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -286,6 +286,46 @@ class TestWriteRows:
         assert cli.write_rows(out, iter(rows), fmt) == expected
         assert len(out.getvalue().splitlines()) == (
             len(rows) + (fmt == "csv"))
+
+
+class TestIndentedJson:
+    """gamma, verify and problems print ``json.dumps(obj, indent=2)``
+    byte for byte, through the C encoder."""
+
+    def test_a_row_of_every_method(self):
+        rows = {}
+        for family in sorted(FAMILIES):
+            for n in range(2, 61):
+                for d in (2, 3, 4):
+                    for k in (1, 2, 3):
+                        if n >= d:
+                            row = cli.classify_row(family, n, d, k,
+                                                   OracleLimits(max_nodes=50))
+                            rows.setdefault(row["method"], row)
+        rows["bracket"] = cli.classify_row("debruijn", 40, 3, 3,
+                                           OracleLimits(max_nodes=0))
+        rows["error"] = cli.classify_row("debruijn", 2, 3, 1, DEFAULT_LIMITS)
+        assert set(rows) == METHODS | {"error"}
+        for row in rows.values():
+            assert cli._indented_json(row) == json.dumps(row, indent=2)
+
+    def test_certificates(self):
+        g = GeneralizedDigraph.kautz(40, 3)
+        for members in ([], [5], [0, 1], list(range(40))):
+            cert = domination.verify(
+                g, VertexSet.from_members(40, members), 2).to_dict()
+            assert cli._indented_json(cert) == json.dumps(cert, indent=2)
+
+    def test_nested_and_empty_values(self):
+        for obj in ({}, [], 0, "é", None, {"a": [], "b": {}},
+                    [1, [2, [3.5, {}]], {"x": [True, None, "\n"]}]):
+            assert cli._indented_json(obj) == json.dumps(obj, indent=2)
+
+    def test_gamma_output(self):
+        code, out, _ = run_cli("gamma", "--family", "debruijn", "-n", "100",
+                               "-d", "3", "-k", "1", "--format", "json")
+        assert code == EXIT_OK
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestVerify:

@@ -329,11 +329,34 @@ class TestPureKernelReference:
         ref = ReferenceTable(f, n, d, k)
         assert pure.max_ball == ref.max_ball, (f, n, d, k)
         assert pure.balls == ref.balls, (f, n, d, k)
-        assert pure.coverers == ref.coverers, (f, n, d, k)
+        assert [pure.coverer_list(v) for v in range(n)] == ref.coverers, \
+            (f, n, d, k)
 
     def test_tables_match(self):
         for f, n, d, k in TestKernelParity.GRID:
             self.assert_tables_equal(f, n, d, k)
+
+    @pytest.mark.parametrize("f", [0, 1])
+    def test_columns_match(self, f):
+        # the coverer lists' closed form, at every order below 120 and at
+        # radii past d**k >= n, where a layer is the whole ring
+        for n in range(1, 120):
+            for d in range(2, min(n, 6) + 1):
+                for k in range(6):
+                    pure = _cover_py.KernelTable(f, n, d, k)
+                    ref = ReferenceTable(f, n, d, k)
+                    assert [pure.coverer_list(y) for y in range(n)] == \
+                        ref.coverers, (f, n, d, k)
+
+    def test_root_decided_search_builds_no_column(self):
+        # coverer lists are built when a search first reads them, and a
+        # search the counting bound decides at the root reads none
+        pure = _cover_py.KernelTable(0, 110, 3, 3)
+        assert 2 * pure.max_ball < 110
+        assert pure.search(2) == (_cover_py.ABSENT, None, 1)
+        assert pure._columns == [None] * 110
+        assert pure.search(4)[0] == _cover_py.FOUND
+        assert any(column is not None for column in pure._columns)
 
     @pytest.mark.parametrize("f", [0, 1])
     @pytest.mark.parametrize("n", [1000, 5000])
