@@ -1,10 +1,9 @@
-/* Compiled cover-search kernel.
+/* Compiled cover-search kernel: _cover_py written in C.
  *
- * Returns what _cover_py returns: identical tables (balls, coverers,
- * max_ball), built by the same rule, the layer runs of each vertex, and,
- * for every search, the identical (status, witness, nodes), from the same
- * branching order, prunings (counting bound, root reflection, last pick)
- * and node accounting.  The parity tests pin the outputs.
+ * The same layer rule builds the balls (layer_runs) and the same search
+ * shape walks the tree (expand, last_pick), so the tables (balls,
+ * coverers, max_ball) and every search's (status, witness, nodes) are
+ * _cover_py's.  The parity tests pin the outputs.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
  * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat).
@@ -49,28 +48,23 @@ typedef struct {
     int found_len;
 } Search;
 
-/* Layer runs of v, as _cover_py.KernelTable._balls builds balls from
- * them: layer 0 is the run [v, v+1) and each layer the image run of the one
- * before, [d*s, d*s + d*m) de Bruijn, [-d*(s+m), -d*s) Kautz, mod n, until
- * layer k or the first layer of n or more vertices, which is the whole
- * ring.  Fills start[] and len[] and returns the number of runs: a run
- * grows d >= 2 times a layer, so n < 2**31 allows at most 33. */
+/* Layer runs of v, by _cover_py.KernelTable's rule: layer j is the cyclic
+ * run of m = min(d**j, n) vertices from m*v mod n, or from m*(n-1-v) mod n
+ * at an odd j of a Kautz table, up to layer k or the first whole ring.
+ * Fills start[] and len[] and returns the number of runs: m grows d >= 2
+ * times a layer, so n < 2**31 allows at most 33. */
 #define MAX_RUNS 33
 static int layer_runs(const KernelTable *t, int v, int64_t *start,
                       int64_t *len)
 {
-    int64_t n = t->n, d = t->d, s = v, m = 1;  /* d * (s + m) < 2n * n */
+    int64_t n = t->n, m = 1;  /* m * n < 2**62 */
     for (int layer = 0;; layer++) {
-        if (m >= n)
-            s = 0, m = n;
-        start[layer] = s;
+        int flip = t->family == KAUTZ && layer % 2 == 1;
+        start[layer] = m * (flip ? n - 1 - v : v) % n;
         len[layer] = m;
         if (m == n || layer == t->k)
             return layer + 1;
-        s = (t->family == DEBRUIJN ? d * s : -d * (s + m)) % n;
-        if (s < 0)
-            s += n;
-        m *= d;
+        m = m * t->d < n ? m * t->d : n;
     }
 }
 
@@ -229,11 +223,21 @@ static PyObject *KernelTable_coverer_list(KernelTable *self, PyObject *arg)
                     self->cov_idx[v + 1] - self->cov_idx[v]);
 }
 
-/* Last pick, at a node past the root with one pick left: its children are
- * the non-banned coverers of v, its lowest uncovered vertex, and the first
- * whose ball covers every uncovered vertex ends the search after as many
- * nodes as children tried.  Without one the node is a leaf. */
-static int last_pick(Search *s, int depth, int v)
+/* The lowest vertex of a node that is short of the whole ring and not in
+ * its covered set. */
+static int lowest_uncovered(const uint64_t *covered)
+{
+    int w = 0;
+    while (covered[w] == ~(uint64_t)0)
+        w++;
+    return (w << 6) + CTZ64(~covered[w]);
+}
+
+/* Last pick: the node at `depth` has one pick left, and its children are
+ * the non-banned coverers of its lowest uncovered vertex.  Only a full
+ * child is not a leaf, so each is tested in place; the first full one ends
+ * the search, counted with the children tried before it. */
+static int last_pick(Search *s, int depth)
 {
     const KernelTable *t = s->t;
     int words = t->words;
@@ -242,6 +246,7 @@ static int last_pick(Search *s, int depth, int v)
     /* the bits of the last word that are vertices */
     uint64_t tail = ~(uint64_t)0 >> ((64 - (t->n & 63)) & 63);
     int64_t tried = 0;
+    int v = lowest_uncovered(covered);
     for (Py_ssize_t i = t->cov_idx[v]; i < t->cov_idx[v + 1]; i++) {
         int u = t->cov_dat[i], w = 0;
         if (banned[u >> 6] & BIT(u))
@@ -253,7 +258,7 @@ static int last_pick(Search *s, int depth, int v)
         if (w < words - 1 || (covered[w] | row[w]) != tail)
             continue;
         s->nodes += tried;
-        if (s->budget >= 0 && s->nodes > s->budget) {
+        if (s->nodes > s->budget) {
             s->nodes = s->budget + 1;
             return INCONCLUSIVE;
         }
@@ -264,55 +269,45 @@ static int last_pick(Search *s, int depth, int v)
     return ABSENT;
 }
 
-/* Branch on the lowest uncovered vertex over its coverers in ascending
- * order; coverers already tried at a node are banned in the sibling
- * subtrees, so no subset is explored twice.  At the root a tried coverer's
- * mirror n - 1 - u is banned too (root reflection). */
-static int dfs(Search *s, int depth, int remaining)
+/* _cover_py's expand, at the node at `depth` with `remaining` picks:
+ * branch on its lowest uncovered vertex over the coverers in ascending
+ * order, banning each tried one (at the root also its mirror n - 1 - u,
+ * root reflection) in its later siblings' subtrees.  Each child is
+ * counted, checked against the budget and tested in place. */
+static int expand(Search *s, int depth, int remaining)
 {
     const KernelTable *t = s->t;
-    int words = t->words, cnt = 0, v = -1;
+    int words = t->words, left = remaining - 1;
     uint64_t *covered = s->cov_stack + (size_t)depth * words;
     uint64_t *banned = s->ban_stack + (size_t)depth * words;
     uint64_t *child_cov = covered + words, *child_ban = banned + words;
-    s->nodes++;
-    if (s->budget >= 0 && s->nodes > s->budget)
-        return INCONCLUSIVE;
-    for (int w = 0; w < words; w++)
-        cnt += POPCNT64(covered[w]);
-    if (cnt == t->n) {
-        s->found_len = depth;
-        return FOUND;
-    }
-    if (remaining == 0)
-        return ABSENT;
-    if ((int64_t)remaining * t->max_ball < t->n - cnt)
-        return ABSENT;
-    for (int w = 0; w < words; w++) {
-        if (~covered[w]) {
-            v = (w << 6) + CTZ64(~covered[w]);
-            break;
-        }
-    }
-    /* cnt < n guarantees v is a real vertex; at the root the counting
-     * bound with one pick left already means a full ball, so the root
-     * takes the general path, which skips mirrors */
-    if (remaining == 1 && depth > 0)
-        return last_pick(s, depth, v);
+    int v = lowest_uncovered(covered);
+    /* the counting bound: with `left` picks to go a child needs this many
+     * covered vertices; with none left only a full child has them */
+    int64_t need = t->n - (int64_t)left * t->max_ball;
     for (Py_ssize_t i = t->cov_idx[v]; i < t->cov_idx[v + 1]; i++) {
-        int u = t->cov_dat[i];
+        int u = t->cov_dat[i], cnt = 0;
         if (banned[u >> 6] & BIT(u))
             continue;
+        if (++s->nodes > s->budget)
+            return INCONCLUSIVE;
         const uint64_t *row = t->balls + (size_t)u * words;
         for (int w = 0; w < words; w++) {
             child_cov[w] = covered[w] | row[w];
             child_ban[w] = banned[w];
+            cnt += POPCNT64(child_cov[w]);
         }
-        child_ban[u >> 6] |= BIT(u);
-        s->chosen[depth] = u;
-        int r = dfs(s, depth + 1, remaining - 1);
-        if (r != ABSENT)
-            return r;
+        if (cnt >= need) {
+            s->chosen[depth] = u;
+            if (cnt == t->n) {
+                s->found_len = depth + 1;
+                return FOUND;
+            }
+            int r = left == 1 ? last_pick(s, depth + 1)
+                              : expand(s, depth + 1, left);
+            if (r != ABSENT)
+                return r;
+        }
         banned[u >> 6] |= BIT(u);
         if (depth == 0) {
             int m = t->n - 1 - u;
@@ -334,17 +329,21 @@ static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
     if (size < 0)
         return PyErr_Format(PyExc_ValueError, "size must be >= 0, got %d",
                             size);
-    Search s = {self, NULL, NULL, NULL, 0, -1, 0};
+    Search s = {self, NULL, NULL, NULL, 1, INT64_MAX, 0};  /* 1: the root */
     if (max_nodes != Py_None) {
-        /* past 2**63 the node count is never reached, and below -2**63 a
-         * budget is negative: either way there is no budget */
+        /* past 2**63 the node count is never reached, and a negative
+         * budget is no budget */
         int overflow;
-        s.budget = PyLong_AsLongLongAndOverflow(max_nodes, &overflow);
-        if (s.budget == -1 && PyErr_Occurred())
+        long long budget = PyLong_AsLongLongAndOverflow(max_nodes, &overflow);
+        if (budget == -1 && PyErr_Occurred())
             return NULL;
-        if (overflow)
-            s.budget = -1;
+        if (!overflow && budget >= 0)
+            s.budget = budget;
     }
+    if (s.budget < 1)
+        return Py_BuildValue("(iOi)", INCONCLUSIVE, Py_None, 1);
+    if (size == 0 || (int64_t)size * self->max_ball < self->n)
+        return Py_BuildValue("(iOi)", ABSENT, Py_None, 1);
     /* every chosen vertex covers a new one, so depth never exceeds n */
     size_t levels = (size_t)(size < self->n ? size : self->n) + 1;
     size_t stack = levels * self->words * sizeof(uint64_t);
@@ -355,7 +354,7 @@ static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
     if (s.cov_stack == NULL || s.ban_stack == NULL || s.chosen == NULL) {
         PyErr_NoMemory();
     } else {
-        int status = dfs(&s, 0, size);
+        int status = expand(&s, 0, size);
         PyObject *witness = Py_NewRef(Py_None);
         if (status == FOUND) {
             Py_SETREF(witness, int_list(s.chosen, s.found_len));

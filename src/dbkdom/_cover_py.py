@@ -2,11 +2,11 @@
 
 Builds radius-k coverage bitmasks for every vertex of a formula-defined
 digraph and runs an exhaustive branch and bound search for a dominating set
-of a given size.  The compiled kernel in _cover_ext returns the same tables
-(balls, coverers, max_ball) and, for every search, the same (status,
-witness, nodes): the same branching order, prunings and node accounting.
-Both build each ball by one rule, from the layer runs of its vertex (see
-``KernelTable._balls``); the parity tests pin the outputs.  This kernel
+of a given size.  The compiled kernel in _cover_ext is this kernel written
+in C: the same layer rule for the balls (see ``KernelTable._balls``) and
+the same search shape (``expand`` and its last pick), so it returns the
+same tables (balls, coverers, max_ball) and, for every search, the same
+(status, witness, nodes); the parity tests pin the outputs.  This kernel
 builds only the balls up front: a vertex's coverer list is computed from
 a closed form the first time a search or ``coverer_list`` reads it (see
 ``KernelTable._column``), so a search pays for the lists it reads.
@@ -41,32 +41,29 @@ class KernelTable:
         self.n = n
         self.d = d
         self.k = k
-        # layer j of a ball is a cyclic run of d**j vertices, and one of n
-        # or more is the whole ring, where the walk stops; a Kautz layer of
-        # v at odd j (flip) is the de Bruijn layer of n-1-v, and the mirror
-        # x -> n-1-x of the de Bruijn layer of v
+        # layer j of a ball is a cyclic run of min(d**j, n) vertices, so the
+        # walk stops at the first whole ring; a Kautz layer of v at odd j
+        # (flip) is the de Bruijn layer of n-1-v, and the mirror x -> n-1-x
+        # of the de Bruijn layer of v
         layers = [(1, False)]
         while len(layers) <= k and layers[-1][0] < n:
-            layers.append((layers[-1][0] * d,
+            layers.append((min(layers[-1][0] * d, n),
                            family == KAUTZ and len(layers) % 2 == 1))
         self._layers = layers
         self.balls = self._balls()
         self.max_ball = max(m.bit_count() for m in self.balls)
-        # the q-th coverer of y in layer j is (y + q*n) // d**j, or in a
-        # flipped layer (n-1-y + q*n) // d**j (see _column)
+        # the q-th coverer of y in a layer of m vertices is (y + q*n) // m,
+        # or in a flipped layer (n-1-y + q*n) // m (see _column)
         self._terms = [(-1, q * n + n - 1, m) if flip else (1, q * n, m)
-                       for m, flip in layers for q in range(m)
-                       ] if layers[-1][0] < n else []
+                       for m, flip in layers for q in range(m)]
         self._columns: list[list[int] | None] = [None] * n  # built on read
 
     def _balls(self) -> list[int]:
-        """Every ball as the OR of its vertex's layer runs: layer j of v
-        starts at d**j * v, or for a Kautz odd j at -d**j * (v + 1), since
-        the out-arcs of a Kautz run [s, s+m) fill [-d*(s+m), -d*s)."""
+        """Every ball as the OR of its vertex's layer runs: the layer of m
+        vertices starts at m*v mod n, or for a Kautz odd j at m*(n-1-v),
+        since the out-arcs of a Kautz run [s, s+m) fill [-d*(s+m), -d*s)."""
         n = self.n
         full = (1 << n) - 1
-        if self._layers[-1][0] >= n:
-            return [full] * n
         runs = [((1 << m) - 1, m, flip) for m, flip in self._layers]
         balls = []
         for v in range(n):
@@ -79,16 +76,12 @@ class KernelTable:
     def _column(self, y: int) -> list[int]:
         """Coverers of y, the v whose ball holds y, ascending; cached.
 
-        y is in de Bruijn layer j of v when y - d**j * v mod n is below
-        d**j, that is v = (y + q*n) // d**j for some q below d**j; it is in
-        a flipped layer of v when n-1-y is in the de Bruijn one.
+        y is in a de Bruijn layer of m vertices of v when y - m*v mod n is
+        below m, that is v = (y + q*n) // m for some q below m; it is in a
+        flipped layer of v when n-1-y is in the de Bruijn one.
         """
-        if self._layers[-1][0] >= self.n:
-            found = range(self.n)
-        else:
-            found = {(sign * y + offset) // m
-                     for sign, offset, m in self._terms}
-        column = self._columns[y] = sorted(found)
+        column = self._columns[y] = sorted(
+            {(sign * y + offset) // m for sign, offset, m in self._terms})
         return column
 
     def _require_vertex(self, v: int) -> None:
@@ -139,9 +132,8 @@ class KernelTable:
         balls = self.balls
         columns, column = self._columns, self._column
         max_ball = self.max_ball
-        unlimited = max_nodes is None or max_nodes < 0
-        # past 2**64 nodes the second test keeps an unlimited search going
-        cap = 1 << 64 if unlimited else max_nodes
+        # no budget is a cap of 2**63 nodes, which no int64 count passes
+        cap = 1 << 63 if max_nodes is None or max_nodes < 0 else max_nodes
         nodes = 1  # the root
         if cap < 1:
             return INCONCLUSIVE, None, nodes
@@ -164,7 +156,7 @@ class KernelTable:
                 if banned & bits[u]:
                     continue
                 nodes += 1
-                if nodes > cap and not unlimited:
+                if nodes > cap:
                     return INCONCLUSIVE
                 child = covered | balls[u]
                 if child.bit_count() >= need:
@@ -184,7 +176,7 @@ class KernelTable:
                             tried += 1
                             if balls[w] & rest == rest:
                                 nodes += tried
-                                if nodes > cap and not unlimited:
+                                if nodes > cap:
                                     nodes = cap + 1
                                     return INCONCLUSIVE
                                 chosen.extend((u, w))

@@ -5,9 +5,9 @@ by breadth-first expansion from the arc formulas, coverers as the transpose
 of the ball table, and a recursive search that makes every node a call of
 its own.  Both kernels build their tables from layer runs, so breadth-first
 balls live only here, as the reference for both: the pure kernel must give
-this table, and the compiled kernel the pure kernel's.  The pure kernel
-tests leaf children in place, and must give the same (status, witness,
-nodes) as this search with ``pruned=True``.
+this table, and the compiled kernel the pure kernel's.  Both kernels
+test leaf children in place rather than call for them, and must give the
+same (status, witness, nodes) as this search with ``pruned=True``.
 
 ``pruned=False`` is the search without the kernel's two prunings (root
 reflection and the last-pick test): wherever it decides, the pruned
@@ -29,13 +29,14 @@ class ReferenceTable:
     def __init__(self, family: int, n: int, d: int, k: int):
         self.n = n
         self.balls = []
-        self.coverers: list[list[int]] = [[] for _ in range(n)]
+        coverers = self.coverers = [[] for _ in range(n)]
+        one = ord("1")
         for v in range(n):
             members = self._ball(family, n, d, k, v)
             digits = bytearray(b"0" * n)  # vertex n-1 first
             for y in members:
-                digits[n - 1 - y] = ord("1")
-                self.coverers[y].append(v)
+                digits[n - 1 - y] = one
+                coverers[y].append(v)
             self.balls.append(int(digits, 2))
         self.max_ball = max(m.bit_count() for m in self.balls)
 
@@ -50,9 +51,10 @@ class ReferenceTable:
                 image = {(-d * u - d + i) % n
                          for u in frontier for i in range(d)}
             frontier = image - seen
-            if not frontier:  # no new vertex, so no later layer adds one
-                break
             seen |= frontier
+            # no new vertex, or no vertex left: no later layer adds one
+            if not frontier or len(seen) == n:
+                break
         return seen
 
     def search(self, size: int, max_nodes: int | None = None,

@@ -1,8 +1,12 @@
 """Exhaustive search oracle: tables, fixed-size decisions, minimums."""
 
+from functools import reduce
+from operator import or_
+
 import pytest
 
-from conftest import naive_ball, naive_gamma, naive_is_dominating
+from conftest import (naive_ball, naive_gamma, naive_is_dominating,
+                      naive_out_neighbors)
 from kernel_reference import ReferenceTable
 from dbkdom import _cover_py
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph
@@ -12,6 +16,26 @@ from dbkdom.oracle import (ABSENT, DEFAULT_TABLE_CEILING, FOUND,
                            INCONCLUSIVE, OracleLimits, coverage_table,
                            exists_dominating_of_size, kernel_backend,
                            min_dominating)
+
+
+def reference_coverers(f: int, n: int, d: int, radii: int):
+    """The ReferenceTable coverer lists of radius 0, 1, ..., radii-1.
+
+    A vertex within k+1 steps of v is v or within k steps of an
+    out-neighbour of v; once that step turns every ball into the whole
+    ring, every later coverer list is every vertex, and no table is built.
+    """
+    family = ("debruijn", "kautz")[f]
+    full = (1 << n) - 1
+    for k in range(radii):
+        ref = ReferenceTable(f, n, d, k)
+        yield ref.coverers
+        if all(reduce(or_, (ref.balls[u] for u in
+                            naive_out_neighbors(family, n, d, v)), 1 << v)
+               == full for v in range(n)):
+            for _ in range(k + 1, radii):
+                yield [list(range(n))] * n
+            return
 
 
 def ball_members(table, v: int) -> list[int]:
@@ -232,7 +256,9 @@ class TestKernelParity:
             fast = compiled.KernelTable(f, n, d, k)
             cap = min(n, 8)
             for size in range(cap + 1):
-                for budget in (None, 1, 50):
+                # 2 and 3 run out inside a last pick, 3 after trying two
+                # children there (de Bruijn 12/2/2 size 2)
+                for budget in (None, 1, 2, 3, 50):
                     ps, pw, pn = pure.search(size, budget)
                     fs, fw, fn = fast.search(size, budget)
                     assert (ps, pn) == (fs, fn), (f, n, d, k, size, budget)
@@ -342,11 +368,10 @@ class TestPureKernelReference:
         # radii past d**k >= n, where a layer is the whole ring
         for n in range(1, 120):
             for d in range(2, min(n, 6) + 1):
-                for k in range(6):
+                for k, coverers in enumerate(reference_coverers(f, n, d, 6)):
                     pure = _cover_py.KernelTable(f, n, d, k)
-                    ref = ReferenceTable(f, n, d, k)
                     assert [pure.coverer_list(y) for y in range(n)] == \
-                        ref.coverers, (f, n, d, k)
+                        coverers, (f, n, d, k)
 
     def test_root_decided_search_builds_no_column(self):
         # coverer lists are built when a search first reads them, and a
@@ -375,11 +400,11 @@ class TestPureKernelReference:
             lower = ceil_div(n, geometric_sum(d, k))
             widest = None if n <= 65 else 20_000
             for size in range(max(0, lower - 1), lower + 3):
-                for budget in (widest, 0, 1, 2, 50):
+                for budget in (widest, 0, 1, 2, 3, 50):
                     assert pure.search(size, budget) == \
                         ref.search(size, budget), (f, n, d, k, size, budget)
                     searches += 1
-        assert searches == 3960
+        assert searches == 4752
 
 
 class TestPrunings:
