@@ -6,7 +6,8 @@ on both; the script checks that and stops on any difference.  Checkouts
 must also agree on the tables and on each search's (status, witness), but
 not on its node count, so a change to the search's prunings can be timed
 against its parent; each checkout's nodes are printed.  Each case builds
-one coverage table and, unless it is table-only, runs one search on it.
+one coverage table and, unless it is table-only, runs one search on it,
+under the case's node budget if it has one.
 A table-only case reports the build, and the build plus one
 ``coverer_list`` of every vertex: the pure kernel builds a coverer list
 the first time it is read, so only the second timing does the same work
@@ -39,22 +40,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_kernel.json"
 
-# (label, family code, n, d, k, size): decision problems of increasing
-# difficulty, from a root-level prune to searches in the tens of thousands
-# of nodes, then table-only builds (size None) at the oracle's table
-# ceiling.  Family codes follow the kernel convention 0 = de Bruijn,
-# 1 = Kautz.
+# (label, family code, n, d, k, size, node budget): decision problems of
+# increasing difficulty, from a root-level prune to searches in the tens
+# of thousands of nodes, one of them cut by the oracle-budget workload's
+# 20,000-node budget (with no budget it takes 17.4 M nodes), then
+# table-only builds (size None) at the oracle's table ceiling.  Family
+# codes follow the kernel convention 0 = de Bruijn, 1 = Kautz.
 CASES = [
-    ("debruijn n=40 d=3 k=3 size=1 (pruned)", 0, 40, 3, 3, 1),
-    ("debruijn n=59 d=2 k=2 size=9 (found)", 0, 59, 2, 2, 9),
-    ("kautz    n=55 d=2 k=2 size=8 (absent)", 1, 55, 2, 2, 8),
-    ("debruijn n=110 d=3 k=3 size=4 (found)", 0, 110, 3, 3, 4),
-    ("debruijn n=230 d=3 k=2 size=18 (found)", 0, 230, 3, 2, 18),
-    ("kautz    n=150 d=2 k=3 size=10 (absent)", 1, 150, 2, 3, 10),
-    ("debruijn n=5000 d=2 k=2 (table only)", 0, 5000, 2, 2, None),
-    ("kautz    n=5000 d=2 k=2 (table only)", 1, 5000, 2, 2, None),
-    ("debruijn n=5000 d=5 k=4 (table only)", 0, 5000, 5, 4, None),
-    ("kautz    n=5000 d=5 k=4 (table only)", 1, 5000, 5, 4, None),
+    ("debruijn n=40 d=3 k=3 size=1 (pruned)", 0, 40, 3, 3, 1, None),
+    ("debruijn n=59 d=2 k=2 size=9 (found)", 0, 59, 2, 2, 9, None),
+    ("kautz    n=55 d=2 k=2 size=8 (absent)", 1, 55, 2, 2, 8, None),
+    ("debruijn n=110 d=3 k=3 size=4 (found)", 0, 110, 3, 3, 4, None),
+    ("debruijn n=230 d=3 k=2 size=18 (found)", 0, 230, 3, 2, 18, None),
+    ("kautz    n=150 d=2 k=3 size=10 (absent)", 1, 150, 2, 3, 10, None),
+    ("kautz    n=165 d=3 k=2 size=13 (capped)", 1, 165, 3, 2, 13, 20_000),
+    ("debruijn n=5000 d=2 k=2 (table only)", 0, 5000, 2, 2, None, None),
+    ("kautz    n=5000 d=2 k=2 (table only)", 1, 5000, 2, 2, None, None),
+    ("debruijn n=5000 d=5 k=4 (table only)", 0, 5000, 5, 4, None, None),
+    ("kautz    n=5000 d=5 k=4 (table only)", 1, 5000, 5, 4, None, None),
 ]
 
 
@@ -83,7 +86,7 @@ def run_once(module, case, check: bool):
     seconds after the build, the table's digest when ``check``, the search
     outcome as (status, witness list, nodes) or None).  The table is gone
     when this returns, so no build runs beside an earlier case's table."""
-    _, code, n, d, k, size = case
+    _, code, n, d, k, size, budget = case
     family = module.DEBRUIJN if code == 0 else module.KAUTZ
     started = time.perf_counter()
     table = module.KernelTable(family, n, d, k)
@@ -93,7 +96,7 @@ def run_once(module, case, check: bool):
         for v in range(n):
             table.coverer_list(v)
     else:
-        outcome = table.search(size)
+        outcome = table.search(size, budget)
     finished = time.perf_counter()
     if outcome is not None:
         status, witness, nodes = outcome

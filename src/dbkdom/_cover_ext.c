@@ -1,9 +1,13 @@
 /* Compiled cover-search kernel: _cover_py written in C.
  *
  * The same layer rule builds the balls (layer_runs) and the same search
- * shape walks the tree (expand, last_pick), so the tables (balls,
+ * shape walks the tree (expand, last_pick; the budget is settled only at
+ * children that pass the counting bound), so the tables (balls,
  * coverers, max_ball) and every search's (status, witness, nodes) are
- * _cover_py's.  The parity tests pin the outputs.
+ * _cover_py's.  The parity tests pin the outputs.  Where a test costs
+ * differently in C the order of the cheap ones differs: a ban is one bit,
+ * so it is tested before the bound's popcount, and a node is counted as
+ * it is passed rather than from a coverer mask.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
  * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat).
@@ -16,13 +20,24 @@
 #include <stdlib.h>
 
 #if defined(__GNUC__) || defined(__clang__)
-#define POPCNT64(x) __builtin_popcountll(x)
 #define CTZ64(x) __builtin_ctzll(x)
-#else  /* portable fallbacks; CTZ64 needs x != 0 */
-static int POPCNT64(uint64_t x)
-{ int c = 0; for (; x; x &= x - 1) c++; return c; }
+#else  /* portable fallback; needs x != 0 */
 static int CTZ64(uint64_t x)
 { int c = 0; for (; !(x & 1); x >>= 1) c++; return c; }
+#endif
+#if (defined(__GNUC__) || defined(__clang__)) \
+    && (defined(__POPCNT__) || defined(__aarch64__))
+#define POPCNT64(x) __builtin_popcountll(x)
+#else
+/* Bit-parallel count, inline: without a popcount instruction (x86-64
+ * below -mpopcnt) gcc's builtin is a call into libgcc. */
+static inline int POPCNT64(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555u;
+    x = (x & 0x3333333333333333u) + ((x >> 2) & 0x3333333333333333u);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+    return (int)((x * 0x0101010101010101u) >> 56);
+}
 #endif
 
 #define BIT(v) ((uint64_t)1 << ((v) & 63))
@@ -233,6 +248,17 @@ static int lowest_uncovered(const uint64_t *covered)
     return (w << 6) + CTZ64(~covered[w]);
 }
 
+/* Whether the node count has passed the budget; a count settled past it
+ * is cut back to budget + 1, the node at which a search that checks the
+ * budget at every child stops. */
+static int over_budget(Search *s)
+{
+    if (s->nodes <= s->budget)
+        return 0;
+    s->nodes = s->budget + 1;
+    return 1;
+}
+
 /* Last pick: the node at `depth` has one pick left, and its children are
  * the non-banned coverers of its lowest uncovered vertex.  Only a full
  * child is not a leaf, so each is tested in place; the first full one ends
@@ -258,10 +284,8 @@ static int last_pick(Search *s, int depth)
         if (w < words - 1 || (covered[w] | row[w]) != tail)
             continue;
         s->nodes += tried;
-        if (s->nodes > s->budget) {
-            s->nodes = s->budget + 1;
+        if (over_budget(s))
             return INCONCLUSIVE;
-        }
         s->chosen[depth] = u;
         s->found_len = depth + 1;
         return FOUND;
@@ -272,8 +296,12 @@ static int last_pick(Search *s, int depth)
 /* _cover_py's expand, at the node at `depth` with `remaining` picks:
  * branch on its lowest uncovered vertex over the coverers in ascending
  * order, banning each tried one (at the root also its mirror n - 1 - u,
- * root reflection) in its later siblings' subtrees.  Each child is
- * counted, checked against the budget and tested in place. */
+ * root reflection) in its later siblings' subtrees.  A non-banned child
+ * is counted as it is passed and tested against the counting bound on
+ * the popcount of covered | ball, with nothing copied; a child that
+ * fails it is a leaf.  The budget is checked and the words are copied
+ * only at a child that passes, and the budget once more at the loop's
+ * end. */
 static int expand(Search *s, int depth, int remaining)
 {
     const KernelTable *t = s->t;
@@ -289,19 +317,21 @@ static int expand(Search *s, int depth, int remaining)
         int u = t->cov_dat[i], cnt = 0;
         if (banned[u >> 6] & BIT(u))
             continue;
-        if (++s->nodes > s->budget)
-            return INCONCLUSIVE;
+        s->nodes++;
         const uint64_t *row = t->balls + (size_t)u * words;
-        for (int w = 0; w < words; w++) {
-            child_cov[w] = covered[w] | row[w];
-            child_ban[w] = banned[w];
-            cnt += POPCNT64(child_cov[w]);
-        }
+        for (int w = 0; w < words; w++)
+            cnt += POPCNT64(covered[w] | row[w]);
         if (cnt >= need) {
+            if (over_budget(s))
+                return INCONCLUSIVE;
             s->chosen[depth] = u;
             if (cnt == t->n) {
                 s->found_len = depth + 1;
                 return FOUND;
+            }
+            for (int w = 0; w < words; w++) {
+                child_cov[w] = covered[w] | row[w];
+                child_ban[w] = banned[w];
             }
             int r = left == 1 ? last_pick(s, depth + 1)
                               : expand(s, depth + 1, left);
@@ -314,7 +344,7 @@ static int expand(Search *s, int depth, int remaining)
             banned[m >> 6] |= BIT(m);
         }
     }
-    return ABSENT;
+    return over_budget(s) ? INCONCLUSIVE : ABSENT;
 }
 
 static PyObject *KernelTable_search(KernelTable *self, PyObject *args,

@@ -4,12 +4,14 @@ Builds radius-k coverage bitmasks for every vertex of a formula-defined
 digraph and runs an exhaustive branch and bound search for a dominating set
 of a given size.  The compiled kernel in _cover_ext is this kernel written
 in C: the same layer rule for the balls (see ``KernelTable._balls``) and
-the same search shape (``expand`` and its last pick), so it returns the
-same tables (balls, coverers, max_ball) and, for every search, the same
-(status, witness, nodes); the parity tests pin the outputs.  This kernel
-builds only the balls up front: a vertex's coverer list is computed from
-a closed form the first time a search or ``coverer_list`` reads it (see
-``KernelTable._column``), so a search pays for the lists it reads.
+the same search (``expand`` and its last pick, the budget settled only at
+children that pass the counting bound), so it returns the same tables
+(balls, coverers, max_ball) and, for every search, the same (status,
+witness, nodes); the parity tests pin the outputs.  This kernel builds
+only the balls up front: a vertex's coverer list is computed from a
+closed form the first time a search or ``coverer_list`` reads it (see
+``KernelTable._column``), and its coverer mask the first time a search
+branches on it, so a search pays for the lists it reads.
 """
 
 from __future__ import annotations
@@ -53,10 +55,14 @@ class KernelTable:
         self.balls = self._balls()
         self.max_ball = max(m.bit_count() for m in self.balls)
         # the q-th coverer of y in a layer of m vertices is (y + q*n) // m,
-        # or in a flipped layer (n-1-y + q*n) // m (see _column)
+        # or in a flipped layer (n-1-y + q*n) // m (see _column); a whole
+        # ring, the last layer when m = n, alone holds every coverer
+        if layers[-1][0] == n:
+            layers = layers[-1:]
         self._terms = [(-1, q * n + n - 1, m) if flip else (1, q * n, m)
                        for m, flip in layers for q in range(m)]
         self._columns: list[list[int] | None] = [None] * n  # built on read
+        self._masks: list[int | None] = [None] * n  # built by a search
 
     def _balls(self) -> list[int]:
         """Every ball as the OR of its vertex's layer runs: the layer of m
@@ -103,18 +109,25 @@ class KernelTable:
 
         Branches on the lowest uncovered vertex over its coverers in
         ascending order; coverers already tried at a node are banned in the
-        sibling subtrees, so no subset is explored twice.  Every child is a
-        node: it is counted and the budget checked; a child that covers
-        everything ends the search; a child with picks left whose counting
-        bound (each pick covers at most max_ball vertices) still allows a
-        cover is expanded; any other child is a leaf, tested in place
-        without a call of its own.
+        sibling subtrees, so no subset is explored twice.  Every non-banned
+        child is a node.  A child is first tested against the counting
+        bound (each pick covers at most max_ball vertices); one that fails
+        is a leaf, and costs that one test.  Only a child that passes is
+        checked against the bans, and only there are the node count, the
+        budget and the subtree's bans settled: below the root a sibling
+        bans only itself, so the banned set is fixed over a node's loop and
+        the children so far are the non-banned coverers up to this one, a
+        popcount of the branching vertex's coverer mask.  The leaves after
+        the last passing child are counted the same way at the loop's end.
+        A passing child that covers everything ends the search; one with
+        picks left is expanded.
 
         Two exact prunings cut the tree.  Root reflection: x -> n-1-x maps
         every ball onto a ball, so the subtree of the root's i-th coverer
         also bans the mirrors of the root's earlier coverers, and a root
         coverer that is such a mirror is skipped without being counted; a
         cover lost this way has its mirror in an earlier root branch.
+        Since the root's bans grow, the root counts each child as it goes.
         Last pick: a child with one pick left is expanded only when some
         non-banned coverer of its lowest uncovered vertex covers all that
         is left, otherwise it is a leaf.  Neither removes the first cover
@@ -123,7 +136,10 @@ class KernelTable:
 
         Returns (status, witness, nodes) where the witness is the first
         cover found by this fixed order (ascending members), or None.  A
-        negative ``max_nodes`` means no budget, like None.
+        negative ``max_nodes`` means no budget, like None.  A search cut by
+        the budget returns max_nodes + 1 nodes and the status and witness
+        of a search that checks the budget at every node: a leaf changes
+        nothing before the next passing child or the loop's end.
         """
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
@@ -131,6 +147,7 @@ class KernelTable:
         full = (1 << n) - 1
         balls = self.balls
         columns, column = self._columns, self._column
+        masks = self._masks
         max_ball = self.max_ball
         # no budget is a cap of 2**63 nodes, which no int64 count passes
         cap = 1 << 63 if max_nodes is None or max_nodes < 0 else max_nodes
@@ -139,68 +156,104 @@ class KernelTable:
             return INCONCLUSIVE, None, nodes
         if size == 0 or size * max_ball < n:
             return ABSENT, None, nodes
+        bits = [1 << u for u in range(n)]
         chosen: list[int] = []
 
-        def expand(covered: int, banned: int, remaining: int, ban) -> int:
-            # covered is short of full, remaining >= 1 and the counting
-            # bound holds: test every child in place, recurse into the rest;
-            # ban[u] joins the siblings' banned set once u's subtree is done
+        def mask(v: int) -> int:
+            # the coverers of v as a bitmask, built the first time a
+            # search reads it; their bits are distinct, so the sum is the OR
+            masks[v] = sum(map(bits.__getitem__, columns[v] or column(v)))
+            return masks[v]
+
+        def expand(covered: int, banned: int, remaining: int) -> int:
+            # below the root, remaining >= 2: covered is short of full and
+            # the counting bound holds, and banned is fixed over the loop
             nonlocal nodes
             v = (~covered & (covered + 1)).bit_length() - 1
             left = remaining - 1
             # the counting bound: with `left` picks to go a child needs this
-            # many covered vertices; a full child always has them, and with
-            # no picks left only a full child does
+            # many covered vertices; a full child always has them
             need = n - left * max_ball
+            live = (masks[v] or mask(v)) & ~banned
+            counted = nodes  # the nodes outside this loop's children
             for u in columns[v] or column(v):
+                child = covered | balls[u]
+                if child.bit_count() < need or banned & bits[u]:
+                    continue
+                # the non-banned siblings before u, now banned in its subtree
+                before = live & bits[u] - 1
+                at = before.bit_count() + 1
+                nodes = counted + at
+                if nodes > cap:
+                    nodes = cap + 1
+                    return INCONCLUSIVE
+                chosen.append(u)
+                if child == full:
+                    return FOUND
+                if left == 1:
+                    status = last_pick(child, banned | before)
+                else:
+                    status = expand(child, banned | before, left)
+                if status != ABSENT:
+                    return status
+                chosen.pop()
+                counted = nodes - at
+            nodes = counted + live.bit_count()
+            if nodes > cap:
+                nodes = cap + 1
+                return INCONCLUSIVE
+            return ABSENT
+
+        def last_pick(covered: int, banned: int) -> int:
+            # one pick left: the children are the non-banned coverers of the
+            # lowest uncovered vertex, and only a full one is not a leaf, so
+            # the ball is tested first and the ban only on a full child
+            nonlocal nodes
+            rest = full ^ covered
+            y = (rest & -rest).bit_length() - 1
+            for w in columns[y] or column(y):
+                if balls[w] & rest == rest and not banned & bits[w]:
+                    # the children tried: the non-banned coverers up to w
+                    live = (masks[y] or mask(y)) & ~banned
+                    nodes += (live & bits[w] - 1).bit_count() + 1
+                    if nodes > cap:
+                        nodes = cap + 1
+                        return INCONCLUSIVE
+                    chosen.append(w)
+                    return FOUND
+            return ABSENT
+
+        limit = sys.getrecursionlimit()
+        if size + 100 > limit:
+            sys.setrecursionlimit(size + 200)
+        # the root: a coverer's subtree bans the coverer and its mirror in
+        # the later root subtrees; with no pick made, the counting bound
+        # alone already implies the last-pick test
+        left = size - 1
+        need = n - left * max_ball
+        banned = 0
+        status = ABSENT
+        try:
+            for u in columns[0] or column(0):
                 if banned & bits[u]:
                     continue
                 nodes += 1
                 if nodes > cap:
-                    return INCONCLUSIVE
-                child = covered | balls[u]
+                    status = INCONCLUSIVE
+                    break
+                child = balls[u]
                 if child.bit_count() >= need:
+                    chosen.append(u)
                     if child == full:
-                        chosen.append(u)
-                        return FOUND
-                    if left == 1:
-                        # last pick: the child's own children are the
-                        # non-banned coverers of its lowest uncovered
-                        # vertex, and only a full one is not a leaf
-                        rest = full ^ child
-                        y = (rest & -rest).bit_length() - 1
-                        tried = 0
-                        for w in columns[y] or column(y):
-                            if banned & bits[w]:
-                                continue
-                            tried += 1
-                            if balls[w] & rest == rest:
-                                nodes += tried
-                                if nodes > cap:
-                                    nodes = cap + 1
-                                    return INCONCLUSIVE
-                                chosen.extend((u, w))
-                                return FOUND
+                        status = FOUND
+                    elif left == 1:
+                        status = last_pick(child, banned)
                     else:
-                        chosen.append(u)
-                        status = expand(child, banned, left, bits)
-                        if status != ABSENT:
-                            return status
-                        chosen.pop()
-                banned |= ban[u]
-            return ABSENT
-
-        # a root coverer's subtree bans the coverer and its mirror in the
-        # later root subtrees; at the root, with no pick made, the counting
-        # bound alone already implies the last-pick test
-        bits = [1 << u for u in range(n)]
-        mirrored = {u: bits[u] | bits[n - 1 - u]
-                    for u in columns[0] or column(0)}
-        limit = sys.getrecursionlimit()
-        if size + 100 > limit:
-            sys.setrecursionlimit(size + 200)
-        try:
-            status = expand(0, 0, size, mirrored)
+                        status = expand(child, banned, left)
+                    if status != ABSENT:
+                        break
+                    chosen.pop()
+                banned |= bits[u] | bits[n - 1 - u]
         finally:
             sys.setrecursionlimit(limit)
             del expand  # its closure cycle would keep the table until a gc

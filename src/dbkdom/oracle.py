@@ -99,8 +99,13 @@ def coverage_table(g: GeneralizedDigraph, k: int):
     code), ``n``, ``d``, ``k``, ``max_ball``, ``ball_mask(v)``,
     ``coverer_list(v)`` and ``search``.  Refuses n > DEFAULT_TABLE_CEILING,
     and the kernel refuses k < 0.  The compiled kernel builds every ball
-    and coverer list here; the pure one builds the balls here and each
-    coverer list the first time a search or ``coverer_list`` reads it.
+    and coverer list here.  The pure one builds the balls here, each
+    coverer list the first time a search or ``coverer_list`` reads it,
+    and a vertex's coverer bitmask the first time a search branches on
+    it.  ``search`` counts every child that is not banned as a node, but
+    checks the budget only at children that pass the counting bound and
+    at the end of a node's loop.  A search cut by the budget returns
+    budget + 1 nodes, as one checking every node would.
     """
     if g.n > DEFAULT_TABLE_CEILING:
         raise ValueError(f"order {g.n} exceeds the oracle table ceiling "

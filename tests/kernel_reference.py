@@ -5,9 +5,13 @@ by breadth-first expansion from the arc formulas, coverers as the transpose
 of the ball table, and a recursive search that makes every node a call of
 its own.  Both kernels build their tables from layer runs, so breadth-first
 balls live only here, as the reference for both: the pure kernel must give
-this table, and the compiled kernel the pure kernel's.  Both kernels
-test leaf children in place rather than call for them, and must give the
-same (status, witness, nodes) as this search with ``pruned=True``.
+this table, and the compiled kernel the pure kernel's.  This search
+counts every node on entry and checks the budget there.  The kernels make
+no call for a leaf child and check the budget only at children that
+pass the counting bound and at the end of a node's loop; for every
+budget they must give the same (status, witness, nodes) as this search
+with ``pruned=True``.  ``log`` records where each node sits, so a test
+can tell where a budget cuts.
 
 ``pruned=False`` is the search without the kernel's two prunings (root
 reflection and the last-pick test): wherever it decides, the pruned
@@ -58,7 +62,10 @@ class ReferenceTable:
         return seen
 
     def search(self, size: int, max_nodes: int | None = None,
-               pruned: bool = True):
+               pruned: bool = True, log: list | None = None):
+        """(status, witness, nodes); ``log``, when given, gets one entry
+        per node in the order counted: (index of its parent, -1 at the
+        root; its remaining picks; whether it passes the counting bound)."""
         n = self.n
         full = (1 << n) - 1
         balls, coverers, max_ball = self.balls, self.coverers, self.max_ball
@@ -66,9 +73,14 @@ class ReferenceTable:
         nodes = 0
         chosen: list[int] = []
 
-        def dfs(covered: int, banned: int, remaining: int) -> int:
+        def dfs(covered: int, banned: int, remaining: int,
+                parent: int) -> int:
             nonlocal nodes
+            here = nodes
             nodes += 1
+            if log is not None:
+                log.append((parent, remaining, remaining * max_ball
+                            >= n - covered.bit_count()))
             if 0 <= budget < nodes:
                 return INCONCLUSIVE
             if covered == full:
@@ -88,7 +100,8 @@ class ReferenceTable:
                 if (banned >> u) & 1:
                     continue  # at the root also: a mirror of an earlier u
                 chosen.append(u)
-                r = dfs(covered | balls[u], banned | (1 << u), remaining - 1)
+                r = dfs(covered | balls[u], banned | (1 << u), remaining - 1,
+                        here)
                 if r != ABSENT:
                     return r
                 chosen.pop()
@@ -100,7 +113,7 @@ class ReferenceTable:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, size + 200))
         try:
-            status = dfs(0, 0, size)
+            status = dfs(0, 0, size, -1)
         finally:
             sys.setrecursionlimit(limit)
         if status == FOUND:

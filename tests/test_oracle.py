@@ -38,6 +38,40 @@ def reference_coverers(f: int, n: int, d: int, radii: int):
             return
 
 
+def small_searches(most: int = 400):
+    """Each TestKernelParity.GRID table with the sizes 0..min(n, 8) whose
+    search takes at most ``most`` nodes with no budget: ((f, n, d, k),
+    sizes), tables with no such size left out."""
+    for f, n, d, k in TestKernelParity.GRID:
+        pure = _cover_py.KernelTable(f, n, d, k)
+        sizes = [size for size in range(min(n, 8) + 1)
+                 if pure.search(size, most)[0] != _cover_py.INCONCLUSIVE]
+        if sizes:
+            yield (f, n, d, k), sizes
+
+
+def cut_kinds(log: list, budget: int) -> set[str]:
+    """Where ``budget`` cuts a search, read off the reference log of the
+    search with no budget: the kinds of node ``budget``, the first one the
+    budget does not allow.  A leaf is a child that fails the counting
+    bound; the kernels count it only at a later sibling that passes the
+    bound or at its loop's end."""
+    parent, _, passes = log[budget]
+    if parent <= 0:
+        return {"root child"} if parent == 0 else {"root"}
+    if log[parent][1] == 1:
+        return {"last pick"}
+    if passes:
+        return {"passing"}
+    siblings = [i for i, entry in enumerate(log) if entry[0] == parent]
+    kinds = {"leaf"}
+    if any(log[i][2] for i in siblings if i < budget):
+        kinds.add("after subtree")
+    if not any(log[i][2] for i in siblings if i > budget):
+        kinds.add("loop end")
+    return kinds
+
+
 def ball_members(table, v: int) -> list[int]:
     mask = table.ball_mask(v)
     return [u for u in range(table.n) if (mask >> u) & 1]
@@ -266,6 +300,17 @@ class TestKernelParity:
                     if pw is not None:
                         assert list(pw) == list(fw)
 
+    def test_every_budget_identical(self, compiled):
+        # every budget of each small search, up to one past its nodes: the
+        # budget is settled where each kernel settles its node count
+        for (f, n, d, k), sizes in small_searches():
+            pure = _cover_py.KernelTable(f, n, d, k)
+            fast = compiled.KernelTable(f, n, d, k)
+            for size in sizes:
+                for budget in range(pure.search(size)[2] + 2):
+                    assert fast.search(size, budget) == \
+                        pure.search(size, budget), (f, n, d, k, size, budget)
+
     def test_budgeted_searches_identical(self, compiled):
         for budget in (1, 2, 5, 50, 1000):
             pure = _cover_py.KernelTable(1, 31, 2, 2)
@@ -379,15 +424,54 @@ class TestPureKernelReference:
         pure = _cover_py.KernelTable(0, 110, 3, 3)
         assert 2 * pure.max_ball < 110
         assert pure.search(2) == (_cover_py.ABSENT, None, 1)
-        assert pure._columns == [None] * 110
+        assert pure._columns == pure._masks == [None] * 110
         assert pure.search(4)[0] == _cover_py.FOUND
         assert any(column is not None for column in pure._columns)
+        assert any(mask is not None for mask in pure._masks)
+
+    def test_masks_are_coverer_lists(self):
+        # a search builds the coverer mask of each vertex it branches on,
+        # the OR of its coverer list's bits; coverer_list builds none
+        built = 0
+        for f, n, d, k in TestKernelParity.GRID:
+            pure = _cover_py.KernelTable(f, n, d, k)
+            lists = [pure.coverer_list(v) for v in range(n)]
+            assert pure._masks == [None] * n
+            for size in range(min(n, 8) + 1):
+                pure.search(size, 200)
+            for v, mask in enumerate(pure._masks):
+                if mask is not None:
+                    assert mask == reduce(or_, (1 << u for u in lists[v])), \
+                        (f, n, d, k, v)
+                    built += 1
+        assert built > 0
 
     @pytest.mark.parametrize("f", [0, 1])
     @pytest.mark.parametrize("n", [1000, 5000])
     @pytest.mark.parametrize("d, k", [(2, 2), (5, 4)])
     def test_large_tables_match(self, f, n, d, k):
         self.assert_tables_equal(f, n, d, k)
+
+    def test_every_budget_matches(self):
+        # every budget of each small search, up to one past its nodes,
+        # cuts at the reference's node, wherever the cut falls: the pure
+        # kernel counts a leaf only at a later sibling that passes the
+        # counting bound or at its loop's end, and a last pick's children
+        # only when one covers the rest
+        cuts = set()
+        for (f, n, d, k), sizes in small_searches():
+            pure = _cover_py.KernelTable(f, n, d, k)
+            ref = ReferenceTable(f, n, d, k)
+            for size in sizes:
+                log: list = []
+                nodes = ref.search(size, log=log)[2]
+                for budget in range(nodes + 2):
+                    assert pure.search(size, budget) == \
+                        ref.search(size, budget), (f, n, d, k, size, budget)
+                cuts.update(kind for budget in range(nodes)
+                            for kind in cut_kinds(log, budget))
+        assert {"root child", "passing", "last pick", "after subtree",
+                "loop end"} <= cuts, cuts
 
     def test_searches_match(self):
         # sizes around the lower bound, where the oracle searches; an
