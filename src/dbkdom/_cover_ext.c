@@ -1,13 +1,15 @@
 /* Compiled cover-search kernel: _cover_py written in C.
  *
  * The same layer rule builds the balls (layer_runs) and the same search
- * shape walks the tree (expand, last_pick; the budget is settled only at
- * children that pass the counting bound), so the tables (balls,
- * coverers, max_ball) and every search's (status, witness, nodes) are
- * _cover_py's.  The parity tests pin the outputs.  Where a test costs
- * differently in C the order of the cheap ones differs: a ban is one bit,
- * so it is tested before the bound's popcount, and a node is counted as
- * it is passed rather than from a coverer mask.
+ * shape walks the tree (root, expand, last_pick: below the root a node's
+ * banned set is fixed over its loop, and the node count and the budget
+ * are settled only at children that pass the counting bound and at the
+ * loop's end), so the tables (balls, coverers, max_ball) and every
+ * search's (status, witness, nodes) are _cover_py's.  The parity tests
+ * pin the outputs.  Two things differ where they cost differently in C:
+ * a ban is one bit, so it is tested before the bound's popcount, and the
+ * children so far are counted in a register rather than from a coverer
+ * mask.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
  * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat).
@@ -25,12 +27,8 @@
 static int CTZ64(uint64_t x)
 { int c = 0; for (; !(x & 1); x >>= 1) c++; return c; }
 #endif
-#if (defined(__GNUC__) || defined(__clang__)) \
-    && (defined(__POPCNT__) || defined(__aarch64__))
-#define POPCNT64(x) __builtin_popcountll(x)
-#else
-/* Bit-parallel count, inline: without a popcount instruction (x86-64
- * below -mpopcnt) gcc's builtin is a call into libgcc. */
+/* Bit-parallel count, inline on every compiler: without a popcount
+ * instruction (x86-64 below -mpopcnt) gcc's builtin is a libgcc call. */
 static inline int POPCNT64(uint64_t x)
 {
     x -= (x >> 1) & 0x5555555555555555u;
@@ -38,7 +36,6 @@ static inline int POPCNT64(uint64_t x)
     x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
     return (int)((x * 0x0101010101010101u) >> 56);
 }
-#endif
 
 #define BIT(v) ((uint64_t)1 << ((v) & 63))
 
@@ -293,35 +290,41 @@ static int last_pick(Search *s, int depth)
     return ABSENT;
 }
 
-/* _cover_py's expand, at the node at `depth` with `remaining` picks:
- * branch on its lowest uncovered vertex over the coverers in ascending
- * order, banning each tried one (at the root also its mirror n - 1 - u,
- * root reflection) in its later siblings' subtrees.  A non-banned child
- * is counted as it is passed and tested against the counting bound on
- * the popcount of covered | ball, with nothing copied; a child that
- * fails it is a leaf.  The budget is checked and the words are copied
- * only at a child that passes, and the budget once more at the loop's
- * end. */
+/* _cover_py's expand, below the root, at the node at `depth` with
+ * `remaining` >= 2 picks: branch on its lowest uncovered vertex over the
+ * coverers in ascending order.  A sibling bans only itself, so the node's
+ * banned set is fixed over the loop, and a child's subtree also bans the
+ * non-banned siblings before it, which child_ban gathers as the loop
+ * passes them.  A child's popcount of covered | ball is tested against
+ * the counting bound with nothing copied; one that fails is a leaf.  Only
+ * at a child that passes are the node count and the budget settled and
+ * the words copied, and once more at the loop's end. */
 static int expand(Search *s, int depth, int remaining)
 {
     const KernelTable *t = s->t;
     int words = t->words, left = remaining - 1;
-    uint64_t *covered = s->cov_stack + (size_t)depth * words;
-    uint64_t *banned = s->ban_stack + (size_t)depth * words;
-    uint64_t *child_cov = covered + words, *child_ban = banned + words;
+    const uint64_t *covered = s->cov_stack + (size_t)depth * words;
+    const uint64_t *banned = s->ban_stack + (size_t)depth * words;
+    uint64_t *child_cov = s->cov_stack + (size_t)(depth + 1) * words;
+    uint64_t *child_ban = s->ban_stack + (size_t)(depth + 1) * words;
     int v = lowest_uncovered(covered);
     /* the counting bound: with `left` picks to go a child needs this many
-     * covered vertices; with none left only a full child has them */
+     * covered vertices; a full child always has them */
     int64_t need = t->n - (int64_t)left * t->max_ball;
+    /* the nodes outside this loop's children, and the children so far */
+    int64_t counted = s->nodes, at = 0;
+    for (int w = 0; w < words; w++)
+        child_ban[w] = banned[w];
     for (Py_ssize_t i = t->cov_idx[v]; i < t->cov_idx[v + 1]; i++) {
         int u = t->cov_dat[i], cnt = 0;
         if (banned[u >> 6] & BIT(u))
             continue;
-        s->nodes++;
+        at++;
         const uint64_t *row = t->balls + (size_t)u * words;
         for (int w = 0; w < words; w++)
             cnt += POPCNT64(covered[w] | row[w]);
         if (cnt >= need) {
+            s->nodes = counted + at;
             if (over_budget(s))
                 return INCONCLUSIVE;
             s->chosen[depth] = u;
@@ -329,22 +332,59 @@ static int expand(Search *s, int depth, int remaining)
                 s->found_len = depth + 1;
                 return FOUND;
             }
-            for (int w = 0; w < words; w++) {
+            for (int w = 0; w < words; w++)
                 child_cov[w] = covered[w] | row[w];
-                child_ban[w] = banned[w];
-            }
             int r = left == 1 ? last_pick(s, depth + 1)
                               : expand(s, depth + 1, left);
             if (r != ABSENT)
                 return r;
+            counted = s->nodes - at;
+        }
+        child_ban[u >> 6] |= BIT(u);
+    }
+    s->nodes = counted + at;
+    return over_budget(s) ? INCONCLUSIVE : ABSENT;
+}
+
+/* _cover_py's root walk over the coverers of vertex 0: a coverer's
+ * subtree bans it and its mirror n - 1 - u in the later root subtrees
+ * (root reflection).  Since the root's bans grow, each child is counted
+ * and checked against the budget as it is passed.  The root's bans are
+ * its children's, at depth 1; with no pick made, the counting bound
+ * alone already implies the last-pick test. */
+static int root(Search *s, int size)
+{
+    const KernelTable *t = s->t;
+    int words = t->words, left = size - 1;
+    uint64_t *child_cov = s->cov_stack + words;
+    uint64_t *banned = s->ban_stack + words;
+    int64_t need = t->n - (int64_t)left * t->max_ball;
+    for (Py_ssize_t i = t->cov_idx[0]; i < t->cov_idx[1]; i++) {
+        int u = t->cov_dat[i], m = t->n - 1 - u, cnt = 0;
+        if (banned[u >> 6] & BIT(u))
+            continue;
+        s->nodes++;
+        if (over_budget(s))
+            return INCONCLUSIVE;
+        const uint64_t *row = t->balls + (size_t)u * words;
+        for (int w = 0; w < words; w++)
+            cnt += POPCNT64(row[w]);
+        if (cnt >= need) {
+            s->chosen[0] = u;
+            if (cnt == t->n) {
+                s->found_len = 1;
+                return FOUND;
+            }
+            for (int w = 0; w < words; w++)
+                child_cov[w] = row[w];
+            int r = left == 1 ? last_pick(s, 1) : expand(s, 1, left);
+            if (r != ABSENT)
+                return r;
         }
         banned[u >> 6] |= BIT(u);
-        if (depth == 0) {
-            int m = t->n - 1 - u;
-            banned[m >> 6] |= BIT(m);
-        }
+        banned[m >> 6] |= BIT(m);
     }
-    return over_budget(s) ? INCONCLUSIVE : ABSENT;
+    return ABSENT;
 }
 
 static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
@@ -384,7 +424,7 @@ static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
     if (s.cov_stack == NULL || s.ban_stack == NULL || s.chosen == NULL) {
         PyErr_NoMemory();
     } else {
-        int status = expand(&s, 0, size);
+        int status = root(&s, size);
         PyObject *witness = Py_NewRef(Py_None);
         if (status == FOUND) {
             Py_SETREF(witness, int_list(s.chosen, s.found_len));

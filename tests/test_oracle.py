@@ -40,14 +40,16 @@ def reference_coverers(f: int, n: int, d: int, radii: int):
 
 def small_searches(most: int = 400):
     """Each TestKernelParity.GRID table with the sizes 0..min(n, 8) whose
-    search takes at most ``most`` nodes with no budget: ((f, n, d, k),
-    sizes), tables with no such size left out."""
+    reference search takes at most ``most`` nodes with no budget:
+    ((f, n, d, k), reference table, sizes), tables with no such size left
+    out.  The reference, not a kernel under test, picks the sizes, so a
+    kernel that miscounts fails rather than drops a search."""
     for f, n, d, k in TestKernelParity.GRID:
-        pure = _cover_py.KernelTable(f, n, d, k)
+        ref = ReferenceTable(f, n, d, k)
         sizes = [size for size in range(min(n, 8) + 1)
-                 if pure.search(size, most)[0] != _cover_py.INCONCLUSIVE]
+                 if ref.search(size, most)[0] != _cover_py.INCONCLUSIVE]
         if sizes:
-            yield (f, n, d, k), sizes
+            yield (f, n, d, k), ref, sizes
 
 
 def cut_kinds(log: list, budget: int) -> set[str]:
@@ -303,11 +305,11 @@ class TestKernelParity:
     def test_every_budget_identical(self, compiled):
         # every budget of each small search, up to one past its nodes: the
         # budget is settled where each kernel settles its node count
-        for (f, n, d, k), sizes in small_searches():
+        for (f, n, d, k), ref, sizes in small_searches():
             pure = _cover_py.KernelTable(f, n, d, k)
             fast = compiled.KernelTable(f, n, d, k)
             for size in sizes:
-                for budget in range(pure.search(size)[2] + 2):
+                for budget in range(ref.search(size)[2] + 2):
                     assert fast.search(size, budget) == \
                         pure.search(size, budget), (f, n, d, k, size, budget)
 
@@ -459,9 +461,8 @@ class TestPureKernelReference:
         # counting bound or at its loop's end, and a last pick's children
         # only when one covers the rest
         cuts = set()
-        for (f, n, d, k), sizes in small_searches():
+        for (f, n, d, k), ref, sizes in small_searches():
             pure = _cover_py.KernelTable(f, n, d, k)
-            ref = ReferenceTable(f, n, d, k)
             for size in sizes:
                 log: list = []
                 nodes = ref.search(size, log=log)[2]
