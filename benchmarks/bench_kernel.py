@@ -43,9 +43,11 @@ OUT = ROOT / "BENCH_kernel.json"
 # (label, family code, n, d, k, size, node budget): decision problems of
 # increasing difficulty, from a root-level prune to searches in the tens
 # of thousands of nodes, one of them cut by the oracle-budget workload's
-# 20,000-node budget (with no budget it takes 17.4 M nodes), then
-# table-only builds (size None) at the oracle's table ceiling.  Family
-# codes follow the kernel convention 0 = de Bruijn, 1 = Kautz.
+# 20,000-node budget (with no budget it takes 17.4 M nodes), then two
+# shallow searches on rows of 8 and 16 words, whose time goes to the root
+# and the last picks, then table-only builds (size None) at the oracle's
+# table ceiling.  Family codes follow the kernel convention 0 = de Bruijn,
+# 1 = Kautz.
 CASES = [
     ("debruijn n=40 d=3 k=3 size=1 (pruned)", 0, 40, 3, 3, 1, None),
     ("debruijn n=59 d=2 k=2 size=9 (found)", 0, 59, 2, 2, 9, None),
@@ -54,6 +56,8 @@ CASES = [
     ("debruijn n=230 d=3 k=2 size=18 (found)", 0, 230, 3, 2, 18, None),
     ("kautz    n=150 d=2 k=3 size=10 (absent)", 1, 150, 2, 3, 10, None),
     ("kautz    n=165 d=3 k=2 size=13 (capped)", 1, 165, 3, 2, 13, 20_000),
+    ("kautz    n=500 d=2 k=6 size=5 (found)", 1, 500, 2, 6, 5, None),
+    ("debruijn n=1000 d=3 k=5 size=4 (found)", 0, 1000, 3, 5, 4, None),
     ("debruijn n=5000 d=2 k=2 (table only)", 0, 5000, 2, 2, None, None),
     ("kautz    n=5000 d=2 k=2 (table only)", 1, 5000, 2, 2, None, None),
     ("debruijn n=5000 d=5 k=4 (table only)", 0, 5000, 5, 4, None, None),

@@ -1,15 +1,15 @@
 /* Compiled cover-search kernel: _cover_py written in C.
  *
  * The same layer rule builds the balls (layer_runs) and the same search
- * shape walks the tree (root, expand, last_pick: below the root a node's
- * banned set is fixed over its loop, and the node count and the budget
- * are settled only at children that pass the counting bound and at the
- * loop's end), so the tables (balls, coverers, max_ball) and every
- * search's (status, witness, nodes) are _cover_py's.  The parity tests
- * pin the outputs.  Two things differ where they cost differently in C:
- * a ban is one bit, so it is tested before the bound's popcount, and the
- * children so far are counted in a register rather than from a coverer
- * mask.
+ * walks the tree (expand at every node from the root down, last_pick at a
+ * node with one pick left; the root's bans alone grow, with its children's
+ * mirrors, and the node count and the budget are settled only at children
+ * that pass the counting bound and at a loop's end), so the tables (balls,
+ * coverers, max_ball) and every search's (status, witness, nodes) are
+ * _cover_py's.  The parity tests pin the outputs.  Two things differ
+ * where they cost differently in C: a ban is one bit, so it is tested
+ * before the bound's popcount, and the children so far are counted in a
+ * register rather than from a coverer mask.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
  * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat).
@@ -290,21 +290,24 @@ static int last_pick(Search *s, int depth)
     return ABSENT;
 }
 
-/* _cover_py's expand, below the root, at the node at `depth` with
- * `remaining` >= 2 picks: branch on its lowest uncovered vertex over the
- * coverers in ascending order.  A sibling bans only itself, so the node's
- * banned set is fixed over the loop, and a child's subtree also bans the
- * non-banned siblings before it, which child_ban gathers as the loop
- * passes them.  A child's popcount of covered | ball is tested against
- * the counting bound with nothing copied; one that fails is a leaf.  Only
- * at a child that passes are the node count and the budget settled and
- * the words copied, and once more at the loop's end. */
+/* _cover_py's expand, at the node at `depth` with `remaining` >= 1 picks:
+ * branch on its lowest uncovered vertex over the coverers in ascending
+ * order.  A child's subtree also bans the non-banned siblings before it,
+ * which child_ban gathers as the loop passes them.  Below the root a
+ * sibling bans only itself, so the node's banned set is fixed over the
+ * loop; at the root (depth 0, whose bans are its own to write) a passed
+ * child also bans its mirror n - 1 - u in the node and in child_ban (root
+ * reflection), so a later mirror is no child.  A child's popcount of
+ * covered | ball is tested against the counting bound with nothing
+ * copied; one that fails is a leaf.  Only at a child that passes are the
+ * node count and the budget settled and the words copied, and once more
+ * at the loop's end. */
 static int expand(Search *s, int depth, int remaining)
 {
     const KernelTable *t = s->t;
     int words = t->words, left = remaining - 1;
     const uint64_t *covered = s->cov_stack + (size_t)depth * words;
-    const uint64_t *banned = s->ban_stack + (size_t)depth * words;
+    uint64_t *banned = s->ban_stack + (size_t)depth * words;
     uint64_t *child_cov = s->cov_stack + (size_t)(depth + 1) * words;
     uint64_t *child_ban = s->ban_stack + (size_t)(depth + 1) * words;
     int v = lowest_uncovered(covered);
@@ -341,50 +344,14 @@ static int expand(Search *s, int depth, int remaining)
             counted = s->nodes - at;
         }
         child_ban[u >> 6] |= BIT(u);
+        if (depth == 0) {
+            int m = t->n - 1 - u;
+            banned[m >> 6] |= BIT(m);
+            child_ban[m >> 6] |= BIT(m);
+        }
     }
     s->nodes = counted + at;
     return over_budget(s) ? INCONCLUSIVE : ABSENT;
-}
-
-/* _cover_py's root walk over the coverers of vertex 0: a coverer's
- * subtree bans it and its mirror n - 1 - u in the later root subtrees
- * (root reflection).  Since the root's bans grow, each child is counted
- * and checked against the budget as it is passed.  The root's bans are
- * its children's, at depth 1; with no pick made, the counting bound
- * alone already implies the last-pick test. */
-static int root(Search *s, int size)
-{
-    const KernelTable *t = s->t;
-    int words = t->words, left = size - 1;
-    uint64_t *child_cov = s->cov_stack + words;
-    uint64_t *banned = s->ban_stack + words;
-    int64_t need = t->n - (int64_t)left * t->max_ball;
-    for (Py_ssize_t i = t->cov_idx[0]; i < t->cov_idx[1]; i++) {
-        int u = t->cov_dat[i], m = t->n - 1 - u, cnt = 0;
-        if (banned[u >> 6] & BIT(u))
-            continue;
-        s->nodes++;
-        if (over_budget(s))
-            return INCONCLUSIVE;
-        const uint64_t *row = t->balls + (size_t)u * words;
-        for (int w = 0; w < words; w++)
-            cnt += POPCNT64(row[w]);
-        if (cnt >= need) {
-            s->chosen[0] = u;
-            if (cnt == t->n) {
-                s->found_len = 1;
-                return FOUND;
-            }
-            for (int w = 0; w < words; w++)
-                child_cov[w] = row[w];
-            int r = left == 1 ? last_pick(s, 1) : expand(s, 1, left);
-            if (r != ABSENT)
-                return r;
-        }
-        banned[u >> 6] |= BIT(u);
-        banned[m >> 6] |= BIT(m);
-    }
-    return ABSENT;
 }
 
 static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
@@ -424,7 +391,7 @@ static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
     if (s.cov_stack == NULL || s.ban_stack == NULL || s.chosen == NULL) {
         PyErr_NoMemory();
     } else {
-        int status = root(&s, size);
+        int status = expand(&s, 0, size);
         PyObject *witness = Py_NewRef(Py_None);
         if (status == FOUND) {
             Py_SETREF(witness, int_list(s.chosen, s.found_len));

@@ -4,14 +4,16 @@ Builds radius-k coverage bitmasks for every vertex of a formula-defined
 digraph and runs an exhaustive branch and bound search for a dominating set
 of a given size.  The compiled kernel in _cover_ext is this kernel written
 in C: the same layer rule for the balls (see ``KernelTable._balls``) and
-the same search (``expand`` and its last pick, the budget settled only at
-children that pass the counting bound), so it returns the same tables
-(balls, coverers, max_ball) and, for every search, the same (status,
-witness, nodes); the parity tests pin the outputs.  This kernel builds
+the same search (``expand`` at every node, only the root's bans carrying
+mirrors, and its last pick, the budget settled only at children that
+pass the counting bound), so it returns the same tables (balls,
+coverers, max_ball) and, for every search, the same (status, witness,
+nodes); the parity tests pin the outputs.  This kernel builds
 only the balls up front: a vertex's coverer list is computed from a
 closed form the first time a search or ``coverer_list`` reads it (see
-``KernelTable._column``), and its coverer mask the first time a search
-branches on it, so a search pays for the lists it reads.
+``KernelTable._column``), its coverer mask the first time a search
+branches on it, and the root's bans the first time a search gets past
+the root's counting bound, so a search pays for what it reads.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class KernelTable:
                        for m, flip in layers for q in range(m)]
         self._columns: list[list[int] | None] = [None] * n  # built on read
         self._masks: list[int | None] = [None] * n  # built by a search
+        # built by the first search past the root's counting bound
+        self._root: tuple[list[int], int, dict[int, int]] | None = None
 
     def _balls(self) -> list[int]:
         """Every ball as the OR of its vertex's layer runs: the layer of m
@@ -90,6 +94,29 @@ class KernelTable:
             {(sign * y + offset) // m for sign, offset, m in self._terms})
         return column
 
+    def _root_bans(self) -> tuple[list[int], int, dict[int, int]]:
+        """Each vertex's bit 1 << u, the root's banned set, and each root
+        child's subtree bans; cached.
+
+        Root reflection: x -> n-1-x maps every ball onto a ball, so the
+        subtree of a coverer of 0 bans the earlier children and their
+        mirrors, and a coverer that mirrors an earlier child is banned at
+        the root; a cover lost this way has its mirror in an earlier root
+        subtree.
+        """
+        n = self.n
+        bits = [1 << u for u in range(n)]
+        skipped = banned = 0
+        bans: dict[int, int] = {}
+        for u in self._columns[0] or self._column(0):
+            if banned & bits[u]:
+                skipped |= bits[u]
+            else:
+                bans[u] = banned
+                banned |= bits[u] | bits[n - 1 - u]
+        self._root = bits, skipped, bans
+        return self._root
+
     def _require_vertex(self, v: int) -> None:
         # a negative v would otherwise index from the end
         if not 0 <= v < self.n:
@@ -107,32 +134,28 @@ class KernelTable:
                max_nodes: int | None = None) -> tuple[int, list[int] | None, int]:
         """Exhaustive search for a covering set of at most ``size`` vertices.
 
-        Branches on the lowest uncovered vertex over its coverers in
-        ascending order; coverers already tried at a node are banned in the
-        sibling subtrees, so no subset is explored twice.  Every non-banned
-        child is a node.  A child is first tested against the counting
-        bound (each pick covers at most max_ball vertices); one that fails
-        is a leaf, and costs that one test.  Only a child that passes is
-        checked against the bans, and only there are the node count, the
-        budget and the subtree's bans settled: below the root a sibling
-        bans only itself, so the banned set is fixed over a node's loop and
-        the children so far are the non-banned coverers up to this one, a
-        popcount of the branching vertex's coverer mask.  The leaves after
-        the last passing child are counted the same way at the loop's end.
-        A passing child that covers everything ends the search; one with
-        picks left is expanded.
+        Every node, the root included, branches on its lowest uncovered
+        vertex over its coverers in ascending order; coverers already
+        tried at a node are banned in the sibling subtrees, so no subset is
+        explored twice.  Every non-banned child is a node.  A child is
+        first tested against the counting bound (each pick covers at most
+        max_ball vertices); one that fails is a leaf, and costs that one
+        test.  Only a child that passes is checked against the bans, and
+        only there are the node count, the budget and the subtree's bans
+        settled: a node's banned set is fixed over its loop, so the
+        children so far are one popcount of its coverer mask less the
+        banned set, below this child.  The leaves after the last passing
+        child are counted the same way at the loop's end.  A passing child
+        that covers everything ends the search; one with picks left is
+        expanded.
 
-        Two exact prunings cut the tree.  Root reflection: x -> n-1-x maps
-        every ball onto a ball, so the subtree of the root's i-th coverer
-        also bans the mirrors of the root's earlier coverers, and a root
-        coverer that is such a mirror is skipped without being counted; a
-        cover lost this way has its mirror in an earlier root branch.
-        Since the root's bans grow, the root counts each child as it goes.
-        Last pick: a child with one pick left is expanded only when some
-        non-banned coverer of its lowest uncovered vertex covers all that
-        is left, otherwise it is a leaf.  Neither removes the first cover
-        of the unpruned order, so where that search decides, the witness
-        is the same and the node count no higher.
+        Two exact prunings cut the tree: root reflection, whose bans are
+        cached per table (see ``_root_bans``), and last pick, where a
+        child with one pick left is expanded only when some non-banned
+        coverer of its lowest uncovered vertex covers all that is left,
+        otherwise it is a leaf.  Neither removes the first cover of the
+        unpruned order, so where that search decides, the witness is the
+        same and the node count no higher.
 
         Returns (status, witness, nodes) where the witness is the first
         cover found by this fixed order (ascending members), or None.  A
@@ -156,7 +179,7 @@ class KernelTable:
             return INCONCLUSIVE, None, nodes
         if size == 0 or size * max_ball < n:
             return ABSENT, None, nodes
-        bits = [1 << u for u in range(n)]
+        bits, root_banned, root_bans = self._root or self._root_bans()
         chosen: list[int] = []
 
         def mask(v: int) -> int:
@@ -166,8 +189,9 @@ class KernelTable:
             return masks[v]
 
         def expand(covered: int, banned: int, remaining: int) -> int:
-            # below the root, remaining >= 2: covered is short of full and
-            # the counting bound holds, and banned is fixed over the loop
+            # covered is short of full, the counting bound holds and banned
+            # is fixed over the loop; at the root (covered is 0) banned and
+            # each child's subtree bans are the table's
             nonlocal nodes
             v = (~covered & (covered + 1)).bit_length() - 1
             left = remaining - 1
@@ -190,10 +214,11 @@ class KernelTable:
                 chosen.append(u)
                 if child == full:
                     return FOUND
+                bans = banned | before if covered else root_bans[u]
                 if left == 1:
-                    status = last_pick(child, banned | before)
+                    status = last_pick(child, bans)
                 else:
-                    status = expand(child, banned | before, left)
+                    status = expand(child, bans, left)
                 if status != ABSENT:
                     return status
                 chosen.pop()
@@ -226,34 +251,8 @@ class KernelTable:
         limit = sys.getrecursionlimit()
         if size + 100 > limit:
             sys.setrecursionlimit(size + 200)
-        # the root: a coverer's subtree bans the coverer and its mirror in
-        # the later root subtrees; with no pick made, the counting bound
-        # alone already implies the last-pick test
-        left = size - 1
-        need = n - left * max_ball
-        banned = 0
-        status = ABSENT
         try:
-            for u in columns[0] or column(0):
-                if banned & bits[u]:
-                    continue
-                nodes += 1
-                if nodes > cap:
-                    status = INCONCLUSIVE
-                    break
-                child = balls[u]
-                if child.bit_count() >= need:
-                    chosen.append(u)
-                    if child == full:
-                        status = FOUND
-                    elif left == 1:
-                        status = last_pick(child, banned)
-                    else:
-                        status = expand(child, banned, left)
-                    if status != ABSENT:
-                        break
-                    chosen.pop()
-                banned |= bits[u] | bits[n - 1 - u]
+            status = expand(0, root_banned, size)
         finally:
             sys.setrecursionlimit(limit)
             del expand  # its closure cycle would keep the table until a gc

@@ -97,15 +97,10 @@ def _family_code(g: GeneralizedDigraph) -> int:
 def coverage_table(g: GeneralizedDigraph, k: int):
     """The kernel's radius-k coverage table of ``g``: ``family`` (kernel
     code), ``n``, ``d``, ``k``, ``max_ball``, ``ball_mask(v)``,
-    ``coverer_list(v)`` and ``search``.  Refuses n > DEFAULT_TABLE_CEILING,
-    and the kernel refuses k < 0.  The compiled kernel builds every ball
-    and coverer list here.  The pure one builds the balls here, each
-    coverer list the first time a search or ``coverer_list`` reads it,
-    and a vertex's coverer bitmask the first time a search branches on
-    it.  ``search`` counts every child that is not banned as a node, but
-    checks the budget only at children that pass the counting bound and
-    at the end of a node's loop.  A search cut by the budget returns
-    budget + 1 nodes, as one checking every node would.
+    ``coverer_list(v)`` and ``search(size, max_nodes)``, which returns
+    (status, witness, nodes) with every non-banned child a node, and
+    budget + 1 nodes when the budget cuts it.  Refuses
+    n > DEFAULT_TABLE_CEILING, and the kernel refuses k < 0.
     """
     if g.n > DEFAULT_TABLE_CEILING:
         raise ValueError(f"order {g.n} exceeds the oracle table ceiling "

@@ -57,21 +57,23 @@ def cut_kinds(log: list, budget: int) -> set[str]:
     search with no budget: the kinds of node ``budget``, the first one the
     budget does not allow.  A leaf is a child that fails the counting
     bound; the kernels count it only at a later sibling that passes the
-    bound or at its loop's end."""
+    bound or at its loop's end.  The root's children (parent 0) get the
+    same kinds as any other node's, marked "root"."""
     parent, _, passes = log[budget]
-    if parent <= 0:
-        return {"root child"} if parent == 0 else {"root"}
-    if log[parent][1] == 1:
+    if parent < 0:
+        return {"root"}
+    if parent > 0 and log[parent][1] == 1:
         return {"last pick"}
     if passes:
-        return {"passing"}
-    siblings = [i for i, entry in enumerate(log) if entry[0] == parent]
-    kinds = {"leaf"}
-    if any(log[i][2] for i in siblings if i < budget):
-        kinds.add("after subtree")
-    if not any(log[i][2] for i in siblings if i > budget):
-        kinds.add("loop end")
-    return kinds
+        kinds = {"passing"}
+    else:
+        siblings = [i for i, entry in enumerate(log) if entry[0] == parent]
+        kinds = {"leaf"}
+        if any(log[i][2] for i in siblings if i < budget):
+            kinds.add("after subtree")
+        if not any(log[i][2] for i in siblings if i > budget):
+            kinds.add("loop end")
+    return {f"root {kind}" for kind in kinds} if parent == 0 else kinds
 
 
 def ball_members(table, v: int) -> list[int]:
@@ -313,6 +315,19 @@ class TestKernelParity:
                     assert fast.search(size, budget) == \
                         pure.search(size, budget), (f, n, d, k, size, budget)
 
+    # rows of 8 and 16 words, searches led by the root and the last picks
+    WIDE = [((1, 500, 2, 6), 5, 52_273), ((0, 1000, 3, 5), 4, 2_269)]
+
+    @pytest.mark.parametrize("table, size, nodes", WIDE)
+    def test_wide_row_searches_identical(self, compiled, table, size, nodes):
+        pure = _cover_py.KernelTable(*table)
+        fast = compiled.KernelTable(*table)
+        status, _, searched = pure.search(size)
+        assert (status, searched) == (_cover_py.FOUND, nodes)
+        for budget in (None, 0, 1, 2, 1000, nodes - 1, nodes):
+            assert fast.search(size, budget) == pure.search(size, budget), \
+                (table, size, budget)
+
     def test_budgeted_searches_identical(self, compiled):
         for budget in (1, 2, 5, 50, 1000):
             pure = _cover_py.KernelTable(1, 31, 2, 2)
@@ -422,14 +437,25 @@ class TestPureKernelReference:
 
     def test_root_decided_search_builds_no_column(self):
         # coverer lists are built when a search first reads them, and a
-        # search the counting bound decides at the root reads none
+        # search the counting bound decides at the root reads none and
+        # builds no root bans; the first search past the root builds them,
+        # and later searches reuse them
         pure = _cover_py.KernelTable(0, 110, 3, 3)
         assert 2 * pure.max_ball < 110
         assert pure.search(2) == (_cover_py.ABSENT, None, 1)
         assert pure._columns == pure._masks == [None] * 110
+        assert pure._root is None
         assert pure.search(4)[0] == _cover_py.FOUND
         assert any(column is not None for column in pure._columns)
         assert any(mask is not None for mask in pure._masks)
+        root = pure._root
+        bits, skipped, bans = root
+        assert bits == [1 << u for u in range(110)]
+        # the coverers of 0, split into the root's bans and its children
+        assert skipped & sum(bits[u] for u in bans) == 0
+        assert skipped | sum(bits[u] for u in bans) == pure._masks[0]
+        assert pure.search(5)[0] == _cover_py.FOUND
+        assert pure._root is root
 
     def test_masks_are_coverer_lists(self):
         # a search builds the coverer mask of each vertex it branches on,
@@ -458,8 +484,8 @@ class TestPureKernelReference:
         # every budget of each small search, up to one past its nodes,
         # cuts at the reference's node, wherever the cut falls: the pure
         # kernel counts a leaf only at a later sibling that passes the
-        # counting bound or at its loop's end, and a last pick's children
-        # only when one covers the rest
+        # counting bound or at its loop's end, the root's children included,
+        # and a last pick's children only when one covers the rest
         cuts = set()
         for (f, n, d, k), ref, sizes in small_searches():
             pure = _cover_py.KernelTable(f, n, d, k)
@@ -471,8 +497,8 @@ class TestPureKernelReference:
                         ref.search(size, budget), (f, n, d, k, size, budget)
                 cuts.update(kind for budget in range(nodes)
                             for kind in cut_kinds(log, budget))
-        assert {"root child", "passing", "last pick", "after subtree",
-                "loop end"} <= cuts, cuts
+        assert {"root passing", "root leaf", "passing", "last pick",
+                "after subtree", "loop end"} <= cuts, cuts
 
     def test_searches_match(self):
         # sizes around the lower bound, where the oracle searches; an
