@@ -138,15 +138,10 @@ def classify_row(family: str, n: int, d: int, k: int,
 
 
 def row_to_csv_fields(row: dict) -> list[str]:
-    def cell(value):
-        return "" if value is None else str(value)
-
+    """The row's CSV_COLUMNS cells; None is empty, a witness ';'-joined."""
     witness = row.get("witness")
-    return [row["family"], cell(row["n"]), cell(row["d"]), cell(row["k"]),
-            cell(row["lower"]), cell(row["upper"]), cell(row["gamma"]),
-            row["method"],
-            ";".join(map(str, witness)) if witness else "",
-            cell(row.get("ms"))]
+    row = dict(row, witness=";".join(map(str, witness)) if witness else None)
+    return ["" if row.get(c) is None else str(row[c]) for c in CSV_COLUMNS]
 
 
 _SCALARS = {str, int, float, bool, type(None)}

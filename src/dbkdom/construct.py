@@ -41,7 +41,7 @@ from .domination import bounds, verify
 from .modular import (ceil_div, geometric_sum, run_mask,
                       solve_linear_congruence)
 from .oracle import (ABSENT, DEFAULT_LIMITS, FOUND, OracleLimits,
-                     coverage_table, exists_dominating_of_size,
+                     SearchResult, coverage_table, exists_dominating_of_size,
                      min_dominating)
 
 METHOD_CONGRUENCE = "congruence"
@@ -405,21 +405,17 @@ def classify(g: GeneralizedDigraph, k: int,
     table = coverage_table(g, radius)
     search = exists_dominating_of_size(g, radius, b.lower, table=table,
                                        max_nodes=limits.max_nodes)
+    if search.status == ABSENT:
+        # a verified cover of size lower+1 is now a minimum one; here
+        # n <= DEFAULT_TABLE_CEILING <= COVER_SCAN_MAX_N, so Kautz scans
+        plus = (build_anchor_run(g, radius) if g.family == DEBRUIJN
+                else scan(g, radius, b.lower + 1))
+        if plus is not None:
+            return result(METHOD_ORACLE, plus, search.nodes)
+        rest = min_dominating(g, radius, table=table,
+                              max_nodes=limits.max_nodes, start=b.lower + 1)
+        search = SearchResult(rest.status, rest.witness,
+                              search.nodes + rest.nodes)
     if search.status == FOUND:
         return result(METHOD_ORACLE, search.witness, search.nodes)
-    if search.status != ABSENT:
-        return result(METHOD_INCONCLUSIVE, nodes=search.nodes)
-    # a verified cover of size lower+1 is now a minimum one
-    if g.family == DEBRUIJN:
-        plus = build_anchor_run(g, radius)
-    else:
-        # n <= max_n <= DEFAULT_TABLE_CEILING <= COVER_SCAN_MAX_N here
-        plus = two_run_cover(g, radius, b.lower + 1)
-    if plus is not None:
-        return result(METHOD_ORACLE, plus, search.nodes)
-    rest = min_dominating(g, radius, table=table, max_nodes=limits.max_nodes,
-                          start=b.lower + 1)
-    nodes = search.nodes + rest.nodes
-    if rest.status == FOUND:
-        return result(METHOD_ORACLE, rest.witness, nodes)
-    return result(METHOD_INCONCLUSIVE, nodes=nodes)
+    return result(METHOD_INCONCLUSIVE, nodes=search.nodes)

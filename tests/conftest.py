@@ -80,9 +80,10 @@ def power_sum_run(d: int, m: int, k: int) -> tuple[int, list[int]]:
 def compiled(tmp_path_factory):
     """The compiled kernel, built from this checkout into a temp dir.
 
-    Skips only when there is no C compiler.  setup.py turns a failed build
-    into a warning so that installs fall back to the pure kernel; here a
-    compiler without a module is a failure, shown with the build output.
+    Skips only when there is no C compiler.  setup.py marks the extension
+    optional, so a failed build only warns and installs fall back to the
+    pure kernel; here a compiler without a module is a failure, shown with
+    the build output.
     """
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:

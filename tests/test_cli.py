@@ -850,6 +850,17 @@ class TestOutputPins:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "99faf19478c93d871d90118c807e68df40ad1c6971bf56067dbce5ecab4420d4")
 
+    def test_default_sweep_csv(self):
+        # the same rows as CSV cells, header included, less the last
+        # column, ms
+        code, out, _ = run_cli("sweep", "--family", "both", "-n", "2..60",
+                               "-d", "2..5", "-k", "1..4", "--format", "csv")
+        assert code == EXIT_OK and CSV_COLUMNS[-1] == "ms"
+        text = "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in out.splitlines())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e0c37db6292554d53b77c01e1c97f4afeae2790d0b85323026f7947e72b1ff3f")
+
     def test_problems_json(self):
         code, out, _ = run_cli("problems", "--format", "json")
         assert code == EXIT_INVALID  # both reports hold counterexamples
