@@ -76,6 +76,17 @@ def power_sum_run(d: int, m: int, k: int) -> tuple[int, list[int]]:
     return size, [(x + i) % n for i in range(size)]
 
 
+def build_kernel(out: Path, env=None):
+    """Run ``setup.py build_ext`` with ``out`` as its build and temp dirs:
+    (the finished process, the path the compiled kernel is built at)."""
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out), "--build-temp", str(out)],
+        cwd=ROOT, capture_output=True, text=True, env=env)
+    return build, out / "dbkdom" / ("_cover_ext"
+                                     + sysconfig.get_config_var("EXT_SUFFIX"))
+
+
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled kernel, built from this checkout into a temp dir.
@@ -88,13 +99,7 @@ def compiled(tmp_path_factory):
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         pytest.skip(f"C compiler {cc!r} not on PATH")
-    out = tmp_path_factory.mktemp("cover_ext")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out), "--build-temp", str(out)],
-        cwd=ROOT, capture_output=True, text=True)
-    path = out / "dbkdom" / ("_cover_ext"
-                             + sysconfig.get_config_var("EXT_SUFFIX"))
+    build, path = build_kernel(tmp_path_factory.mktemp("cover_ext"))
     if not path.exists():
         pytest.fail(f"{cc} is on PATH but setup.py built no {path.name}:\n"
                     f"{build.stdout}\n{build.stderr}", pytrace=False)

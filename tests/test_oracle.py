@@ -1,16 +1,13 @@
 """Exhaustive search oracle: tables, fixed-size decisions, minimums."""
 
 import os
-import subprocess
-import sys
-import sysconfig
 from functools import reduce
 from operator import or_
 
 import pytest
 
-from conftest import (ROOT, naive_ball, naive_gamma, naive_is_dominating,
-                      naive_out_neighbors)
+from conftest import (build_kernel, naive_ball, naive_gamma,
+                      naive_is_dominating, naive_out_neighbors)
 from kernel_reference import ReferenceTable
 from dbkdom import _cover_py
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph
@@ -42,26 +39,24 @@ def reference_coverers(f: int, n: int, d: int, radii: int):
             return
 
 
-# Kautz 55/2/2 at size 8, absent after 670 nodes: budget 669 cuts it at a
-# root leaf counted at the root's loop end, which no search of at most 400
-# nodes does
-ROOT_LOOP_END_SEARCH = ((1, 55, 2, 2), 8)
-
-
 def small_searches(most: int = 400):
     """Each TestKernelParity.GRID table with the sizes 0..min(n, 8) whose
-    reference search takes at most ``most`` nodes with no budget, and
-    ROOT_LOOP_END_SEARCH: ((f, n, d, k), reference table, sizes), tables
-    with no such size left out.  The reference, not a kernel under test,
-    picks the sizes, so a kernel that miscounts fails rather than drops a
-    search."""
-    for table in TestKernelParity.GRID:
-        ref = ReferenceTable(*table)
-        sizes = [size for size in range(min(table[1], 8) + 1)
-                 if (table, size) == ROOT_LOOP_END_SEARCH
-                 or ref.search(size, most)[0] != _cover_py.INCONCLUSIVE]
+    reference search takes at most ``most`` nodes with no budget:
+    ((f, n, d, k), reference table, sizes), tables with no such size left
+    out.  The reference, not a kernel under test, picks the sizes, so a
+    kernel that miscounts fails rather than drops a search."""
+    for f, n, d, k in TestKernelParity.GRID:
+        ref = ReferenceTable(f, n, d, k)
+        sizes = [size for size in range(min(n, 8) + 1)
+                 if ref.search(size, most)[0] != _cover_py.INCONCLUSIVE]
         if sizes:
-            yield table, ref, sizes
+            yield (f, n, d, k), ref, sizes
+
+
+# Kautz 55/2/2 at size 8, absent after 670 nodes, in small_searches' form:
+# budget 669 cuts it at a root leaf counted at the root's loop end, which
+# no search of at most 400 nodes does
+ROOT_LOOP_END_SEARCH = ((1, 55, 2, 2), ReferenceTable(1, 55, 2, 2), [8])
 
 
 def cut_kinds(log: list, budget: int) -> set[str]:
@@ -319,7 +314,8 @@ class TestKernelParity:
     def test_every_budget_identical(self, compiled):
         # every budget of each small search, up to one past its nodes: the
         # budget is settled where each kernel settles its node count
-        for (f, n, d, k), ref, sizes in small_searches():
+        for (f, n, d, k), ref, sizes in [*small_searches(),
+                                         ROOT_LOOP_END_SEARCH]:
             pure = _cover_py.KernelTable(f, n, d, k)
             fast = compiled.KernelTable(f, n, d, k)
             for size in sizes:
@@ -499,7 +495,8 @@ class TestPureKernelReference:
         # counting bound or at its loop's end, the root's children included,
         # and a last pick's children only when one covers the rest
         cuts = set()
-        for (f, n, d, k), ref, sizes in small_searches():
+        for (f, n, d, k), ref, sizes in [*small_searches(),
+                                         ROOT_LOOP_END_SEARCH]:
             pure = _cover_py.KernelTable(f, n, d, k)
             for size in sizes:
                 log: list = []
@@ -576,14 +573,10 @@ class TestBackendSelection:
     def test_build_without_compiler_succeeds(self, tmp_path):
         # the compiled kernel is optional: a build whose compiler is
         # missing still succeeds, with no module, so the pure kernel runs
-        build = subprocess.run(
-            [sys.executable, "setup.py", "build_ext",
-             "--build-lib", str(tmp_path), "--build-temp", str(tmp_path)],
-            cwd=ROOT, capture_output=True, text=True,
-            env=dict(os.environ, CC=str(tmp_path / "no-such-cc")))
+        build, path = build_kernel(
+            tmp_path, env=dict(os.environ, CC=str(tmp_path / "no-such-cc")))
         assert build.returncode == 0, build.stdout + build.stderr
-        suffix = sysconfig.get_config_var("EXT_SUFFIX")
-        assert not list(tmp_path.rglob("_cover_ext" + suffix))
+        assert not path.exists()
 
 
 class TestOracleLimits:
