@@ -7,7 +7,8 @@ must also agree on the tables and on each search's (status, witness), but
 not on its node count, so a change to the search's prunings can be timed
 against its parent; each checkout's nodes are printed.  Each case builds
 one coverage table and, unless it is table-only, runs one search on it,
-under the case's node budget if it has one.
+under the case's node budget if it has one, and reports the search's
+nodes per second.
 A table-only case reports the build, and the build plus one
 ``coverer_list`` of every vertex: the pure kernel builds a coverer list
 the first time it is read, so only the second timing does the same work
@@ -42,8 +43,10 @@ OUT = ROOT / "BENCH_kernel.json"
 
 # (label, family code, n, d, k, size, node budget): decision problems of
 # increasing difficulty, from a root-level prune to searches in the tens
-# of thousands of nodes, one of them cut by the oracle-budget workload's
-# 20,000-node budget (with no budget it takes 17.4 M nodes), then two
+# of thousands of nodes, two of them cut by the oracle-budget workload's
+# 20,000-node budget (the Kautz one takes 17.4 M nodes with no budget; in
+# the de Bruijn one a vertex has at most 5 coverers, so a node has few
+# children for the covered prefix to skip), then two
 # shallow searches on rows of 8 and 16 words, whose time goes to the root
 # and the last picks, then table-only builds (size None) at the oracle's
 # table ceiling.  Family codes follow the kernel convention 0 = de Bruijn,
@@ -56,6 +59,7 @@ CASES = [
     ("debruijn n=230 d=3 k=2 size=18 (found)", 0, 230, 3, 2, 18, None),
     ("kautz    n=150 d=2 k=3 size=10 (absent)", 1, 150, 2, 3, 10, None),
     ("kautz    n=165 d=3 k=2 size=13 (capped)", 1, 165, 3, 2, 13, 20_000),
+    ("debruijn n=129 d=4 k=1 size=26 (capped)", 0, 129, 4, 1, 26, 20_000),
     ("kautz    n=500 d=2 k=6 size=5 (found)", 1, 500, 2, 6, 5, None),
     ("debruijn n=1000 d=3 k=5 size=4 (found)", 0, 1000, 3, 5, 4, None),
     ("debruijn n=5000 d=2 k=2 (table only)", 0, 5000, 2, 2, None, None),
@@ -140,7 +144,7 @@ def main() -> None:
         runs[label] = load_kernels(Path(directory))
 
     header = (f"{'case':42} {'run':>14} {'kernel':>8} {'build':>10} "
-              f"{'search':>10} {'+lists':>10} {'nodes':>7}")
+              f"{'search':>10} {'+lists':>10} {'nodes':>7} {'nodes/s':>10}")
     print(header)
     print("-" * len(header))
     rows = {label: [] for label in runs}
@@ -171,6 +175,7 @@ def main() -> None:
             search = None if table_only else searches[run, backend]
             total = totals[run, backend] if table_only else None
             nodes = None if table_only else outcomes[run][2]
+            rate = None if table_only or not search else nodes / search
             rows[run].append({
                 "case": label, "kernel": backend,
                 "build_ms": round(build * 1000, 3),
@@ -178,12 +183,15 @@ def main() -> None:
                 else round(search * 1000, 3),
                 "build_and_lists_ms": None if total is None
                 else round(total * 1000, 3),
-                "nodes": nodes})
+                "nodes": nodes,
+                "nodes_per_s": None if rate is None else round(rate)})
             search_text = "-" if search is None else f"{search * 1000:.2f}ms"
             total_text = "-" if total is None else f"{total * 1000:.2f}ms"
+            rate_text = "-" if rate is None else f"{rate:,.0f}"
             print(f"{label:42} {run:>14} {backend:>8} {build * 1000:8.2f}ms "
                   f"{search_text:>10} {total_text:>10} "
-                  f"{'-' if nodes is None else nodes:>7}", flush=True)
+                  f"{'-' if nodes is None else nodes:>7} {rate_text:>10}",
+                  flush=True)
 
     OUT.write_text(json.dumps({
         "script": "benchmarks/bench_kernel.py",

@@ -6,13 +6,18 @@
  * mirrors, and the node count and the budget are settled only at children
  * that pass the counting bound and at a loop's end), so the tables (balls,
  * coverers, max_ball) and every search's (status, witness, nodes) are
- * _cover_py's.  The parity tests pin the outputs.  Two things differ
- * where they cost differently in C: a ban is one bit, so it is tested
- * before the bound's popcount, and the children so far are counted in a
- * register rather than from a coverer mask.
+ * _cover_py's.  The parity tests pin the outputs.  As there, a child
+ * whose ball's vertices from the branching vertex up (cov_high, built the
+ * first time a search branches on that vertex) cannot lift the node's
+ * covered count to the counting bound is skipped before its popcount,
+ * since every vertex below the branching one is covered.  Two things
+ * differ where they cost differently in C: a ban is one bit, so it is
+ * tested before that skip and the bound's popcount, and the children so
+ * far are counted in a register rather than from a coverer mask.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
- * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat).
+ * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat),
+ * with cov_high beside cov_dat.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -46,8 +51,14 @@ typedef struct {
     PyObject_HEAD
     int family, n, d, k, max_ball, words;
     uint64_t *balls;   /* n rows of `words` words */
-    Py_ssize_t *cov_idx;  /* n + 1 offsets into cov_dat */
+    int32_t *sizes;    /* n ball sizes */
+    Py_ssize_t *cov_idx;  /* n + 1 offsets into cov_dat and cov_high */
     int32_t *cov_dat;
+    int32_t *cov_high;  /* beside each coverer u of v: |ball(u) from v up| */
+    /* n flags: v's cov_high is written.  Not char: a char store may alias
+     * any word, and with one in expand gcc 12 (x86-64) made the search of
+     * shallow, last-pick-heavy trees about 30 % slower. */
+    int32_t *high_ready;
 } KernelTable;
 
 /* Per-search state: covered/banned bitsets for each depth, the chosen
@@ -100,6 +111,7 @@ static Py_ssize_t build_balls(KernelTable *t)
                     y = 0;
             }
         }
+        t->sizes[v] = size;
         if (size > t->max_ball)
             t->max_ball = size;
         total += size;
@@ -132,11 +144,32 @@ static void build_coverers(KernelTable *t, Py_ssize_t *cursor)
     }
 }
 
+/* Beside each coverer u of v, the vertices of ball(u) from v up: its size
+ * less those below v, the words up to v's, which are few as a search
+ * branches on its lowest uncovered vertex.  Written the first time a
+ * search branches on v. */
+static void build_high(const KernelTable *t, int v)
+{
+    int top = v >> 6;
+    for (Py_ssize_t i = t->cov_idx[v]; i < t->cov_idx[v + 1]; i++) {
+        int u = t->cov_dat[i];
+        const uint64_t *row = t->balls + (size_t)u * t->words;
+        int h = t->sizes[u] - POPCNT64(row[top] & (BIT(v) - 1));
+        for (int w = 0; w < top; w++)
+            h -= POPCNT64(row[w]);
+        t->cov_high[i] = h;
+    }
+    t->high_ready[v] = 1;
+}
+
 static void KernelTable_dealloc(KernelTable *self)
 {
     free(self->balls);
+    free(self->sizes);
     free(self->cov_idx);
     free(self->cov_dat);
+    free(self->cov_high);
+    free(self->high_ready);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -166,14 +199,21 @@ static PyObject *KernelTable_new(PyTypeObject *type, PyObject *args,
     self->words = (n + 63) >> 6;
     Py_ssize_t *cursor = malloc((size_t)n * sizeof(Py_ssize_t));
     self->balls = calloc((size_t)n * self->words, sizeof(uint64_t));
+    self->sizes = malloc((size_t)n * sizeof(int32_t));
     self->cov_idx = calloc((size_t)n + 1, sizeof(Py_ssize_t));
-    if (cursor != NULL && self->balls != NULL && self->cov_idx != NULL) {
-        self->cov_dat = malloc((size_t)build_balls(self) * sizeof(int32_t));
-        if (self->cov_dat != NULL)
+    if (cursor != NULL && self->balls != NULL && self->sizes != NULL
+            && self->cov_idx != NULL) {
+        size_t total = (size_t)build_balls(self);
+        self->cov_dat = malloc(total * sizeof(int32_t));
+        self->cov_high = malloc(total * sizeof(int32_t));
+        self->high_ready = calloc((size_t)n, sizeof(int32_t));
+        if (self->cov_dat != NULL && self->cov_high != NULL
+                && self->high_ready != NULL)
             build_coverers(self, cursor);
     }
     free(cursor);
-    if (self->cov_dat == NULL) {
+    if (self->cov_dat == NULL || self->cov_high == NULL
+            || self->high_ready == NULL) {
         Py_DECREF(self);
         return PyErr_NoMemory();
     }
@@ -290,19 +330,21 @@ static int last_pick(Search *s, int depth)
     return ABSENT;
 }
 
-/* _cover_py's expand, at the node at `depth` with `remaining` >= 1 picks:
- * branch on its lowest uncovered vertex over the coverers in ascending
- * order.  A child's subtree also bans the non-banned siblings before it,
- * which child_ban gathers as the loop passes them.  Below the root a
- * sibling bans only itself, so the node's banned set is fixed over the
- * loop; at the root (depth 0, whose bans are its own to write) a passed
- * child also bans its mirror n - 1 - u in the node and in child_ban (root
- * reflection), so a later mirror is no child.  A child's popcount of
- * covered | ball is tested against the counting bound with nothing
- * copied; one that fails is a leaf.  Only at a child that passes are the
- * node count and the budget settled and the words copied, and once more
- * at the loop's end. */
-static int expand(Search *s, int depth, int remaining)
+/* _cover_py's expand, at the node at `depth` with `remaining` >= 1 picks
+ * and `count` covered vertices: branch on its lowest uncovered vertex v
+ * over the coverers in ascending order.  A child's subtree also bans the
+ * non-banned siblings before it, which child_ban gathers as the loop
+ * passes them.  Below the root a sibling bans only itself, so the node's
+ * banned set is fixed over the loop; at the root (depth 0, whose bans are
+ * its own to write) a passed child also bans its mirror n - 1 - u in the
+ * node and in child_ban (root reflection), so a later mirror is no child.
+ * Every vertex below v is covered, so a child covers at most count plus
+ * its cov_high, and one below the counting bound that way is a leaf with
+ * no word read; otherwise its popcount of covered | ball is tested
+ * against the bound with nothing copied, and one that fails is a leaf.
+ * Only at a child that passes are the node count and the budget settled
+ * and the words copied, and once more at the loop's end. */
+static int expand(Search *s, int depth, int remaining, int count)
 {
     const KernelTable *t = s->t;
     int words = t->words, left = remaining - 1;
@@ -311,6 +353,8 @@ static int expand(Search *s, int depth, int remaining)
     uint64_t *child_cov = s->cov_stack + (size_t)(depth + 1) * words;
     uint64_t *child_ban = s->ban_stack + (size_t)(depth + 1) * words;
     int v = lowest_uncovered(covered);
+    if (!t->high_ready[v])
+        build_high(t, v);
     /* the counting bound: with `left` picks to go a child needs this many
      * covered vertices; a full child always has them */
     int64_t need = t->n - (int64_t)left * t->max_ball;
@@ -319,29 +363,32 @@ static int expand(Search *s, int depth, int remaining)
     for (int w = 0; w < words; w++)
         child_ban[w] = banned[w];
     for (Py_ssize_t i = t->cov_idx[v]; i < t->cov_idx[v + 1]; i++) {
-        int u = t->cov_dat[i], cnt = 0;
+        int u = t->cov_dat[i];
         if (banned[u >> 6] & BIT(u))
             continue;
         at++;
-        const uint64_t *row = t->balls + (size_t)u * words;
-        for (int w = 0; w < words; w++)
-            cnt += POPCNT64(covered[w] | row[w]);
-        if (cnt >= need) {
-            s->nodes = counted + at;
-            if (over_budget(s))
-                return INCONCLUSIVE;
-            s->chosen[depth] = u;
-            if (cnt == t->n) {
-                s->found_len = depth + 1;
-                return FOUND;
-            }
+        if (count + t->cov_high[i] >= need) {
+            const uint64_t *row = t->balls + (size_t)u * words;
+            int cnt = 0;
             for (int w = 0; w < words; w++)
-                child_cov[w] = covered[w] | row[w];
-            int r = left == 1 ? last_pick(s, depth + 1)
-                              : expand(s, depth + 1, left);
-            if (r != ABSENT)
-                return r;
-            counted = s->nodes - at;
+                cnt += POPCNT64(covered[w] | row[w]);
+            if (cnt >= need) {
+                s->nodes = counted + at;
+                if (over_budget(s))
+                    return INCONCLUSIVE;
+                s->chosen[depth] = u;
+                if (cnt == t->n) {
+                    s->found_len = depth + 1;
+                    return FOUND;
+                }
+                for (int w = 0; w < words; w++)
+                    child_cov[w] = covered[w] | row[w];
+                int r = left == 1 ? last_pick(s, depth + 1)
+                                  : expand(s, depth + 1, left, cnt);
+                if (r != ABSENT)
+                    return r;
+                counted = s->nodes - at;
+            }
         }
         child_ban[u >> 6] |= BIT(u);
         if (depth == 0) {
@@ -391,7 +438,7 @@ static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
     if (s.cov_stack == NULL || s.ban_stack == NULL || s.chosen == NULL) {
         PyErr_NoMemory();
     } else {
-        int status = expand(&s, 0, size);
+        int status = expand(&s, 0, size, 0);
         PyObject *witness = Py_NewRef(Py_None);
         if (status == FOUND) {
             Py_SETREF(witness, int_list(s.chosen, s.found_len));

@@ -6,14 +6,16 @@ of a given size.  The compiled kernel in _cover_ext is this kernel written
 in C: the same layer rule for the balls (see ``KernelTable._balls``) and
 the same search (``expand`` at every node, only the root's bans carrying
 mirrors, and its last pick, the budget settled only at children that
-pass the counting bound), so it returns the same tables (balls,
+pass the counting bound, a child that the covered prefix rules out
+skipped before its popcount), so it returns the same tables (balls,
 coverers, max_ball) and, for every search, the same (status, witness,
 nodes); the parity tests pin the outputs.  This kernel builds
 only the balls up front: a vertex's coverer list is computed from a
 closed form the first time a search or ``coverer_list`` reads it (see
-``KernelTable._column``), its coverer mask the first time a search
-branches on it, and the root's bans the first time a search gets past
-the root's counting bound, so a search pays for what it reads.
+``KernelTable._column``), its coverer mask and its coverers' ball sizes
+from it up the first time a search branches on it, and the root's bans the
+first time a search gets past the root's counting bound, so a search
+pays for what it reads.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ class KernelTable:
                        for m, flip in layers for q in range(m)]
         self._columns: list[list[int] | None] = [None] * n  # built on read
         self._masks: list[int | None] = [None] * n  # built by a search
+        # (u, h) pairs, built by a search (see its ``high``)
+        self._highs: list[list[tuple[int, int]] | None] = [None] * n
         # built by the first search past the root's counting bound
         self._root: tuple[list[int], int, dict[int, int]] | None = None
 
@@ -140,14 +144,20 @@ class KernelTable:
         explored twice.  Every non-banned child is a node.  A child is
         first tested against the counting bound (each pick covers at most
         max_ball vertices); one that fails is a leaf, and costs that one
-        test.  Only a child that passes is checked against the bans, and
-        only there are the node count, the budget and the subtree's bans
-        settled: a node's banned set is fixed over its loop, so the
-        children so far are one popcount of its coverer mask less the
-        banned set, below this child.  The leaves after the last passing
-        child are counted the same way at the loop's end.  A passing child
-        that covers everything ends the search; one with picks left is
-        expanded.
+        test.  Every vertex below the branching vertex v is covered, so a
+        child u covers at most the node's count plus h, the size of
+        ball(u) from v up; a child whose sum is below the bound is a leaf
+        skipped before its ``covered | ball`` is built.  The (u, h) pairs
+        of v's coverers are built the first time a search branches on v
+        and cached per table, and each passing child's popcount is passed
+        down as its count.  Only a child that passes is checked against
+        the bans, and only there are the node count, the budget and the
+        subtree's bans settled: a node's banned set is fixed over its
+        loop, so the children so far are one popcount of its coverer mask
+        less the banned set, below this child.  The leaves after the last
+        passing child are counted the same way at the loop's end.  A
+        passing child that covers everything ends the search; one with
+        picks left is expanded.
 
         Two exact prunings cut the tree: root reflection, whose bans are
         cached per table (see ``_root_bans``), and last pick, where a
@@ -170,7 +180,7 @@ class KernelTable:
         full = (1 << n) - 1
         balls = self.balls
         columns, column = self._columns, self._column
-        masks = self._masks
+        masks, highs = self._masks, self._highs
         max_ball = self.max_ball
         # no budget is a cap of 2**63 nodes, which no int64 count passes
         cap = 1 << 63 if max_nodes is None or max_nodes < 0 else max_nodes
@@ -188,21 +198,35 @@ class KernelTable:
             masks[v] = sum(map(bits.__getitem__, columns[v] or column(v)))
             return masks[v]
 
-        def expand(covered: int, banned: int, remaining: int) -> int:
-            # covered is short of full, the counting bound holds and banned
-            # is fixed over the loop; at the root (covered is 0) banned and
-            # each child's subtree bans are the table's
+        def high(v: int) -> list[tuple[int, int]]:
+            # each coverer u of v, ascending, with h, the size of its ball
+            # from v up, built the first time a search branches on v
+            highs[v] = [(u, (balls[u] >> v).bit_count())
+                        for u in columns[v] or column(v)]
+            return highs[v]
+
+        def expand(covered: int, count: int, banned: int,
+                   remaining: int) -> int:
+            # covered (count vertices) is short of full, the counting bound
+            # holds and banned is fixed over the loop; at the root (covered
+            # is 0) banned and each child's subtree bans are the table's
             nonlocal nodes
-            v = (~covered & (covered + 1)).bit_length() - 1
+            v = (covered ^ (covered + 1)).bit_length() - 1
             left = remaining - 1
             # the counting bound: with `left` picks to go a child needs this
             # many covered vertices; a full child always has them
             need = n - left * max_ball
+            # every vertex below v is covered, so a child covers at most
+            # count + h; below `short` it fails the bound untried
+            short = need - count
             live = (masks[v] or mask(v)) & ~banned
             counted = nodes  # the nodes outside this loop's children
-            for u in columns[v] or column(v):
+            for u, h in highs[v] or high(v):
+                if h < short:
+                    continue
                 child = covered | balls[u]
-                if child.bit_count() < need or banned & bits[u]:
+                got = child.bit_count()
+                if got < need or banned & bits[u]:
                     continue
                 # the non-banned siblings before u, now banned in its subtree
                 before = live & bits[u] - 1
@@ -218,7 +242,7 @@ class KernelTable:
                 if left == 1:
                     status = last_pick(child, bans)
                 else:
-                    status = expand(child, bans, left)
+                    status = expand(child, got, bans, left)
                 if status != ABSENT:
                     return status
                 chosen.pop()
@@ -252,7 +276,7 @@ class KernelTable:
         if size + 100 > limit:
             sys.setrecursionlimit(size + 200)
         try:
-            status = expand(0, root_banned, size)
+            status = expand(0, 0, root_banned, size)
         finally:
             sys.setrecursionlimit(limit)
             del expand  # its closure cycle would keep the table until a gc

@@ -1,5 +1,7 @@
 """Exhaustive search oracle: tables, fixed-size decisions, minimums."""
 
+import hashlib
+import json
 import os
 from functools import reduce
 from operator import or_
@@ -10,6 +12,7 @@ from conftest import (build_kernel, naive_ball, naive_gamma,
                       naive_is_dominating, naive_out_neighbors)
 from kernel_reference import ReferenceTable
 from dbkdom import _cover_py
+from dbkdom.cli import classify_row
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph
 from dbkdom.domination import bounds, verify
 from dbkdom.modular import ceil_div, geometric_sum
@@ -370,6 +373,21 @@ class TestKernelParity:
             searched = row["method"] in ("oracle", "inconclusive")
             assert (row["nodes"] > 0) == searched, row
 
+    def test_capped_rows_pinned(self, oracle_kernel):
+        # `sweep --family both -n 161..169 -d 2..3 -k 2 --oracle-budget
+        # 20000 --format json`, ms dropped: 18 of its 36 rows are deep
+        # searches cut by the budget, so every node skip by the covered
+        # count runs there, and the pin holds their nodes too
+        rows = [classify_row(family, n, d, 2, OracleLimits(max_nodes=20_000))
+                for family in sorted(FAMILIES)
+                for n in range(161, 170) for d in (2, 3)]
+        assert sum(row["method"] == "inconclusive" for row in rows) == 18
+        for row in rows:
+            del row["ms"]
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e01de291a518cedddba18a3b8bd682a61f6cec1fbab1493a98cf10164243e4e2")
+
     @pytest.mark.parametrize("args", [(0, 3, 5, 1), (1, 2, 4000, 1)])
     def test_degree_above_order_rejected(self, kernel, args):
         with pytest.raises(ValueError, match="d <= n"):
@@ -479,6 +497,26 @@ class TestPureKernelReference:
                 if mask is not None:
                     assert mask == reduce(or_, (1 << u for u in lists[v])), \
                         (f, n, d, k, v)
+                    built += 1
+        assert built > 0
+
+    def test_highs_are_coverers_with_their_balls_from_v_up(self):
+        # a search builds, for each vertex v it branches on, v's coverers u
+        # with h, the size of ball(u) from v up; a search the counting bound
+        # decides at the root builds none
+        built = 0
+        for f, n, d, k in TestKernelParity.GRID:
+            pure = _cover_py.KernelTable(f, n, d, k)
+            ref = ReferenceTable(f, n, d, k)
+            if pure.max_ball < n:
+                assert pure.search(1) == (_cover_py.ABSENT, None, 1)
+                assert pure._highs == [None] * n
+            for size in range(min(n, 8) + 1):
+                pure.search(size, 200)
+            for v, pairs in enumerate(pure._highs):
+                if pairs is not None:
+                    assert pairs == [(u, (ref.balls[u] >> v).bit_count())
+                                     for u in ref.coverers[v]], (f, n, d, k, v)
                     built += 1
         assert built > 0
 
