@@ -10,9 +10,10 @@ one coverage table and, unless it is table-only, runs one search on it,
 under the case's node budget if it has one, and reports the search's
 nodes per second.
 A table-only case reports the build, and the build plus one
-``coverer_list`` of every vertex: the pure kernel builds a coverer list
-the first time it is read, so only the second timing does the same work
-in both kernels.  Each table is freed before the next build.
+``coverer_list`` of every vertex: the pure kernel computes a coverer list
+each time it is read, while the compiled kernel builds every list with
+the table, so only the second timing does the same work in both kernels.
+Each table is freed before the next build.
 
     python benchmarks/bench_kernel.py [--repeat N] [--src LABEL=DIR ...]
 
@@ -22,7 +23,8 @@ once to compare checkouts: the runs are interleaved repeat by repeat, so a
 slow phase of the machine hits every checkout alike.  A compiled kernel is
 timed when its extension is built in that directory.  The fastest of the
 repeats is printed and written to ``BENCH_kernel.json`` at the root of this
-checkout.
+checkout, with the slowest beside the build and search times, so that a
+difference inside that spread reads as unresolved.
 """
 
 from __future__ import annotations
@@ -144,13 +146,15 @@ def main() -> None:
         runs[label] = load_kernels(Path(directory))
 
     header = (f"{'case':42} {'run':>14} {'kernel':>8} {'build':>10} "
-              f"{'search':>10} {'+lists':>10} {'nodes':>7} {'nodes/s':>10}")
+              f"{'(max)':>10} {'search':>10} {'(max)':>10} {'+lists':>10} "
+              f"{'nodes':>7} {'nodes/s':>10}")
     print(header)
     print("-" * len(header))
     rows = {label: [] for label in runs}
     for case in CASES:
         label, n, size = case[0], case[2], case[5]
-        builds, totals, searches = {}, {}, {}
+        builds, totals, searches = {}, {}, {}  # the fastest repeats
+        slowest = {}  # (build, search) of the slowest repeats
         first_digest = None  # every table must match it
         outcomes = {}  # each run's first outcome
         for repeat in range(args.repeat):
@@ -163,6 +167,8 @@ def main() -> None:
                     totals[key] = min(totals.get(key, build + after),
                                       build + after)
                     searches[key] = min(searches.get(key, after), after)
+                    most = slowest.get(key, (build, after))
+                    slowest[key] = max(most[0], build), max(most[1], after)
                     first_digest = first_digest or fingerprint
                     ours = outcomes.setdefault(run, outcome)
                     first = next(iter(outcomes.values()))
@@ -173,23 +179,31 @@ def main() -> None:
         for (run, backend), build in builds.items():
             table_only = size is None
             search = None if table_only else searches[run, backend]
+            build_max = slowest[run, backend][0]
+            search_max = None if table_only else slowest[run, backend][1]
             total = totals[run, backend] if table_only else None
             nodes = None if table_only else outcomes[run][2]
             rate = None if table_only or not search else nodes / search
             rows[run].append({
                 "case": label, "kernel": backend,
                 "build_ms": round(build * 1000, 3),
+                "build_max_ms": round(build_max * 1000, 3),
                 "search_ms": None if search is None
                 else round(search * 1000, 3),
+                "search_max_ms": None if search_max is None
+                else round(search_max * 1000, 3),
                 "build_and_lists_ms": None if total is None
                 else round(total * 1000, 3),
                 "nodes": nodes,
                 "nodes_per_s": None if rate is None else round(rate)})
             search_text = "-" if search is None else f"{search * 1000:.2f}ms"
+            search_max_text = ("-" if search_max is None
+                               else f"{search_max * 1000:.2f}ms")
             total_text = "-" if total is None else f"{total * 1000:.2f}ms"
             rate_text = "-" if rate is None else f"{rate:,.0f}"
             print(f"{label:42} {run:>14} {backend:>8} {build * 1000:8.2f}ms "
-                  f"{search_text:>10} {total_text:>10} "
+                  f"{build_max * 1000:8.2f}ms {search_text:>10} "
+                  f"{search_max_text:>10} {total_text:>10} "
                   f"{'-' if nodes is None else nodes:>7} {rate_text:>10}",
                   flush=True)
 

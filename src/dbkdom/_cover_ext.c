@@ -1,19 +1,20 @@
 /* Compiled cover-search kernel: _cover_py written in C.
  *
  * The same layer rule builds the balls (layer_runs) and the same search
- * walks the tree (expand at every node from the root down, last_pick at a
- * node with one pick left; the root's bans alone grow, with its children's
- * mirrors, and the node count and the budget are settled only at children
- * that pass the counting bound and at a loop's end), so the tables (balls,
- * coverers, max_ball) and every search's (status, witness, nodes) are
- * _cover_py's.  The parity tests pin the outputs.  As there, a child
- * whose ball's vertices from the branching vertex up (cov_high, built the
- * first time a search branches on that vertex) cannot lift the node's
- * covered count to the counting bound is skipped before its popcount,
- * since every vertex below the branching one is covered.  Two things
- * differ where they cost differently in C: a ban is one bit, so it is
- * tested before that skip and the bound's popcount, and the children so
- * far are counted in a register rather than from a coverer mask.
+ * walks the tree (expand at every node, the root and the last picks
+ * included; the root's bans alone grow, with its children's mirrors, and
+ * the node count and the budget are settled only at children that pass
+ * the counting bound and at a loop's end, which a last pick with no full
+ * child never reaches), so the tables (balls, coverers, max_ball) and
+ * every search's (status, witness, nodes) are _cover_py's.  The parity
+ * tests pin the outputs.  As there, a child whose ball's vertices from the
+ * branching vertex up (cov_high, built the first time a search branches on
+ * that vertex) cannot lift the node's covered count to the counting bound
+ * is skipped before its popcount, since every vertex below the branching
+ * one is covered.  Two things differ where they cost differently in C: a
+ * ban is one bit, so it is tested before that skip and the bound's
+ * popcount, and the children so far are counted in a register rather than
+ * from a coverer mask.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
  * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat),
@@ -57,7 +58,7 @@ typedef struct {
     int32_t *cov_high;  /* beside each coverer u of v: |ball(u) from v up| */
     /* n flags: v's cov_high is written.  Not char: a char store may alias
      * any word, and with one in expand gcc 12 (x86-64) made the search of
-     * shallow, last-pick-heavy trees about 30 % slower. */
+     * Kautz 500/2/6 and de Bruijn 1000/3/5 2-8 % slower. */
     int32_t *high_ready;
 } KernelTable;
 
@@ -296,40 +297,6 @@ static int over_budget(Search *s)
     return 1;
 }
 
-/* Last pick: the node at `depth` has one pick left, and its children are
- * the non-banned coverers of its lowest uncovered vertex.  Only a full
- * child is not a leaf, so each is tested in place; the first full one ends
- * the search, counted with the children tried before it. */
-static int last_pick(Search *s, int depth)
-{
-    const KernelTable *t = s->t;
-    int words = t->words;
-    const uint64_t *covered = s->cov_stack + (size_t)depth * words;
-    const uint64_t *banned = s->ban_stack + (size_t)depth * words;
-    /* the bits of the last word that are vertices */
-    uint64_t tail = ~(uint64_t)0 >> ((64 - (t->n & 63)) & 63);
-    int64_t tried = 0;
-    int v = lowest_uncovered(covered);
-    for (Py_ssize_t i = t->cov_idx[v]; i < t->cov_idx[v + 1]; i++) {
-        int u = t->cov_dat[i], w = 0;
-        if (banned[u >> 6] & BIT(u))
-            continue;
-        tried++;
-        const uint64_t *row = t->balls + (size_t)u * words;
-        while (w < words - 1 && (covered[w] | row[w]) == ~(uint64_t)0)
-            w++;
-        if (w < words - 1 || (covered[w] | row[w]) != tail)
-            continue;
-        s->nodes += tried;
-        if (over_budget(s))
-            return INCONCLUSIVE;
-        s->chosen[depth] = u;
-        s->found_len = depth + 1;
-        return FOUND;
-    }
-    return ABSENT;
-}
-
 /* _cover_py's expand, at the node at `depth` with `remaining` >= 1 picks
  * and `count` covered vertices: branch on its lowest uncovered vertex v
  * over the coverers in ascending order.  A child's subtree also bans the
@@ -343,7 +310,10 @@ static int last_pick(Search *s, int depth)
  * no word read; otherwise its popcount of covered | ball is tested
  * against the bound with nothing copied, and one that fails is a leaf.
  * Only at a child that passes are the node count and the budget settled
- * and the words copied, and once more at the loop's end. */
+ * and the words copied, and once more at the loop's end.  A last pick
+ * (one pick left) is such a node too: only a full child passes its
+ * bound, so the first full, non-banned one ends the search, and with none
+ * it is a leaf whose children are not counted. */
 static int expand(Search *s, int depth, int remaining, int count)
 {
     const KernelTable *t = s->t;
@@ -383,8 +353,7 @@ static int expand(Search *s, int depth, int remaining, int count)
                 }
                 for (int w = 0; w < words; w++)
                     child_cov[w] = covered[w] | row[w];
-                int r = left == 1 ? last_pick(s, depth + 1)
-                                  : expand(s, depth + 1, left, cnt);
+                int r = expand(s, depth + 1, left, cnt);
                 if (r != ABSENT)
                     return r;
                 counted = s->nodes - at;
@@ -397,6 +366,8 @@ static int expand(Search *s, int depth, int remaining, int count)
             child_ban[m >> 6] |= BIT(m);
         }
     }
+    if (left == 0)
+        return ABSENT;  /* a last pick with no full child: a leaf */
     s->nodes = counted + at;
     return over_budget(s) ? INCONCLUSIVE : ABSENT;
 }

@@ -4,18 +4,18 @@ Builds radius-k coverage bitmasks for every vertex of a formula-defined
 digraph and runs an exhaustive branch and bound search for a dominating set
 of a given size.  The compiled kernel in _cover_ext is this kernel written
 in C: the same layer rule for the balls (see ``KernelTable._balls``) and
-the same search (``expand`` at every node, only the root's bans carrying
-mirrors, and its last pick, the budget settled only at children that
-pass the counting bound, a child that the covered prefix rules out
-skipped before its popcount), so it returns the same tables (balls,
-coverers, max_ball) and, for every search, the same (status, witness,
-nodes); the parity tests pin the outputs.  This kernel builds
-only the balls up front: a vertex's coverer list is computed from a
-closed form the first time a search or ``coverer_list`` reads it (see
-``KernelTable._column``), its coverer mask and its coverers' ball sizes
-from it up the first time a search branches on it, and the root's bans the
-first time a search gets past the root's counting bound, so a search
-pays for what it reads.
+the same search (``expand`` at every node, the root and the last picks
+included, only the root's bans carrying mirrors, the budget settled only
+at children that pass the counting bound, a child that the covered prefix
+rules out skipped before its popcount), so it returns the same tables
+(balls, coverers, max_ball) and, for every search, the same (status,
+witness, nodes); the parity tests pin the outputs.  This kernel builds
+only the balls up front: a coverer list is computed from a closed form
+when it is read (see ``KernelTable._column``), a vertex's one search
+record, its coverers with their ball sizes from it up and their mask, the
+first time a search expands a node at it, and the root's bans the first
+time a search gets past the root's counting bound, so a search pays for
+what it reads.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ class KernelTable:
             layers = layers[-1:]
         self._terms = [(-1, q * n + n - 1, m) if flip else (1, q * n, m)
                        for m, flip in layers for q in range(m)]
-        self._columns: list[list[int] | None] = [None] * n  # built on read
-        self._masks: list[int | None] = [None] * n  # built by a search
-        # (u, h) pairs, built by a search (see its ``high``)
-        self._highs: list[list[tuple[int, int]] | None] = [None] * n
+        # each vertex's (u, h) pairs and coverer mask, built by a search
+        # (see its ``branch``)
+        self._branches: list[tuple[list[tuple[int, int]], int] | None] = \
+            [None] * n
         # built by the first search past the root's counting bound
         self._root: tuple[list[int], int, dict[int, int]] | None = None
 
@@ -88,15 +88,14 @@ class KernelTable:
         return balls
 
     def _column(self, y: int) -> list[int]:
-        """Coverers of y, the v whose ball holds y, ascending; cached.
+        """Coverers of y, the v whose ball holds y, ascending.
 
         y is in a de Bruijn layer of m vertices of v when y - m*v mod n is
         below m, that is v = (y + q*n) // m for some q below m; it is in a
         flipped layer of v when n-1-y is in the de Bruijn one.
         """
-        column = self._columns[y] = sorted(
+        return sorted(
             {(sign * y + offset) // m for sign, offset, m in self._terms})
-        return column
 
     def _root_bans(self) -> tuple[list[int], int, dict[int, int]]:
         """Each vertex's bit 1 << u, the root's banned set, and each root
@@ -112,7 +111,7 @@ class KernelTable:
         bits = [1 << u for u in range(n)]
         skipped = banned = 0
         bans: dict[int, int] = {}
-        for u in self._columns[0] or self._column(0):
+        for u in self._column(0):
             if banned & bits[u]:
                 skipped |= bits[u]
             else:
@@ -132,26 +131,27 @@ class KernelTable:
 
     def coverer_list(self, v: int) -> list[int]:
         self._require_vertex(v)
-        return list(self._columns[v] or self._column(v))
+        return self._column(v)
 
     def search(self, size: int,
                max_nodes: int | None = None) -> tuple[int, list[int] | None, int]:
         """Exhaustive search for a covering set of at most ``size`` vertices.
 
-        Every node, the root included, branches on its lowest uncovered
-        vertex over its coverers in ascending order; coverers already
-        tried at a node are banned in the sibling subtrees, so no subset is
-        explored twice.  Every non-banned child is a node.  A child is
-        first tested against the counting bound (each pick covers at most
-        max_ball vertices); one that fails is a leaf, and costs that one
-        test.  Every vertex below the branching vertex v is covered, so a
-        child u covers at most the node's count plus h, the size of
-        ball(u) from v up; a child whose sum is below the bound is a leaf
-        skipped before its ``covered | ball`` is built.  The (u, h) pairs
-        of v's coverers are built the first time a search branches on v
-        and cached per table, and each passing child's popcount is passed
-        down as its count.  Only a child that passes is checked against
-        the bans, and only there are the node count, the budget and the
+        Every node, the root and the last picks included, branches on its
+        lowest uncovered vertex over its coverers in ascending order;
+        coverers already tried at a node are banned in the sibling
+        subtrees, so no subset is explored twice.  Every non-banned child
+        is a node.  A child is first tested against the counting bound
+        (each pick covers at most max_ball vertices); one that fails is a
+        leaf, and costs that one test.  Every vertex below the branching
+        vertex v is covered, so a child u covers at most the node's count
+        plus h, the size of ball(u) from v up; a child whose sum is below
+        the bound is a leaf skipped before its ``covered | ball`` is
+        built.  A vertex's record, the (u, h) pairs of its coverers and
+        their mask, is built the first time a search branches on it and
+        cached per table, and each passing child's popcount is passed down
+        as its count.  Only a child that passes is checked against the
+        bans, and only there are the node count, the budget and the
         subtree's bans settled: a node's banned set is fixed over its
         loop, so the children so far are one popcount of its coverer mask
         less the banned set, below this child.  The leaves after the last
@@ -160,12 +160,12 @@ class KernelTable:
         picks left is expanded.
 
         Two exact prunings cut the tree: root reflection, whose bans are
-        cached per table (see ``_root_bans``), and last pick, where a
-        child with one pick left is expanded only when some non-banned
-        coverer of its lowest uncovered vertex covers all that is left,
-        otherwise it is a leaf.  Neither removes the first cover of the
-        unpruned order, so where that search decides, the witness is the
-        same and the node count no higher.
+        cached per table (see ``_root_bans``), and last pick.  At a node
+        with one pick left only a full child passes the bound, so the
+        first full, non-banned child ends the search, and a node with
+        none is a leaf whose children are not counted.  Neither removes
+        the first cover of the unpruned order, so where that search
+        decides, the witness is the same and the node count no higher.
 
         Returns (status, witness, nodes) where the witness is the first
         cover found by this fixed order (ascending members), or None.  A
@@ -179,8 +179,7 @@ class KernelTable:
         n = self.n
         full = (1 << n) - 1
         balls = self.balls
-        columns, column = self._columns, self._column
-        masks, highs = self._masks, self._highs
+        column, branches = self._column, self._branches
         max_ball = self.max_ball
         # no budget is a cap of 2**63 nodes, which no int64 count passes
         cap = 1 << 63 if max_nodes is None or max_nodes < 0 else max_nodes
@@ -192,18 +191,14 @@ class KernelTable:
         bits, root_banned, root_bans = self._root or self._root_bans()
         chosen: list[int] = []
 
-        def mask(v: int) -> int:
-            # the coverers of v as a bitmask, built the first time a
-            # search reads it; their bits are distinct, so the sum is the OR
-            masks[v] = sum(map(bits.__getitem__, columns[v] or column(v)))
-            return masks[v]
-
-        def high(v: int) -> list[tuple[int, int]]:
+        def branch(v: int) -> tuple[list[tuple[int, int]], int]:
             # each coverer u of v, ascending, with h, the size of its ball
-            # from v up, built the first time a search branches on v
-            highs[v] = [(u, (balls[u] >> v).bit_count())
-                        for u in columns[v] or column(v)]
-            return highs[v]
+            # from v up, and the coverers as a bitmask: their bits are
+            # distinct, so the sum is the OR
+            coverers = column(v)
+            pairs = [(u, (balls[u] >> v).bit_count()) for u in coverers]
+            branches[v] = pairs, sum(map(bits.__getitem__, coverers))
+            return branches[v]
 
         def expand(covered: int, count: int, banned: int,
                    remaining: int) -> int:
@@ -214,14 +209,16 @@ class KernelTable:
             v = (covered ^ (covered + 1)).bit_length() - 1
             left = remaining - 1
             # the counting bound: with `left` picks to go a child needs this
-            # many covered vertices; a full child always has them
+            # many covered vertices; a full child always has them, and at a
+            # last pick (left is 0) only a full child does
             need = n - left * max_ball
             # every vertex below v is covered, so a child covers at most
             # count + h; below `short` it fails the bound untried
             short = need - count
-            live = (masks[v] or mask(v)) & ~banned
+            pairs, mask = branches[v] or branch(v)
+            live = mask & ~banned
             counted = nodes  # the nodes outside this loop's children
-            for u, h in highs[v] or high(v):
+            for u, h in pairs:
                 if h < short:
                     continue
                 child = covered | balls[u]
@@ -239,37 +236,17 @@ class KernelTable:
                 if child == full:
                     return FOUND
                 bans = banned | before if covered else root_bans[u]
-                if left == 1:
-                    status = last_pick(child, bans)
-                else:
-                    status = expand(child, got, bans, left)
+                status = expand(child, got, bans, left)
                 if status != ABSENT:
                     return status
                 chosen.pop()
                 counted = nodes - at
+            if not left:
+                return ABSENT  # a last pick with no full child: a leaf
             nodes = counted + live.bit_count()
             if nodes > cap:
                 nodes = cap + 1
                 return INCONCLUSIVE
-            return ABSENT
-
-        def last_pick(covered: int, banned: int) -> int:
-            # one pick left: the children are the non-banned coverers of the
-            # lowest uncovered vertex, and only a full one is not a leaf, so
-            # the ball is tested first and the ban only on a full child
-            nonlocal nodes
-            rest = full ^ covered
-            y = (rest & -rest).bit_length() - 1
-            for w in columns[y] or column(y):
-                if balls[w] & rest == rest and not banned & bits[w]:
-                    # the children tried: the non-banned coverers up to w
-                    live = (masks[y] or mask(y)) & ~banned
-                    nodes += (live & bits[w] - 1).bit_count() + 1
-                    if nodes > cap:
-                        nodes = cap + 1
-                        return INCONCLUSIVE
-                    chosen.append(w)
-                    return FOUND
             return ABSENT
 
         limit = sys.getrecursionlimit()

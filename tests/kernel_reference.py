@@ -13,6 +13,12 @@ budget they must give the same (status, witness, nodes) as this search
 with ``pruned=True``.  ``log`` records where each node sits, so a test
 can tell where a budget cuts.
 
+A last pick, a node with one pick left, is an ``expand`` node in the
+kernels like any other, where only a full child passes the counting
+bound; its children are counted only when one is full.  Here that is
+the last-pick test: a node with one pick left and no full, non-banned
+child returns before it counts a child.
+
 ``pruned=False`` is the search without the kernel's two prunings (root
 reflection and the last-pick test): wherever it decides, the pruned
 search must return its (status, witness) with no more nodes.

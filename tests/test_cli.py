@@ -495,8 +495,8 @@ class TestSweep:
             ["debruijn", "3", "2", "1"]]
 
     def test_sigint_stops_parallel_sweep(self, tmp_path):
-        # Ctrl-C reaches the whole process group: the workers die and the
-        # queued chunks are dropped, so the sweep stops at once
+        # Ctrl-C reaches the whole process group: the main process stops
+        # and kills the workers, and the rows already written stay
         target = tmp_path / "rows.csv"
         proc = subprocess.Popen(
             [sys.executable, "-m", "dbkdom.cli", "sweep", "--family", "both",

@@ -462,63 +462,77 @@ class TestPureKernelReference:
                         coverers, (f, n, d, k)
 
     def test_root_decided_search_builds_no_column(self):
-        # coverer lists are built when a search first reads them, and a
-        # search the counting bound decides at the root reads none and
-        # builds no root bans; the first search past the root builds them,
-        # and later searches reuse them
+        # a vertex's record is built when a search first expands a node at
+        # it, and a search the counting bound decides at the root builds
+        # none and no root bans; the first search past the root builds
+        # them, and later searches reuse the root bans
         pure = _cover_py.KernelTable(0, 110, 3, 3)
         assert 2 * pure.max_ball < 110
         assert pure.search(2) == (_cover_py.ABSENT, None, 1)
-        assert pure._columns == pure._masks == [None] * 110
+        assert pure._branches == [None] * 110
         assert pure._root is None
         assert pure.search(4)[0] == _cover_py.FOUND
-        assert any(column is not None for column in pure._columns)
-        assert any(mask is not None for mask in pure._masks)
+        assert pure._branches[0] is not None
         root = pure._root
         bits, skipped, bans = root
         assert bits == [1 << u for u in range(110)]
         # the coverers of 0, split into the root's bans and its children
         assert skipped & sum(bits[u] for u in bans) == 0
-        assert skipped | sum(bits[u] for u in bans) == pure._masks[0]
+        assert skipped | sum(bits[u] for u in bans) == pure._branches[0][1]
         assert pure.search(5)[0] == _cover_py.FOUND
         assert pure._root is root
 
+    @staticmethod
+    def built_records(f, n, d, k):
+        """The pure table after a coverer_list of every vertex and a
+        search decided at the root, which build no record, and searches of
+        sizes 0..min(n, 8) at 200 nodes; its reference; and the vertices
+        other than 0 that have a record after size 2, where every node
+        below the root is a last pick."""
+        pure = _cover_py.KernelTable(f, n, d, k)
+        if pure.max_ball < n:
+            assert pure.search(1) == (_cover_py.ABSENT, None, 1)
+        for v in range(n):
+            pure.coverer_list(v)
+        assert pure._branches == [None] * n
+        last_picks = []
+        for size in range(min(n, 8) + 1):
+            pure.search(size, 200)
+            if size == 2:
+                last_picks = [v for v in range(1, n) if pure._branches[v]]
+        return pure, ReferenceTable(f, n, d, k), last_picks
+
     def test_masks_are_coverer_lists(self):
         # a search builds the coverer mask of each vertex it branches on,
-        # the OR of its coverer list's bits; coverer_list builds none
-        built = 0
+        # last picks included: the OR of its coverer list's bits;
+        # coverer_list builds none
+        built = last_picks = 0
         for f, n, d, k in TestKernelParity.GRID:
-            pure = _cover_py.KernelTable(f, n, d, k)
-            lists = [pure.coverer_list(v) for v in range(n)]
-            assert pure._masks == [None] * n
-            for size in range(min(n, 8) + 1):
-                pure.search(size, 200)
-            for v, mask in enumerate(pure._masks):
-                if mask is not None:
-                    assert mask == reduce(or_, (1 << u for u in lists[v])), \
+            pure, ref, picks = self.built_records(f, n, d, k)
+            for v, record in enumerate(pure._branches):
+                if record is not None:
+                    assert record[1] == reduce(
+                        or_, (1 << u for u in ref.coverers[v])), \
                         (f, n, d, k, v)
                     built += 1
-        assert built > 0
+            last_picks += len(picks)
+        assert built > last_picks > 0
 
     def test_highs_are_coverers_with_their_balls_from_v_up(self):
-        # a search builds, for each vertex v it branches on, v's coverers u
-        # with h, the size of ball(u) from v up; a search the counting bound
-        # decides at the root builds none
-        built = 0
+        # a search builds, for each vertex v it branches on, last picks
+        # included, v's coverers u with h, the size of ball(u) from v up;
+        # a search the counting bound decides at the root builds none
+        built = last_picks = 0
         for f, n, d, k in TestKernelParity.GRID:
-            pure = _cover_py.KernelTable(f, n, d, k)
-            ref = ReferenceTable(f, n, d, k)
-            if pure.max_ball < n:
-                assert pure.search(1) == (_cover_py.ABSENT, None, 1)
-                assert pure._highs == [None] * n
-            for size in range(min(n, 8) + 1):
-                pure.search(size, 200)
-            for v, pairs in enumerate(pure._highs):
-                if pairs is not None:
-                    assert pairs == [(u, (ref.balls[u] >> v).bit_count())
-                                     for u in ref.coverers[v]], (f, n, d, k, v)
+            pure, ref, picks = self.built_records(f, n, d, k)
+            for v, record in enumerate(pure._branches):
+                if record is not None:
+                    assert record[0] == [(u, (ref.balls[u] >> v).bit_count())
+                                         for u in ref.coverers[v]], \
+                        (f, n, d, k, v)
                     built += 1
-        assert built > 0
+            last_picks += len(picks)
+        assert built > last_picks > 0
 
     @pytest.mark.parametrize("f", [0, 1])
     @pytest.mark.parametrize("n", [1000, 5000])
