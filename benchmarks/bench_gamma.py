@@ -25,11 +25,12 @@ of size L.  ``construct.COVER_SCAN_MAX_N`` is set from these rows.
 The per-row section times ``cli.classify_row``, the call ``dbkdom sweep``
 makes per row, in this process over the default envelope (both families,
 n = 2..60, d = 2..5, k = 1..4, default oracle limits), in ``--repeat``
-passes.  Each row keeps its fastest pass, and the rows are summed up by
-the method that settled them (congruence, prefix_cover, radius_one,
-oracle and the scans).  It also times ``ball`` on each exact row's
-witness, and ``bounds`` per call, on a new instance and on a repeated one,
-so a row's fixed costs can be told apart.
+passes.  Each row keeps its fastest pass, and the median and 90th
+percentile of those are given per method that settled the rows
+(congruence, prefix_cover, radius_one, oracle and the scans).  It also
+times ``ball`` on each exact row's witness, and ``bounds`` per call, on
+a new instance and on a repeated one, so a row's fixed costs can be told
+apart.
 
 The rows are printed and written to ``BENCH_gamma.json`` at the root of
 this checkout, with the machine information ``BENCH_kernel.json`` carries

@@ -106,6 +106,8 @@ class GammaResult:
         return None if self.witness else (self.lower, self.upper)
 
     def to_dict(self) -> dict:
+        # the witness is listed once; gamma and bracket read off the list
+        witness = self.witness.members() if self.witness else None
         return {
             "family": self.graph.family,
             "n": self.graph.n,
@@ -113,18 +115,21 @@ class GammaResult:
             "k": self.k,
             "lower": self.lower,
             "upper": self.upper,
-            "gamma": self.gamma,
-            "bracket": list(self.bracket) if self.bracket else None,
+            "gamma": None if witness is None else len(witness),
+            "bracket": None if witness else [self.lower, self.upper],
             "method": self.method,
             "nodes": self.nodes,
-            "witness": self.witness.members() if self.witness else None,
+            "witness": witness,
             "conditions": dict(self.conditions),
         }
 
 
-def _verified_runs(g: GeneralizedDigraph, k: int, what: str,
-                   *runs: tuple[int, int]) -> VertexSet:
-    """The union of the (start, length) runs, once ``verify`` accepts it."""
+def _verified_runs(g: GeneralizedDigraph, k: int,
+                   runs: tuple[tuple[int, int], ...], what: str,
+                   *params: int) -> VertexSet:
+    """The union of the (start, length) ``runs``, once ``verify`` accepts
+    it.  The error names the construction, ``what.format(*params)``, which
+    is built only on a failure."""
     mask = 0
     for start, length in runs:
         mask |= run_mask(start, length, g.n)
@@ -132,8 +137,9 @@ def _verified_runs(g: GeneralizedDigraph, k: int, what: str,
     cert = verify(g, cover, k)
     if not cert.valid:
         raise ConstructionError(
-            f"{what} failed verification on {g.family} n={g.n} d={g.d} "
-            f"k={k}: uncovered {cert.uncovered.members()[:10]}")
+            f"{what.format(*params)} failed verification on {g.family} "
+            f"n={g.n} d={g.d} k={k}: "
+            f"uncovered {cert.uncovered.members()[:10]}")
     return cover
 
 
@@ -162,8 +168,8 @@ def build_anchor_run(g: GeneralizedDigraph, k: int) -> VertexSet:
     This is the construction behind the de Bruijn upper bound L + 1, so the
     domination number is always L or L + 1.
     """
-    return _verified_runs(g, k, "anchor run of length lower+1",
-                          (find_anchor(g, k), bounds(g, k).lower + 1))
+    return _verified_runs(g, k, ((find_anchor(g, k), bounds(g, k).lower + 1),),
+                          "anchor run of length lower+1")
 
 
 def congruence_witness(g: GeneralizedDigraph, k: int) -> VertexSet | None:
@@ -182,8 +188,8 @@ def congruence_witness(g: GeneralizedDigraph, k: int) -> VertexSet | None:
     if h * geometric_sum(d, k - 1) > geometric_sum(d, k) * lower - n:
         return None
     x = solve_linear_congruence(d - 1, lower - h, n)[0]
-    return _verified_runs(g, k, f"congruence run (h={h}, x={x})",
-                          (x, lower))
+    return _verified_runs(g, k, ((x, lower),), "congruence run (h={}, x={})",
+                          h, x)
 
 
 def gcd_divisibility(g: GeneralizedDigraph, k: int) -> bool:
@@ -218,9 +224,8 @@ def build_window_run(g: GeneralizedDigraph, k: int) -> VertexSet:
     if not remainder_window(g, k):
         raise ValueError(f"remainder window condition does not hold for "
                          f"n={g.n} d={g.d} k={k}")
-    return _verified_runs(g, k,
-                          "anchor run of length lower (window condition)",
-                          (find_anchor(g, k), bounds(g, k).lower))
+    return _verified_runs(g, k, ((find_anchor(g, k), bounds(g, k).lower),),
+                          "anchor run of length lower (window condition)")
 
 
 def build_prefix_cover(g: GeneralizedDigraph, k: int) -> VertexSet:
@@ -230,7 +235,7 @@ def build_prefix_cover(g: GeneralizedDigraph, k: int) -> VertexSet:
     The last two neighborhood layers of this prefix alone cover everything,
     which gives that bound.
     """
-    return _verified_runs(g, k, "prefix cover", (0, bounds(g, k).upper))
+    return _verified_runs(g, k, ((0, bounds(g, k).upper),), "prefix cover")
 
 
 def prefix_condition(g: GeneralizedDigraph, k: int) -> bool:
@@ -253,8 +258,8 @@ def build_lower_prefix(g: GeneralizedDigraph, k: int) -> VertexSet:
     if not prefix_condition(g, k):
         raise ValueError(
             f"prefix condition does not hold for n={g.n} d={g.d} k={k}")
-    return _verified_runs(g, k, "prefix of length lower",
-                          (0, bounds(g, k).lower))
+    return _verified_runs(g, k, ((0, bounds(g, k).lower),),
+                          "prefix of length lower")
 
 
 class _RunBalls:
@@ -308,7 +313,7 @@ def run_scan(g: GeneralizedDigraph, k: int, size: int) -> VertexSet | None:
                    range(n - size + 1, (2 * n - size) // 2 + 1))
     for x in starts:
         if ball(x) == full:
-            return _verified_runs(g, k, f"run scan (x={x})", (x, size))
+            return _verified_runs(g, k, ((x, size),), "run scan (x={})", x)
     return None
 
 
@@ -340,8 +345,8 @@ def two_run_cover(g: GeneralizedDigraph, k: int,
                 # R must lie within m1..n-1, clear of the prefix
                 if m1 <= start <= n - m2 and head | ball(start) == full:
                     return _verified_runs(
-                        g, k, f"two-run cover (m1={m1}, start={start})",
-                        (0, m1), (start, m2))
+                        g, k, ((0, m1), (start, m2)),
+                        "two-run cover (m1={}, start={})", m1, start)
     return None
 
 

@@ -11,6 +11,7 @@ the set was found.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet, ball
 from .modular import ceil_div, geometric_sum
@@ -68,10 +69,13 @@ def verify(g: GeneralizedDigraph, dset: VertexSet,
     one names the exact uncovered set and a failure is reproducible.
     ``ball`` refuses a negative radius and a set of another order.
     """
-    return DominationCertificate(graph=g, dset=dset, k=k,
-                                 covered=ball(g, dset, k))
+    return DominationCertificate(g, dset, k, ball(g, dset, k))
 
 
+# a classified row asks for its bounds in ``classify`` and again in each
+# certificate it tries, so the last (g, k) asked is kept; the entry is
+# keyed by the instance, so no row reads another instance's bounds
+@lru_cache(maxsize=1)
 def bounds(g: GeneralizedDigraph, k: int) -> Bounds:
     """Lower and constructive upper bounds for the radius-k problem, k >= 1.
 

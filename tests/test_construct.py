@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_is_dominating, power_sum_run
-from dbkdom import construct
+from dbkdom import construct, domination
 from dbkdom.construct import (ConstructionError, GammaResult,
                               build_anchor_run, build_lower_prefix,
                               build_prefix_cover, build_window_run, classify,
@@ -413,6 +413,37 @@ class TestOtherFamily:
         assert errors > 0
 
 
+class TestFailureLabels:
+    # a failed verification names the construction and its parameters,
+    # the text the labels had when they were formatted up front
+    @pytest.mark.parametrize("build, g, args, label", [
+        (congruence_witness, debruijn(4, 3), (2,),
+         "congruence run (h=1, x=0)"),
+        (congruence_witness, debruijn(7, 2), (2,),
+         "congruence run (h=0, x=1)"),
+        (run_scan, debruijn(10, 3), (2, 1), "run scan (x=2)"),
+        (two_run_cover, kautz(43, 2), (2, 7),
+         "two-run cover (m1=1, start=35)"),
+        (build_anchor_run, debruijn(40, 3), (3,),
+         "anchor run of length lower+1"),
+        (build_window_run, debruijn(17, 2), (2,),
+         "anchor run of length lower (window condition)"),
+        (build_prefix_cover, kautz(40, 3), (2,), "prefix cover"),
+        (build_lower_prefix, kautz(12, 2), (2,), "prefix of length lower"),
+    ])
+    def test_message_unchanged(self, monkeypatch, build, g, args, label):
+        def failing(graph, dset, k):
+            return DominationCertificate(graph, dset, k, VertexSet(graph.n))
+
+        monkeypatch.setattr(construct, "verify", failing)
+        with pytest.raises(ConstructionError) as caught:
+            build(g, *args)
+        uncovered = list(range(min(g.n, 10)))
+        assert str(caught.value) == (
+            f"{label} failed verification on {g.family} n={g.n} d={g.d} "
+            f"k={args[0]}: uncovered {uncovered}")
+
+
 class TestClassify:
     def test_headline_debruijn(self):
         result = classify(GeneralizedDigraph.debruijn(40, 3), 3)
@@ -482,6 +513,42 @@ class TestClassify:
         assert result.method == "congruence"
         assert result.witness == run_set(n, 12500, 25000)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("g, k, method", [
+        (debruijn(7, 2), 2, "congruence"),
+        (kautz(12, 2), 2, "prefix_cover"),
+        (debruijn(40, 3), 3, "oracle"),
+        (kautz(7, 2), 2, "oracle"),
+    ])
+    def test_bounds_computed_once(self, monkeypatch, g, k, method):
+        # classify and every certificate it asks read one Bounds
+        made = []
+        original = domination.Bounds
+
+        def counting(*args):
+            made.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(domination, "Bounds", counting)
+        bounds.cache_clear()
+        result = classify(g, k)
+        bounds.cache_clear()
+        assert result.method == method
+        assert made == [(result.lower, result.upper)]
+
+    def test_interleaved_rows_read_their_own_bounds(self):
+        grid = [(family, n, d, k) for n in range(2, 30) for d in (2, 3)
+                for k in (1, 2, 3) for family in sorted(FAMILIES) if n >= d]
+        order = [instance for pair in zip(grid, reversed(grid))
+                 for instance in pair]
+        for family, n, d, k in order:
+            result = classify(GeneralizedDigraph(family, n, d), k)
+            radius = min(k, n.bit_length() + 1)
+            lower = ceil_div(n, geometric_sum(d, radius))
+            upper = (lower + 1 if family == "debruijn"
+                     else ceil_div(n, d ** radius + d ** (radius - 1)))
+            assert (result.lower, result.upper) == (lower, upper)
+            assert result.gamma is None or lower <= result.gamma <= upper
 
     def test_oracle_decides_upper_value(self):
         # no condition fires and no size-1 set exists, so the anchor run

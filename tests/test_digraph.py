@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_ball, naive_image, naive_out_neighbors
+from dbkdom import digraph
 from dbkdom.digraph import (DEBRUIJN, FAMILIES, KAUTZ, SMALL_ORDER,
                             GeneralizedDigraph, VertexSet, ball,
                             export_lines, run_image, run_layers,
@@ -381,6 +382,24 @@ class TestBall:
             assert covered >= previous
             assert covered == naive_ball("kautz", 11, 3, {4}, k)
             previous = covered
+
+    def test_never_reads_the_closed_form(self, monkeypatch):
+        # ball is the reference that run_image and run_layers are checked
+        # against, on both sides of SMALL_ORDER
+        def refuse(*args):
+            raise AssertionError("ball read the closed form")
+
+        monkeypatch.setattr(digraph, "run_image", refuse)
+        monkeypatch.setattr(digraph, "run_layers", refuse)
+        rng = random.Random(5)
+        for family in sorted(FAMILIES):
+            for n, d in ((40, 3), (SMALL_ORDER + 61, 2), (300, 5)):
+                g = GeneralizedDigraph(family=family, n=n, d=d)
+                members = set(rng.sample(range(n), 3))
+                for k in range(4):
+                    covered = ball(g, VertexSet.from_members(n, members), k)
+                    assert set(covered.members()) == \
+                        naive_ball(family, n, d, members, k)
 
 
 class TestDegreeAccounting:

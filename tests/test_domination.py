@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_ball
-from dbkdom.digraph import FAMILIES, GeneralizedDigraph, VertexSet
+from dbkdom import domination
+from dbkdom.digraph import (DEBRUIJN, FAMILIES, SMALL_ORDER,
+                            GeneralizedDigraph, VertexSet)
 from dbkdom.domination import bounds, verify
 from dbkdom.modular import ceil_div, geometric_sum
 
@@ -76,6 +78,25 @@ class TestVerify:
         assert set(cert.uncovered.members()) == set(range(n)) - covered
 
     @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)),
+           st.integers(SMALL_ORDER + 1, 300), st.integers(2, 5),
+           st.integers(0, 4), st.data())
+    def test_matches_reference_expansion_above_small_order(
+            self, family, n, d, k, data):
+        # a set spanning more than SMALL_ORDER members walks its layers
+        # through the translate tables; a run may wrap the ring
+        if data.draw(st.booleans()):
+            start = data.draw(st.integers(0, n - 1))
+            length = data.draw(st.integers(1, n))
+            members = {(start + i) % n for i in range(length)}
+        else:
+            members = data.draw(st.sets(st.integers(0, n - 1)))
+        g = GeneralizedDigraph(family=family, n=n, d=d)
+        cert = verify(g, VertexSet.from_members(n, members), k)
+        assert set(cert.covered.members()) == \
+            naive_ball(family, n, d, members, k)
+
+    @settings(max_examples=150, deadline=None)
     @given(instances(40), st.data())
     def test_completion_and_monotonicity(self, inst, data):
         family, n, d = inst
@@ -130,3 +151,36 @@ class TestBounds:
     def test_radius_zero_rejected(self):
         with pytest.raises(ValueError):
             bounds(GeneralizedDigraph.debruijn(6, 2), 0)
+
+    def test_interleaved_instances_get_their_own_bounds(self):
+        # bounds keeps the last instance asked; each call, whatever was
+        # asked before it, must give its own instance's formulas, also for
+        # an equal digraph built anew
+        grid = [(family, n, d, k) for n in range(2, 40)
+                for d in (2, 3, 5) for k in (1, 2, 4)
+                for family in sorted(FAMILIES) if n >= d]
+        order = [instance for pair in zip(grid, reversed(grid))
+                 for instance in pair]
+        for family, n, d, k in order + order[::3]:
+            b = bounds(GeneralizedDigraph(family=family, n=n, d=d), k)
+            lower = ceil_div(n, geometric_sum(d, k))
+            upper = (lower + 1 if family == DEBRUIJN
+                     else ceil_div(n, d ** k + d ** (k - 1)))
+            assert (b.lower, b.upper) == (lower, upper), (family, n, d, k)
+
+    def test_computed_once_per_instance(self, monkeypatch):
+        made = []
+        original = domination.Bounds
+
+        def counting(*args):
+            made.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(domination, "Bounds", counting)
+        bounds.cache_clear()
+        g, other = (GeneralizedDigraph.debruijn(40, 3),
+                    GeneralizedDigraph.kautz(40, 3))
+        for graph in (g, g, GeneralizedDigraph.debruijn(40, 3), other, g):
+            bounds(graph, 2)
+        assert made == [(4, 5), (4, 4), (4, 5)]
+        bounds.cache_clear()
