@@ -202,9 +202,10 @@ def _spread_tables(d: int, reflect: bool) -> tuple[bytes, ...]:
 
 
 def _image(n: int, d: int, reflect: bool, mask: int) -> int:
-    """The image mask of the non-empty member ``mask`` of a digraph of order
-    n and degree d, Kautz when ``reflect``: the spread-and-fold step of
-    ``set_out_neighborhood``, which checks its arguments."""
+    """The image, as a mask, of the non-empty set ``mask`` in the digraph
+    of order n and degree d (Kautz when ``reflect``): the unchecked
+    spread-and-fold step that ``set_out_neighborhood`` and ``ball``
+    share."""
     # the span is the member bytes lo .. hi-1; a set holding a vertex under
     # 8 takes the byte of vertex 0 as its first (or, reflected, last) byte,
     # which spares the search for its lowest vertex
