@@ -22,19 +22,8 @@ no dominating run of length L, and the two-run scan on the first Kautz
 order from n on that misses the prefix condition and has no two-run cover
 of size L.  ``construct.COVER_SCAN_MAX_N`` is set from these rows.
 
-The per-row section times ``cli.classify_row``, the call ``dbkdom sweep``
-makes per row, in this process over the default envelope (both families,
-n = 2..60, d = 2..5, k = 1..4, default oracle limits), in ``--repeat``
-passes.  Each row keeps its fastest pass, and the median and 90th
-percentile of those are given per method that settled the rows
-(congruence, prefix_cover, radius_one, oracle and the scans).  It also
-times ``ball`` on each exact row's witness, and ``bounds`` per call, on
-a new instance and on a repeated one, so a row's fixed costs can be told
-apart.
-
 The rows are printed and written to ``BENCH_gamma.json`` at the root of
-this checkout, with the machine information ``BENCH_kernel.json`` carries
-and the search kernel the in-process rows ran.
+this checkout, with the machine information ``BENCH_kernel.json`` carries.
 """
 
 from __future__ import annotations
@@ -43,11 +32,9 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
-from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,8 +45,6 @@ ORDERS = [10 ** e for e in range(3, 8)]
 STAGE_ORDERS = [500, 1000, 2000, 5000, 10000]
 D, K = 3, 3
 LARGE_DEGREE = (10 ** 5, 5000, 1)  # (n, d, k) of the large-degree verify row
-# the default sweep's envelope, as (ns, ds, ks)
-ENVELOPE = (range(2, 61), range(2, 6), range(1, 5))
 
 
 def run_gamma(family: str, n: int) -> tuple[float, dict]:
@@ -149,77 +134,6 @@ def stage_rows(repeat: int) -> list[dict]:
     return rows
 
 
-def _us(seconds: list[float]) -> dict:
-    """Median and 90th percentile of ``seconds``, in microseconds."""
-    p90 = (statistics.quantiles(seconds, n=10)[8] if len(seconds) > 1
-           else seconds[0])
-    return {"rows": len(seconds),
-            "p50_us": round(statistics.median(seconds) * 1e6, 2),
-            "p90_us": round(p90 * 1e6, 2)}
-
-
-def per_row(repeat: int) -> dict:
-    """Fastest-pass cost of each default-envelope row by method, and of
-    ``ball`` and ``bounds`` per call, in process."""
-    from dbkdom import cli
-    from dbkdom.digraph import GeneralizedDigraph, VertexSet, ball
-    from dbkdom.domination import bounds
-    from dbkdom.oracle import DEFAULT_LIMITS
-
-    ns, ds, ks = ENVELOPE
-    grid = [(family, n, d, k) for family in FAMILIES for n in ns
-            for d in ds for k in ks if n >= d]
-    clock = time.perf_counter
-    best = defaultdict(lambda: float("inf"))
-    rows = {}
-    for _ in range(repeat):
-        for instance in grid:
-            started = clock()
-            row = cli.classify_row(*instance, DEFAULT_LIMITS)
-            best[instance] = min(best[instance], clock() - started)
-            rows[instance] = row
-    by_method = defaultdict(list)
-    for instance in grid:
-        by_method[rows[instance]["method"]].append(best[instance])
-
-    balls = []
-    for instance in grid:
-        witness = rows[instance]["witness"]
-        if witness:
-            family, n, d, k = instance
-            g = GeneralizedDigraph(family, n, d)
-            s = VertexSet.from_members(n, witness)
-            times = []
-            for _ in range(repeat):
-                started = clock()
-                ball(g, s, k)
-                times.append(clock() - started)
-            balls.append(min(times))
-
-    graphs = [(GeneralizedDigraph(family, n, d), k)
-              for family, n, d, k in grid]
-    fresh, again = [], []
-    for _ in range(repeat):
-        first = second = 0.0
-        for g, k in graphs:
-            started = clock()
-            bounds(g, k)
-            middle = clock()
-            bounds(g, k)
-            second += clock() - middle
-            first += middle - started
-        fresh.append(first / len(graphs))
-        again.append(second / len(graphs))
-    return {
-        "methods": {method: _us(times)
-                    for method, times in sorted(by_method.items())},
-        "all": _us(list(best.values())),
-        "ball": _us(balls),
-        "bounds_new_us": round(min(fresh) * 1e6, 3),
-        "bounds_repeated_us": round(min(again) * 1e6, 3),
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3,
@@ -258,20 +172,6 @@ def main() -> None:
     print(f"\nworst-case run scans, d={D} k={K}, fastest of {args.repeat}")
     stages = stage_rows(args.repeat)
 
-    from dbkdom import kernel_backend
-    print(f"\nrows of the default envelope in process, fastest of "
-          f"{args.repeat} passes, {kernel_backend()} kernel")
-    rows_in_process = per_row(args.repeat)
-    print(f"{'method':<13} {'rows':>5} {'p50 us':>8} {'p90 us':>8}")
-    for method, cost in [*rows_in_process["methods"].items(),
-                         ("all rows", rows_in_process["all"]),
-                         ("ball", rows_in_process["ball"])]:
-        print(f"{method:<13} {cost['rows']:>5} {cost['p50_us']:>8.2f} "
-              f"{cost['p90_us']:>8.2f}")
-    print(f"bounds per call: {rows_in_process['bounds_new_us']:.3f} us on a "
-          f"new instance, {rows_in_process['bounds_repeated_us']:.3f} us "
-          f"repeated")
-
     OUT.write_text(json.dumps({
         "script": "benchmarks/bench_gamma.py",
         "python": platform.python_version(),
@@ -281,8 +181,6 @@ def main() -> None:
         "rows": rows,
         "verify": verifies,
         "stages": stages,
-        "kernel": kernel_backend(),
-        "per_row": rows_in_process,
     }, indent=1) + "\n")
     print(f"\nwrote {OUT.name}")
 

@@ -93,9 +93,22 @@ class GammaResult:
     conditions: dict[str, bool]
     nodes: int = 0
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+    # fields set as ``digraph.GeneralizedDigraph`` sets them, and for the
+    # same reason
+    def __init__(self, graph: GeneralizedDigraph, k: int, lower: int,
+                 upper: int, method: str, witness: VertexSet | None,
+                 conditions: dict[str, bool], nodes: int = 0):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        fields = self.__dict__
+        fields["graph"] = graph
+        fields["k"] = k
+        fields["lower"] = lower
+        fields["upper"] = upper
+        fields["method"] = method
+        fields["witness"] = witness
+        fields["conditions"] = conditions
+        fields["nodes"] = nodes
 
     @property
     def gamma(self) -> int | None:
@@ -106,8 +119,6 @@ class GammaResult:
         return None if self.witness else (self.lower, self.upper)
 
     def to_dict(self) -> dict:
-        # the witness is listed once; gamma and bracket read off the list
-        witness = self.witness.members() if self.witness else None
         return {
             "family": self.graph.family,
             "n": self.graph.n,
@@ -115,21 +126,18 @@ class GammaResult:
             "k": self.k,
             "lower": self.lower,
             "upper": self.upper,
-            "gamma": None if witness is None else len(witness),
-            "bracket": None if witness else [self.lower, self.upper],
+            "gamma": self.gamma,
+            "bracket": list(self.bracket) if self.bracket else None,
             "method": self.method,
             "nodes": self.nodes,
-            "witness": witness,
+            "witness": self.witness.members() if self.witness else None,
             "conditions": dict(self.conditions),
         }
 
 
-def _verified_runs(g: GeneralizedDigraph, k: int,
-                   runs: tuple[tuple[int, int], ...], what: str,
-                   *params: int) -> VertexSet:
-    """The union of the (start, length) ``runs``, once ``verify`` accepts
-    it.  The error names the construction, ``what.format(*params)``, which
-    is built only on a failure."""
+def _verified_runs(g: GeneralizedDigraph, k: int, what: str,
+                   *runs: tuple[int, int]) -> VertexSet:
+    """The union of the (start, length) runs, once ``verify`` accepts it."""
     mask = 0
     for start, length in runs:
         mask |= run_mask(start, length, g.n)
@@ -137,9 +145,8 @@ def _verified_runs(g: GeneralizedDigraph, k: int,
     cert = verify(g, cover, k)
     if not cert.valid:
         raise ConstructionError(
-            f"{what.format(*params)} failed verification on {g.family} "
-            f"n={g.n} d={g.d} k={k}: "
-            f"uncovered {cert.uncovered.members()[:10]}")
+            f"{what} failed verification on {g.family} n={g.n} d={g.d} "
+            f"k={k}: uncovered {cert.uncovered.members()[:10]}")
     return cover
 
 
@@ -168,8 +175,8 @@ def build_anchor_run(g: GeneralizedDigraph, k: int) -> VertexSet:
     This is the construction behind the de Bruijn upper bound L + 1, so the
     domination number is always L or L + 1.
     """
-    return _verified_runs(g, k, ((find_anchor(g, k), bounds(g, k).lower + 1),),
-                          "anchor run of length lower+1")
+    return _verified_runs(g, k, "anchor run of length lower+1",
+                          (find_anchor(g, k), bounds(g, k).lower + 1))
 
 
 def congruence_witness(g: GeneralizedDigraph, k: int) -> VertexSet | None:
@@ -188,8 +195,8 @@ def congruence_witness(g: GeneralizedDigraph, k: int) -> VertexSet | None:
     if h * geometric_sum(d, k - 1) > geometric_sum(d, k) * lower - n:
         return None
     x = solve_linear_congruence(d - 1, lower - h, n)[0]
-    return _verified_runs(g, k, ((x, lower),), "congruence run (h={}, x={})",
-                          h, x)
+    return _verified_runs(g, k, f"congruence run (h={h}, x={x})",
+                          (x, lower))
 
 
 def gcd_divisibility(g: GeneralizedDigraph, k: int) -> bool:
@@ -224,8 +231,9 @@ def build_window_run(g: GeneralizedDigraph, k: int) -> VertexSet:
     if not remainder_window(g, k):
         raise ValueError(f"remainder window condition does not hold for "
                          f"n={g.n} d={g.d} k={k}")
-    return _verified_runs(g, k, ((find_anchor(g, k), bounds(g, k).lower),),
-                          "anchor run of length lower (window condition)")
+    return _verified_runs(g, k,
+                          "anchor run of length lower (window condition)",
+                          (find_anchor(g, k), bounds(g, k).lower))
 
 
 def build_prefix_cover(g: GeneralizedDigraph, k: int) -> VertexSet:
@@ -235,7 +243,7 @@ def build_prefix_cover(g: GeneralizedDigraph, k: int) -> VertexSet:
     The last two neighborhood layers of this prefix alone cover everything,
     which gives that bound.
     """
-    return _verified_runs(g, k, ((0, bounds(g, k).upper),), "prefix cover")
+    return _verified_runs(g, k, "prefix cover", (0, bounds(g, k).upper))
 
 
 def prefix_condition(g: GeneralizedDigraph, k: int) -> bool:
@@ -258,8 +266,8 @@ def build_lower_prefix(g: GeneralizedDigraph, k: int) -> VertexSet:
     if not prefix_condition(g, k):
         raise ValueError(
             f"prefix condition does not hold for n={g.n} d={g.d} k={k}")
-    return _verified_runs(g, k, ((0, bounds(g, k).lower),),
-                          "prefix of length lower")
+    return _verified_runs(g, k, "prefix of length lower",
+                          (0, bounds(g, k).lower))
 
 
 class _RunBalls:
@@ -313,7 +321,7 @@ def run_scan(g: GeneralizedDigraph, k: int, size: int) -> VertexSet | None:
                    range(n - size + 1, (2 * n - size) // 2 + 1))
     for x in starts:
         if ball(x) == full:
-            return _verified_runs(g, k, ((x, size),), "run scan (x={})", x)
+            return _verified_runs(g, k, f"run scan (x={x})", (x, size))
     return None
 
 
@@ -345,8 +353,8 @@ def two_run_cover(g: GeneralizedDigraph, k: int,
                 # R must lie within m1..n-1, clear of the prefix
                 if m1 <= start <= n - m2 and head | ball(start) == full:
                     return _verified_runs(
-                        g, k, ((0, m1), (start, m2)),
-                        "two-run cover (m1={}, start={})", m1, start)
+                        g, k, f"two-run cover (m1={m1}, start={start})",
+                        (0, m1), (start, m2))
     return None
 
 

@@ -28,6 +28,16 @@ class DominationCertificate:
     k: int
     covered: VertexSet
 
+    # fields set as ``digraph.GeneralizedDigraph`` sets them, and for the
+    # same reason
+    def __init__(self, graph: GeneralizedDigraph, dset: VertexSet, k: int,
+                 covered: VertexSet):
+        fields = self.__dict__
+        fields["graph"] = graph
+        fields["dset"] = dset
+        fields["k"] = k
+        fields["covered"] = covered
+
     @property
     def valid(self) -> bool:
         return len(self.covered) == self.graph.n
@@ -69,7 +79,8 @@ def verify(g: GeneralizedDigraph, dset: VertexSet,
     one names the exact uncovered set and a failure is reproducible.
     ``ball`` refuses a negative radius and a set of another order.
     """
-    return DominationCertificate(g, dset, k, ball(g, dset, k))
+    return DominationCertificate(graph=g, dset=dset, k=k,
+                                 covered=ball(g, dset, k))
 
 
 # a classified row asks for its bounds in ``classify`` and again in each

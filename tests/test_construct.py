@@ -1,5 +1,7 @@
 """Anchor search, run constructions, arithmetic conditions, classify."""
 
+import dataclasses
+import inspect
 import math
 
 import pytest
@@ -414,8 +416,8 @@ class TestOtherFamily:
 
 
 class TestFailureLabels:
-    # a failed verification names the construction and its parameters,
-    # the text the labels had when they were formatted up front
+    # a failed verification names the construction, its parameters and
+    # the instance, then the first uncovered vertices
     @pytest.mark.parametrize("build, g, args, label", [
         (congruence_witness, debruijn(4, 3), (2,),
          "congruence run (h=1, x=0)"),
@@ -535,20 +537,6 @@ class TestClassify:
         bounds.cache_clear()
         assert result.method == method
         assert made == [(result.lower, result.upper)]
-
-    def test_interleaved_rows_read_their_own_bounds(self):
-        grid = [(family, n, d, k) for n in range(2, 30) for d in (2, 3)
-                for k in (1, 2, 3) for family in sorted(FAMILIES) if n >= d]
-        order = [instance for pair in zip(grid, reversed(grid))
-                 for instance in pair]
-        for family, n, d, k in order:
-            result = classify(GeneralizedDigraph(family, n, d), k)
-            radius = min(k, n.bit_length() + 1)
-            lower = ceil_div(n, geometric_sum(d, radius))
-            upper = (lower + 1 if family == "debruijn"
-                     else ceil_div(n, d ** radius + d ** (radius - 1)))
-            assert (result.lower, result.upper) == (lower, upper)
-            assert result.gamma is None or lower <= result.gamma <= upper
 
     def test_oracle_decides_upper_value(self):
         # no condition fires and no size-1 set exists, so the anchor run
@@ -670,6 +658,34 @@ class TestGammaResultInvariants:
         with pytest.raises(ValueError):
             GammaResult(graph=g, k=2, lower=1, upper=2,
                         method="guesswork", witness=None, conditions={})
+
+
+class TestRecordConstructors:
+    # these frozen dataclasses write their own __init__; each must still
+    # take its fields in order, by position or by name, with the fields'
+    # defaults, and stay frozen, compared and copied by field
+    @pytest.mark.parametrize("make", [
+        lambda: kautz(9, 2),
+        lambda: VertexSet(9, 0b101),
+        lambda: verify(kautz(9, 2), VertexSet(9, 0b101), 1),
+        lambda: classify(kautz(9, 2), 1),
+    ])
+    def test_dataclass_contract(self, make):
+        record = make()
+        cls = type(record)
+        fields = dataclasses.fields(record)
+        empty = {dataclasses.MISSING: inspect.Parameter.empty}
+        assert [(p.name, p.default) for p in
+                inspect.signature(cls).parameters.values()] == [
+            (f.name, empty.get(f.default, f.default)) for f in fields]
+        values = {f.name: getattr(record, f.name) for f in fields}
+        assert cls(*values.values()) == record == cls(**values)
+        assert dataclasses.replace(record) == record
+        assert repr(record) == repr(cls(**values))
+        for name in values:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, values[name])
+        assert vars(record) == values
 
 
 class TestRunBalls:
