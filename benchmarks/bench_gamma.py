@@ -14,6 +14,10 @@ Process start hides the expansion at most orders, so the verify rows time
 rests on: for each order, the de Bruijn congruence run (or the anchor run
 where none exists) and the Kautz prefix run of length ``upper``, at d=3,
 k=3, and one large-degree row, de Bruijn n = 10**5, d = 5000, k = 1.
+Each verify row also times ``dset.members()`` on the same witness, the
+listing every answer's witness goes through: up to the order
+``digraph.INT_TABLE_CEILING`` it copies the shared table's ints, and above
+it makes a new int per member, so the rows show both sides.
 
 The stage rows time the two run scans of ``classify`` in this process at
 their worst case, where they find nothing and so try every candidate: the
@@ -62,8 +66,19 @@ def run_gamma(family: str, n: int) -> tuple[float, dict]:
     return elapsed, json.loads(proc.stdout)
 
 
+def fastest(repeat: int, call) -> tuple[float, object]:
+    """The fastest of ``repeat`` timed calls, and the last call's value."""
+    times = []
+    for _ in range(repeat):
+        started = time.perf_counter()
+        value = call()
+        times.append(time.perf_counter() - started)
+    return min(times), value
+
+
 def verify_rows(repeat: int, max_n: int) -> list[dict]:
-    """Time of ``verify`` on each order's witness, in process."""
+    """Time of ``verify`` and of listing the members on each order's
+    witness, in process."""
     from dbkdom import construct
     from dbkdom.digraph import GeneralizedDigraph
     from dbkdom.domination import verify
@@ -84,17 +99,18 @@ def verify_rows(repeat: int, max_n: int) -> list[dict]:
             continue
         g = GeneralizedDigraph(family, n, d)
         run, dset = witness(g, k)
-        times = []
-        for _ in range(repeat):
-            started = time.perf_counter()
-            cert = verify(g, dset, k)
-            times.append(time.perf_counter() - started)
-            if not cert.valid:
-                raise RuntimeError(f"{run} run failed verify: {g}, k={k}")
+        seconds, cert = fastest(repeat, lambda: verify(g, dset, k))
+        if not cert.valid:
+            raise RuntimeError(f"{run} run failed verify: {g}, k={k}")
+        listing, members = fastest(repeat, dset.members)
+        if len(members) != len(dset):
+            raise RuntimeError(f"{run} run listed {len(members)} members")
         print(f"{family:<9} {n:>9} {d:>5} {k:>2}  {run:<10} {len(dset):>7} "
-              f"{min(times) * 1000:>9.3f} ms", flush=True)
+              f"{seconds * 1000:>9.3f} ms {listing * 1000:>9.3f} ms",
+              flush=True)
         rows.append({"family": family, "n": n, "d": d, "k": k, "run": run,
-                     "size": len(dset), "seconds": round(min(times), 6)})
+                     "size": len(dset), "seconds": round(seconds, 6),
+                     "members_seconds": round(listing, 7)})
     return rows
 
 
@@ -122,15 +138,10 @@ def stage_rows(repeat: int) -> list[dict]:
                      if misses(family, n))
             g = GeneralizedDigraph(family, n, D)
             lower = bounds(g, K).lower
-            times = []
-            for _ in range(repeat):
-                started = time.perf_counter()
-                scan(g, K, lower)
-                times.append(time.perf_counter() - started)
-            print(f"{stage:<9} {n:>9} {min(times) * 1000:>8.2f} ms",
-                  flush=True)
+            seconds = fastest(repeat, lambda: scan(g, K, lower))[0]
+            print(f"{stage:<9} {n:>9} {seconds * 1000:>8.2f} ms", flush=True)
             rows.append({"stage": stage, "family": family, "n": n, "d": D,
-                         "k": K, "seconds": round(min(times), 5)})
+                         "k": K, "seconds": round(seconds, 5)})
     return rows
 
 
@@ -164,9 +175,9 @@ def main() -> None:
                          "bracket": row["bracket"]})
 
     sys.path.insert(0, str(SRC))  # the in-process rows import from here
-    print(f"\nverify in process, fastest of {args.repeat}")
+    print(f"\nverify and members() in process, fastest of {args.repeat}")
     print(f"{'family':<9} {'n':>9} {'d':>5} {'k':>2}  {'run':<10} "
-          f"{'size':>7} {'time':>12}")
+          f"{'size':>7} {'verify':>12} {'members':>12}")
     verifies = verify_rows(args.repeat, args.max_n)
 
     print(f"\nworst-case run scans, d={D} k={K}, fastest of {args.repeat}")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet, run_layers
@@ -179,6 +180,15 @@ def build_anchor_run(g: GeneralizedDigraph, k: int) -> VertexSet:
                           (find_anchor(g, k), bounds(g, k).lower + 1))
 
 
+# a de Bruijn row reads S = geometric_sum(d, k) and T = geometric_sum(d,
+# k-1) in three certificates, so the last (d, k) asked is kept
+@lru_cache(maxsize=1)
+def _ball_sums(d: int, k: int) -> tuple[int, int]:
+    """(S, T): the sums of d**j for j = 0..k and for j = 0..k-1."""
+    s = geometric_sum(d, k)
+    return s, (s - 1) // d  # S = 1 + d*T
+
+
 def congruence_witness(g: GeneralizedDigraph, k: int) -> VertexSet | None:
     """The verified dominating run {x, ..., x + L - 1} of length exactly the
     lower bound L, if any.
@@ -192,7 +202,8 @@ def congruence_witness(g: GeneralizedDigraph, k: int) -> VertexSet | None:
     """
     lower, n, d = bounds(g, k).lower, g.n, g.d
     h = lower % math.gcd(d - 1, n)
-    if h * geometric_sum(d, k - 1) > geometric_sum(d, k) * lower - n:
+    s, t = _ball_sums(d, k)
+    if h * t > s * lower - n:
         return None
     x = solve_linear_congruence(d - 1, lower - h, n)[0]
     return _verified_runs(g, k, f"congruence run (h={h}, x={x})",
@@ -207,7 +218,7 @@ def gcd_divisibility(g: GeneralizedDigraph, k: int) -> bool:
     this implication).
     """
     lower = bounds(g, k).lower
-    return (lower * geometric_sum(g.d, k) == g.n
+    return (lower * _ball_sums(g.d, k)[0] == g.n
             and lower % math.gcd(g.d - 1, g.n) == 0)
 
 
@@ -220,10 +231,9 @@ def remainder_window(g: GeneralizedDigraph, k: int) -> bool:
     length exactly L dominates.
     """
     lower = bounds(g, k).lower
-    s = geometric_sum(g.d, k)
+    s, t = _ball_sums(g.d, k)
     q = g.n - (lower - 1) * s
-    return lower >= 2 and q <= min(1 + 2 * geometric_sum(g.d, k - 1),
-                                   s - 1)
+    return lower >= 2 and q <= min(1 + 2 * t, s - 1)
 
 
 def build_window_run(g: GeneralizedDigraph, k: int) -> VertexSet:

@@ -23,15 +23,21 @@ upper half of n-bit chunks onto its lower half until one chunk is left, so
 a call is linear in d times the span, plus the bits of its image, rather
 than in d*n: a run witness's ball costs about its own size.
 
-``VertexSet`` lists a set of at most two runs, as every construction
-witness is, run by run, so that costs the runs rather than n.
+``VertexSet.members`` copies its members out of one table of the ints
+0, 1, 2, ... that every listing shares, rather than making a new int per
+member: a set of at most two runs, as every construction witness is, is
+one or two slices of the table, so it costs its runs rather than n, and
+any other set is a ``compress`` over it.  The table starts empty, grows to
+the highest member listed, and serves orders up to ``INT_TABLE_CEILING``
+= 2**16, where it holds 2.6 MB (an 8-byte reference and a 32-byte int
+each); a set of a larger order lists a new int per member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 
 DEBRUIJN = "debruijn"
 KAUTZ = "kautz"
@@ -78,6 +84,24 @@ class GeneralizedDigraph:
         return cls(KAUTZ, n, d)
 
 
+# the highest order whose members are listed from the shared int table
+# (see the module docstring): at 2**16 ints the table holds 2.6 MB
+INT_TABLE_CEILING = 1 << 16
+
+_int_table: list[int] = []  # item i is i; empty until a set is listed
+
+
+def _int_table_to(top: int) -> list[int]:
+    """The shared int table, holding at least the ints below ``top``."""
+    global _int_table
+    table = _int_table
+    if len(table) < top:
+        # grown as a new list, so a thread listing a set meanwhile keeps
+        # a whole table, never one half extended
+        table = _int_table = [*table, *range(len(table), top)]
+    return table
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """An immutable vertex subset stored as a dense membership bitmask."""
@@ -110,27 +134,39 @@ class VertexSet:
         return self.mask.bit_count()
 
     def __iter__(self):
+        return iter(self.members())
+
+    def members(self) -> list[int]:
+        """Members in ascending order, as a new list.
+
+        Up to order ``INT_TABLE_CEILING`` = 2**16 the list holds the ints
+        of the shared table of 0, 1, 2, ... (see the module docstring),
+        which is 2.6 MB at its largest, and makes none of its own; above
+        that order a range stands in for the table.
+        """
         mask = self.mask
+        if not mask:
+            return []
+        top = mask.bit_length()  # one past the highest member
+        ints = (_int_table_to(top) if self.n <= INT_TABLE_CEILING
+                else range(top))
         starts = mask & ~(mask << 1)  # the first member of each run
         runs = starts.bit_count()
         if runs > 2:
             # one byte per vertex, lowest vertex first, each 0 or 1
             flags = format(mask, "b").encode()[::-1].translate(_BIT_BYTES)
-            return compress(range(self.n), flags)
+            return list(compress(ints, flags))
         # every construction witness is one run, or two (a wrapped run, or
-        # a two-run cover)
-        if runs == 0:
-            return iter(())
+        # a two-run cover): a slice each, a list of the table's ints, or a
+        # range above the ceiling
         ends = mask & ~(mask >> 1)  # the last member of each run
-        first = range((starts & -starts).bit_length() - 1,
-                      (ends & -ends).bit_length())
-        if runs == 1:
-            return iter(first)
-        return chain(first, range(starts.bit_length() - 1, mask.bit_length()))
-
-    def members(self) -> list[int]:
-        """Members in ascending order."""
-        return list(self)
+        listed = ints[(starts & -starts).bit_length() - 1:
+                      (ends & -ends).bit_length()]
+        if isinstance(listed, range):
+            listed = list(listed)
+        if runs == 2:
+            listed += ints[starts.bit_length() - 1:top]
+        return listed
 
 
 def run_image(g: GeneralizedDigraph, start: int,

@@ -204,6 +204,41 @@ class TestCongruenceWitness:
             assert got == run_set(n, x, lower)
             assert naive_is_dominating("debruijn", n, d, got.members(), k)
 
+    @pytest.mark.parametrize("n, d, k", [
+        (7, 2, 2), (36, 3, 2), (40, 3, 3), (364, 3, 5), (60_000, 2, 1),
+        (10_001, 5, 4)])
+    def test_geometric_sums_once_per_row(self, monkeypatch, n, d, k):
+        # classify's three certificates share S and T: beyond bounds' own
+        # call, a de Bruijn row computes each at most once
+        calls = {"bounds": 0, "rest": 0}
+
+        def counting(key):
+            def geometric(d, k):
+                calls[key] += 1
+                return geometric_sum(d, k)
+            return geometric
+
+        monkeypatch.setattr(domination, "geometric_sum", counting("bounds"))
+        monkeypatch.setattr(construct, "geometric_sum", counting("rest"))
+        bounds.cache_clear()
+        construct._ball_sums.cache_clear()
+        result = classify(debruijn(n, d), k)
+        bounds.cache_clear()
+        construct._ball_sums.cache_clear()
+        assert calls == {"bounds": 1, "rest": 1}
+        # each condition from its formula
+        s = sum(d ** j for j in range(k + 1))
+        t = sum(d ** j for j in range(k))
+        lower = -(-n // s)
+        congruence = first_offset(n, d, k) is not None
+        divisibility = n % s == 0 and (n // s) % math.gcd(d - 1, n) == 0
+        assert result.conditions == {
+            "congruence": congruence,
+            "gcd_divisibility": divisibility,
+            "gcd_residue": congruence and not divisibility,
+            "remainder_window": (lower >= 2 and n - (lower - 1) * s
+                                 <= min(1 + 2 * t, s - 1))}
+
     def test_degree_two_always_fires(self):
         # d = 2 makes the h = 0 congruence x == L (mod n) always solvable
         for n in range(2, 120):

@@ -1,8 +1,13 @@
 """Digraph families: arc rules, closed-form run images, reference
 expansion."""
 
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +15,13 @@ from hypothesis import strategies as st
 
 from conftest import naive_ball, naive_image, naive_out_neighbors
 from dbkdom import digraph
-from dbkdom.digraph import (DEBRUIJN, FAMILIES, KAUTZ, SMALL_ORDER,
-                            GeneralizedDigraph, VertexSet, ball,
+from dbkdom.cli import classify_row
+from dbkdom.digraph import (DEBRUIJN, FAMILIES, INT_TABLE_CEILING, KAUTZ,
+                            SMALL_ORDER, GeneralizedDigraph, VertexSet, ball,
                             export_lines, run_image, run_layers,
                             set_out_neighborhood)
 from dbkdom.modular import run_mask
+from dbkdom.oracle import DEFAULT_LIMITS
 
 
 def instances(max_n=60):
@@ -347,6 +354,105 @@ class TestMembers:
                     assert s.members() == expected, (n, start, length)
         assert VertexSet(n).members() == []
         assert VertexSet(n, (1 << n) - 1).members() == list(range(n))
+
+    @pytest.mark.parametrize("n", [INT_TABLE_CEILING, INT_TABLE_CEILING + 1])
+    def test_at_the_ceiling(self, n):
+        # the last order the shared table serves, and the first it does not
+        rng = random.Random(n)
+        masks = [0, 1, 1 << n - 1, (1 << n) - 1,
+                 run_mask(n - 5, 9, n), run_mask(30_000, 40_000, n),
+                 run_mask(0, 7, n) | run_mask(n - 300, 200, n),
+                 run_mask(0, 7, n) | run_mask(20, 2, n) | 1 << n - 1,
+                 rng.getrandbits(n)]
+        for mask in masks:
+            s = VertexSet(n, mask)
+            expected = [v for v in range(n) if (mask >> v) & 1]
+            assert s.members() == expected
+            assert list(s) == expected
+        assert len(digraph._int_table) <= INT_TABLE_CEILING
+
+    def test_lists_the_shared_ints(self):
+        n = 70
+        for mask in (run_mask(60, 20, n), run_mask(3, 50, n),
+                     0b1011011 << 50):
+            members = VertexSet(n, mask).members()
+            assert all(v is digraph._int_table[v] for v in members)
+
+    def test_returned_lists_are_independent(self):
+        n = 500
+        sets = [VertexSet(n, run_mask(300, 120, n)),
+                VertexSet(n, run_mask(450, 100, n)),
+                VertexSet(n, run_mask(5, 4, n) | run_mask(40, 3, n)
+                          | run_mask(400, 2, n))]
+        for s in sets:
+            expected = [v for v in range(n) if (s.mask >> v) & 1]
+            listed = s.members()
+            listed[0] = -1
+            listed.append(n)
+            listed.sort()
+            assert s.members() == expected
+            assert list(s) == expected
+        assert sets[1].members()[:5] == [0, 1, 2, 3, 4]
+        table = digraph._int_table
+        assert len(table) >= n and table == list(range(len(table)))
+
+    def test_threads_growing_the_table(self, monkeypatch):
+        # a thread that grows the table while others list from it must
+        # leave every listing and the table right
+        monkeypatch.setattr(digraph, "_int_table", [])
+        wrong = []
+
+        def lister(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                n = rng.randrange(1, 6000)
+                mask = run_mask(rng.randrange(n), rng.randrange(1, n + 1), n)
+                if rng.random() < 0.3:
+                    mask |= 1 << rng.randrange(n)
+                expected = [v for v in range(n) if (mask >> v) & 1]
+                if VertexSet(n, mask).members() != expected:
+                    wrong.append((n, mask))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lister, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert digraph._int_table == list(range(len(digraph._int_table)))
+
+    def test_import_builds_no_table(self):
+        src = str(Path(digraph.__file__).resolve().parents[1])
+        code = ("import dbkdom, dbkdom.cli\n"
+                "from dbkdom import digraph\n"
+                "print(len(digraph._int_table))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    def test_row_above_the_ceiling_leaves_the_table_bounded(self):
+        VertexSet(INT_TABLE_CEILING, 1 << INT_TABLE_CEILING - 1).members()
+        assert len(digraph._int_table) == INT_TABLE_CEILING
+        row = classify_row("debruijn", 100_000, 3, 1, DEFAULT_LIMITS)
+        assert row["method"] == "congruence"
+        assert len(row["witness"]) == row["gamma"] == 25_000
+        assert len(digraph._int_table) == INT_TABLE_CEILING
+
+    def test_large_witness_is_one_slice(self):
+        # L = 60000 / 3 = 20000 and (d-1)*x == L (mod n) gives x = 20000
+        row = classify_row("debruijn", 60_000, 2, 1, DEFAULT_LIMITS)
+        assert row["method"] == "congruence"
+        assert row["witness"] == list(range(20_000, 40_000))
+        assert all(v is digraph._int_table[v] for v in row["witness"])
 
     def test_one_run_at_large_order(self):
         n = 10 ** 5

@@ -168,6 +168,26 @@ class TestBounds:
                      else ceil_div(n, d ** k + d ** (k - 1)))
             assert (b.lower, b.upper) == (lower, upper), (family, n, d, k)
 
+    def test_alternating_instances_and_equal_copies(self):
+        # the cache is keyed by the digraph's fields: an equal digraph
+        # built anew reads the same entry, and a different one never does
+        pairs = [(DEBRUIJN, 40, 3, 2), ("kautz", 40, 3, 2),
+                 (DEBRUIJN, 60_000, 5, 4), ("kautz", 61, 2, 1),
+                 (DEBRUIJN, 61, 2, 1), (DEBRUIJN, 61, 2, 3)]
+        for first, second in zip(pairs, pairs[1:]):
+            made = [GeneralizedDigraph(*first[:3]),
+                    GeneralizedDigraph(*second[:3])]
+            made += [GeneralizedDigraph(g.family, g.n, g.d) for g in made]
+            assert made[0] == made[2] and hash(made[0]) == hash(made[2])
+            assert made[1] == made[3] and hash(made[1]) == hash(made[3])
+            ks = (first[3], second[3]) * 2
+            for g, k in [*zip(made, ks), *zip(made[::-1], ks[::-1])] * 2:
+                lower = -(-g.n // sum(g.d ** j for j in range(k + 1)))
+                upper = (lower + 1 if g.family == DEBRUIJN
+                         else -(-g.n // (g.d ** k + g.d ** (k - 1))))
+                b = bounds(g, k)
+                assert (b.lower, b.upper) == (lower, upper), (g, k)
+
     def test_computed_once_per_instance(self, monkeypatch):
         made = []
         original = domination.Bounds
