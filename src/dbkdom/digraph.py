@@ -96,8 +96,8 @@ def _int_table_to(top: int) -> list[int]:
     global _int_table
     table = _int_table
     if len(table) < top:
-        # grown as a new list, so a thread listing a set meanwhile keeps
-        # a whole table, never one half extended
+        # grown as a new list: extended in place from a length that
+        # another thread has since grown, item i would no longer be i
         table = _int_table = [*table, *range(len(table), top)]
     return table
 
