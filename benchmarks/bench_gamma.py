@@ -17,7 +17,10 @@ k=3, and one large-degree row, de Bruijn n = 10**5, d = 5000, k = 1.
 Each verify row also times ``dset.members()`` on the same witness, the
 listing every answer's witness goes through: up to the order
 ``digraph.INT_TABLE_CEILING`` it copies the shared table's ints, and above
-it makes a new int per member, so the rows show both sides.
+it makes a new int per member, so the rows show both sides.  It also
+times ``to_dict()`` of the row ``classify`` returns for the same
+instance, which lists that row's witness once; a Kautz row that is a
+bracket lists none.
 
 The stage rows time the two run scans of ``classify`` in this process at
 their worst case, where they find nothing and so try every candidate: the
@@ -78,7 +81,7 @@ def fastest(repeat: int, call) -> tuple[float, object]:
 
 def verify_rows(repeat: int, max_n: int) -> list[dict]:
     """Time of ``verify`` and of listing the members on each order's
-    witness, in process."""
+    witness, and of ``to_dict`` on its classified row, in process."""
     from dbkdom import construct
     from dbkdom.digraph import GeneralizedDigraph
     from dbkdom.domination import verify
@@ -105,12 +108,17 @@ def verify_rows(repeat: int, max_n: int) -> list[dict]:
         listing, members = fastest(repeat, dset.members)
         if len(members) != len(dset):
             raise RuntimeError(f"{run} run listed {len(members)} members")
+        result = construct.classify(g, k)
+        dumping, row = fastest(repeat, result.to_dict)
+        if row["gamma"] != result.gamma:
+            raise RuntimeError(f"to_dict gave gamma {row['gamma']}: {g}")
         print(f"{family:<9} {n:>9} {d:>5} {k:>2}  {run:<10} {len(dset):>7} "
-              f"{seconds * 1000:>9.3f} ms {listing * 1000:>9.3f} ms",
-              flush=True)
+              f"{seconds * 1000:>9.3f} ms {listing * 1000:>9.3f} ms "
+              f"{dumping * 1000:>9.3f} ms", flush=True)
         rows.append({"family": family, "n": n, "d": d, "k": k, "run": run,
                      "size": len(dset), "seconds": round(seconds, 6),
-                     "members_seconds": round(listing, 7)})
+                     "members_seconds": round(listing, 7),
+                     "to_dict_seconds": round(dumping, 7)})
     return rows
 
 
@@ -175,9 +183,10 @@ def main() -> None:
                          "bracket": row["bracket"]})
 
     sys.path.insert(0, str(SRC))  # the in-process rows import from here
-    print(f"\nverify and members() in process, fastest of {args.repeat}")
+    print(f"\nverify, members() and to_dict() in process, fastest of "
+          f"{args.repeat}")
     print(f"{'family':<9} {'n':>9} {'d':>5} {'k':>2}  {'run':<10} "
-          f"{'size':>7} {'verify':>12} {'members':>12}")
+          f"{'size':>7} {'verify':>12} {'members':>12} {'to_dict':>12}")
     verifies = verify_rows(args.repeat, args.max_n)
 
     print(f"\nworst-case run scans, d={D} k={K}, fastest of {args.repeat}")

@@ -120,6 +120,9 @@ class GammaResult:
         return None if self.witness else (self.lower, self.upper)
 
     def to_dict(self) -> dict:
+        # the witness is listed once, and gamma, bracket and witness read
+        # that list as the properties read the set, an empty one included
+        members = None if self.witness is None else self.witness.members()
         return {
             "family": self.graph.family,
             "n": self.graph.n,
@@ -127,11 +130,11 @@ class GammaResult:
             "k": self.k,
             "lower": self.lower,
             "upper": self.upper,
-            "gamma": self.gamma,
-            "bracket": list(self.bracket) if self.bracket else None,
+            "gamma": None if members is None else len(members),
+            "bracket": None if members else [self.lower, self.upper],
             "method": self.method,
             "nodes": self.nodes,
-            "witness": self.witness.members() if self.witness else None,
+            "witness": members or None,
             "conditions": dict(self.conditions),
         }
 
@@ -421,7 +424,8 @@ def classify(g: GeneralizedDigraph, k: int,
 
     if cert is not None:
         return result(cert_method, cert)
-    if n <= COVER_SCAN_MAX_N and (cover := scan(g, radius, b.lower)):
+    if (n <= COVER_SCAN_MAX_N
+            and (cover := scan(g, radius, b.lower)) is not None):
         return result(scan_method, cover)
     if not limits.allows(n):
         return result(METHOD_BRACKET)

@@ -25,11 +25,14 @@ than in d*n: a run witness's ball costs about its own size.
 
 ``VertexSet.members`` copies its members out of one table of the ints
 0, 1, 2, ... that every listing shares, rather than making a new int per
-member: a set of at most two runs, as every construction witness is, is
-one or two slices of the table, so it costs its runs rather than n, and
-any other set is a ``compress`` over it.  The table starts empty, grows to
-the highest member listed, and serves orders up to ``INT_TABLE_CEILING``
-= 2**16, where it holds 2.6 MB (an 8-byte reference and a 32-byte int
+member.  It finds the runs of a set over the set's span, the mask shifted
+down to its lowest member, so a set that does not hold vertex 0 pays for
+its span, not for n; a set that holds it, as a wrapped run does, spans
+the ring.  A set of at most two runs, as every construction witness is,
+is one or two slices of the table, so it costs its runs, and any other
+set is a ``compress`` over it.  The table starts empty, grows to the
+highest member listed, and serves orders up to ``INT_TABLE_CEILING`` =
+2**16, where it holds 2.6 MB (an 8-byte reference and a 32-byte int
 each); a set of a larger order lists a new int per member.
 """
 
@@ -148,25 +151,34 @@ class VertexSet:
         if not mask:
             return []
         top = mask.bit_length()  # one past the highest member
+        low = (mask & -mask).bit_length() - 1  # the lowest member
         ints = (_int_table_to(top) if self.n <= INT_TABLE_CEILING
                 else range(top))
-        starts = mask & ~(mask << 1)  # the first member of each run
-        runs = starts.bit_count()
-        if runs > 2:
-            # one byte per vertex, lowest vertex first, each 0 or 1
-            flags = format(mask, "b").encode()[::-1].translate(_BIT_BYTES)
-            return list(compress(ints, flags))
+        # runs are found over the span from the lowest member to the
+        # highest, shifted down to bit 0, so a run high in a large ring
+        # costs the run rather than the ring; a set holding vertex 0, as a
+        # wrapped run does, spans the ring
+        span = mask >> low
+        width = top - low
+        count = span.bit_count()
         # every construction witness is one run, or two (a wrapped run, or
         # a two-run cover): a slice each, a list of the table's ints, or a
         # range above the ceiling
-        ends = mask & ~(mask >> 1)  # the last member of each run
-        listed = ints[(starts & -starts).bit_length() - 1:
-                      (ends & -ends).bit_length()]
-        if isinstance(listed, range):
-            listed = list(listed)
-        if runs == 2:
-            listed += ints[starts.bit_length() - 1:top]
-        return listed
+        if count == width:
+            listed = ints[low:top]
+            return list(listed) if isinstance(listed, range) else listed
+        first = (span ^ (span + 1)).bit_length() - 1  # the first run's length
+        # the last run's start, counted from the lowest member as first is
+        last = (span ^ ((1 << width) - 1)).bit_length()
+        if count == first + width - last:  # nothing between the two
+            listed = ints[low:low + first]
+            if isinstance(listed, range):
+                listed = list(listed)
+            listed += ints[low + last:top]
+            return listed
+        # one byte per vertex, lowest vertex first, each 0 or 1
+        flags = format(mask, "b").encode()[::-1].translate(_BIT_BYTES)
+        return list(compress(ints, flags))
 
 
 def run_image(g: GeneralizedDigraph, start: int,

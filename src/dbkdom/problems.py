@@ -62,14 +62,16 @@ def report(problem: str, ns: Sequence[int], ds: Sequence[int],
         result = classify(GeneralizedDigraph(family=family, n=n, d=d), k,
                           limits)
         fired = result.conditions[key]
-        if result.gamma is None:
+        gamma = result.gamma
+        if gamma is None:
             verdict = INCONCLUSIVE_VERDICT
-        elif fired or result.gamma == result.upper:
+        elif fired or gamma == result.upper:
             verdict = CONSISTENT
         else:
             verdict = COUNTEREXAMPLE
         # the Kautz question is about the rows the prefix missed only
-        gamma = None if fired and family == KAUTZ else result.gamma
+        if fired and family == KAUTZ:
+            gamma = None
         row = {"family": family, "n": n, "d": d, "k": k,
                bound: getattr(result, bound), "condition": fired,
                "gamma": gamma, "verdict": verdict}

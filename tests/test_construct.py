@@ -688,6 +688,26 @@ class TestGammaResultInvariants:
         assert open_.bracket == (1, 2)
         assert open_.to_dict()["bracket"] == [1, 2]
 
+    @pytest.mark.parametrize("witness", [
+        None, VertexSet(40), VertexSet(40, run_mask(3, 4, 40)),
+        VertexSet(40, run_mask(0, 2, 40) | run_mask(30, 5, 40)),
+        VertexSet(40, run_mask(37, 6, 40))])
+    def test_to_dict_reads_as_the_properties(self, witness):
+        # to_dict lists the witness once; each field must still be what the
+        # properties say, for no witness, an empty one and runs of members
+        g = GeneralizedDigraph.debruijn(40, 3)
+        result = GammaResult(graph=g, k=2, lower=4, upper=5, method="oracle",
+                             witness=witness, conditions={})
+        payload = result.to_dict()
+        assert payload["gamma"] == result.gamma
+        assert payload["bracket"] == (list(result.bracket)
+                                      if result.bracket else None)
+        members = [v for v in range(40) if witness and witness.mask >> v & 1]
+        assert payload["witness"] == (members or None)
+        if witness is not None and not witness:
+            assert (payload["gamma"], payload["bracket"],
+                    payload["witness"]) == (0, [4, 5], None)
+
     def test_unknown_method_rejected(self):
         g = GeneralizedDigraph.debruijn(7, 2)
         with pytest.raises(ValueError):

@@ -363,13 +363,48 @@ class TestMembers:
                  run_mask(n - 5, 9, n), run_mask(30_000, 40_000, n),
                  run_mask(0, 7, n) | run_mask(n - 300, 200, n),
                  run_mask(0, 7, n) | run_mask(20, 2, n) | 1 << n - 1,
-                 rng.getrandbits(n)]
+                 rng.getrandbits(n),
+                 # runs are found over the span from the lowest member: a
+                 # short run high in the ring, runs ending at n-1, a
+                 # wrapped run, a lone member, and two and three runs
+                 # clear of vertex 0
+                 run_mask(n - 60, 20, n), run_mask(n - 20, 20, n),
+                 run_mask(n - 1, 2, n), run_mask(n - 2, 3, n),
+                 1 << n - 2, 1 << 40_000,
+                 run_mask(5_000, 3, n) | run_mask(n - 40, 40, n),
+                 run_mask(n - 9, 4, n) | 1 << n - 1,
+                 run_mask(100, 3, n) | run_mask(200, 5, n)
+                 | run_mask(n - 50, 10, n),
+                 run_mask(n - 8, 2, n) | run_mask(n - 5, 1, n)
+                 | run_mask(n - 2, 2, n)]
         for mask in masks:
             s = VertexSet(n, mask)
             expected = [v for v in range(n) if (mask >> v) & 1]
             assert s.members() == expected
             assert list(s) == expected
         assert len(digraph._int_table) <= INT_TABLE_CEILING
+
+    @pytest.mark.parametrize("n", [9, 200, INT_TABLE_CEILING,
+                                   INT_TABLE_CEILING + 1])
+    def test_one_or_two_runs_are_slices(self, n, monkeypatch):
+        # a set of at most two runs of 0..n-1 (a wrapped run is two),
+        # anywhere in the ring, is listed by slices, never by the
+        # per-vertex compress
+        def refuse(*args):
+            raise AssertionError("listed by compress")
+
+        monkeypatch.setattr(digraph, "compress", refuse)
+        listed = 0
+        for start in {0, 1, n // 3, n - 4, n - 2, n - 1}:
+            for mask in (run_mask(start, 1, n), run_mask(start, 3, n),
+                         run_mask(start, 2, n) | run_mask(start + 4, 1, n),
+                         run_mask(start, 1, n) | run_mask(start + 3, 2, n)):
+                if len(format(mask, "b").replace("0", " ").split()) > 2:
+                    continue
+                expected = [v for v in range(n) if (mask >> v) & 1]
+                assert VertexSet(n, mask).members() == expected
+                listed += 1
+        assert listed >= 20
 
     def test_lists_the_shared_ints(self):
         n = 70
