@@ -8,6 +8,9 @@ checkout holding this script.  Run from anywhere:
     python benchmarks/bench_gamma.py [--repeat N] [--max-n N]
 
 Each row gives the fastest of the repeats and the row `gamma` printed.
+The in-process rows below also give the slowest repeat beside the
+fastest (the ``*_max`` fields), so that a difference inside that spread
+reads as unresolved.
 
 Process start hides the expansion at most orders, so the verify rows time
 ``domination.verify`` in this process, on the witness each order's answer
@@ -69,14 +72,15 @@ def run_gamma(family: str, n: int) -> tuple[float, dict]:
     return elapsed, json.loads(proc.stdout)
 
 
-def fastest(repeat: int, call) -> tuple[float, object]:
-    """The fastest of ``repeat`` timed calls, and the last call's value."""
+def timed(repeat: int, call) -> tuple[float, float, object]:
+    """The fastest and the slowest of ``repeat`` timed calls, and the last
+    call's value."""
     times = []
     for _ in range(repeat):
         started = time.perf_counter()
         value = call()
         times.append(time.perf_counter() - started)
-    return min(times), value
+    return min(times), max(times), value
 
 
 def verify_rows(repeat: int, max_n: int) -> list[dict]:
@@ -102,23 +106,27 @@ def verify_rows(repeat: int, max_n: int) -> list[dict]:
             continue
         g = GeneralizedDigraph(family, n, d)
         run, dset = witness(g, k)
-        seconds, cert = fastest(repeat, lambda: verify(g, dset, k))
+        *verifying, cert = timed(repeat, lambda: verify(g, dset, k))
         if not cert.valid:
             raise RuntimeError(f"{run} run failed verify: {g}, k={k}")
-        listing, members = fastest(repeat, dset.members)
+        *listing, members = timed(repeat, dset.members)
         if len(members) != len(dset):
             raise RuntimeError(f"{run} run listed {len(members)} members")
         result = construct.classify(g, k)
-        dumping, row = fastest(repeat, result.to_dict)
+        *dumping, row = timed(repeat, result.to_dict)
         if row["gamma"] != result.gamma:
             raise RuntimeError(f"to_dict gave gamma {row['gamma']}: {g}")
         print(f"{family:<9} {n:>9} {d:>5} {k:>2}  {run:<10} {len(dset):>7} "
-              f"{seconds * 1000:>9.3f} ms {listing * 1000:>9.3f} ms "
-              f"{dumping * 1000:>9.3f} ms", flush=True)
+              + " ".join(f"{low * 1000:>9.3f} {high * 1000:>9.3f} ms"
+                         for low, high in (verifying, listing, dumping)),
+              flush=True)
         rows.append({"family": family, "n": n, "d": d, "k": k, "run": run,
-                     "size": len(dset), "seconds": round(seconds, 6),
-                     "members_seconds": round(listing, 7),
-                     "to_dict_seconds": round(dumping, 7)})
+                     "size": len(dset), "seconds": round(verifying[0], 6),
+                     "seconds_max": round(verifying[1], 6),
+                     "members_seconds": round(listing[0], 7),
+                     "members_seconds_max": round(listing[1], 7),
+                     "to_dict_seconds": round(dumping[0], 7),
+                     "to_dict_seconds_max": round(dumping[1], 7)})
     return rows
 
 
@@ -146,10 +154,12 @@ def stage_rows(repeat: int) -> list[dict]:
                      if misses(family, n))
             g = GeneralizedDigraph(family, n, D)
             lower = bounds(g, K).lower
-            seconds = fastest(repeat, lambda: scan(g, K, lower))[0]
-            print(f"{stage:<9} {n:>9} {seconds * 1000:>8.2f} ms", flush=True)
+            seconds, slowest, _ = timed(repeat, lambda: scan(g, K, lower))
+            print(f"{stage:<9} {n:>9} {seconds * 1000:>8.2f} ms "
+                  f"{slowest * 1000:>8.2f} ms", flush=True)
             rows.append({"stage": stage, "family": family, "n": n, "d": D,
-                         "k": K, "seconds": round(seconds, 5)})
+                         "k": K, "seconds": round(seconds, 5),
+                         "seconds_max": round(slowest, 5)})
     return rows
 
 
@@ -183,13 +193,15 @@ def main() -> None:
                          "bracket": row["bracket"]})
 
     sys.path.insert(0, str(SRC))  # the in-process rows import from here
-    print(f"\nverify, members() and to_dict() in process, fastest of "
-          f"{args.repeat}")
+    print(f"\nverify, members() and to_dict() in process, fastest and "
+          f"slowest of {args.repeat}")
     print(f"{'family':<9} {'n':>9} {'d':>5} {'k':>2}  {'run':<10} "
-          f"{'size':>7} {'verify':>12} {'members':>12} {'to_dict':>12}")
+          f"{'size':>7} {'verify':>9} {'(max)':>12} {'members':>9} "
+          f"{'(max)':>12} {'to_dict':>9} {'(max)':>12}")
     verifies = verify_rows(args.repeat, args.max_n)
 
-    print(f"\nworst-case run scans, d={D} k={K}, fastest of {args.repeat}")
+    print(f"\nworst-case run scans, d={D} k={K}, fastest and slowest of "
+          f"{args.repeat}")
     stages = stage_rows(args.repeat)
 
     OUT.write_text(json.dumps({

@@ -13,7 +13,9 @@ A table-only case reports the build, and the build plus one
 ``coverer_list`` of every vertex: the pure kernel computes a coverer list
 each time it is read, while the compiled kernel builds every list with
 the table, so only the second timing does the same work in both kernels.
-Each table is freed before the next build.
+Each table is freed before the next build.  Statuses are compared by the
+name of the kernel constant that holds them, so a checkout whose kernels
+return int codes compares with one whose kernels return names.
 
     python benchmarks/bench_kernel.py [--repeat N] [--src LABEL=DIR ...]
 
@@ -110,9 +112,18 @@ def run_once(module, case, check: bool):
     finished = time.perf_counter()
     if outcome is not None:
         status, witness, nodes = outcome
-        outcome = (status, None if witness is None else list(witness), nodes)
+        outcome = (status_name(module, status),
+                   None if witness is None else list(witness), nodes)
     return (built - started, finished - built,
             digest(table, n) if check else None, outcome)
+
+
+def status_name(module, status) -> str:
+    """The name of the kernel constant that holds ``status``, so a
+    checkout whose kernels return int codes compares with one whose
+    kernels return the names."""
+    return next(name.lower() for name in ("FOUND", "ABSENT", "INCONCLUSIVE")
+                if getattr(module, name) == status)
 
 
 def answer(outcome):

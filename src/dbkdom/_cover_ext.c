@@ -6,8 +6,10 @@
  * the node count and the budget are settled only at children that pass
  * the counting bound and at a loop's end, which a last pick with no full
  * child never reaches), so the tables (balls, coverers, max_ball) and
- * every search's (status, witness, nodes) are _cover_py's.  The parity
- * tests pin the outputs.  As there, a child whose ball's vertices from the
+ * every search's (status, witness, nodes) are _cover_py's, the status
+ * by the same names ("found", "absent", "inconclusive"), which the module
+ * constants FOUND, ABSENT and INCONCLUSIVE hold.  The parity tests pin
+ * the outputs.  As there, a child whose ball's vertices from the
  * branching vertex up (cov_high, built the first time a search branches on
  * that vertex) cannot lift the node's covered count to the counting bound
  * is skipped before its popcount, since every vertex below the branching
@@ -47,6 +49,10 @@ static inline int POPCNT64(uint64_t x)
 
 enum { DEBRUIJN = 0, KAUTZ = 1 };
 enum { FOUND = 0, ABSENT = 1, INCONCLUSIVE = 2 };
+/* a search's status by the names _cover_py's constants hold */
+static const char *const status_names[] = {
+    [FOUND] = "found", [ABSENT] = "absent", [INCONCLUSIVE] = "inconclusive",
+};
 
 typedef struct {
     PyObject_HEAD
@@ -396,9 +402,10 @@ static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
             s.budget = budget;
     }
     if (s.budget < 1)
-        return Py_BuildValue("(iOi)", INCONCLUSIVE, Py_None, 1);
+        return Py_BuildValue("(sOi)", status_names[INCONCLUSIVE], Py_None,
+                             1);
     if (size == 0 || (int64_t)size * self->max_ball < self->n)
-        return Py_BuildValue("(iOi)", ABSENT, Py_None, 1);
+        return Py_BuildValue("(sOi)", status_names[ABSENT], Py_None, 1);
     /* every chosen vertex covers a new one, so depth never exceeds n */
     size_t levels = (size_t)(size < self->n ? size : self->n) + 1;
     size_t stack = levels * self->words * sizeof(uint64_t);
@@ -417,7 +424,7 @@ static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
                 Py_CLEAR(witness);
         }
         if (witness != NULL)
-            result = Py_BuildValue("(iNL)", status, witness,
+            result = Py_BuildValue("(sNL)", status_names[status], witness,
                                    (long long)s.nodes);
     }
     free(s.cov_stack);
@@ -468,9 +475,11 @@ static int cover_ext_exec(PyObject *m)
             || PyModule_AddStringConstant(m, "BACKEND", "compiled") < 0
             || PyModule_AddIntConstant(m, "DEBRUIJN", DEBRUIJN) < 0
             || PyModule_AddIntConstant(m, "KAUTZ", KAUTZ) < 0
-            || PyModule_AddIntConstant(m, "FOUND", FOUND) < 0
-            || PyModule_AddIntConstant(m, "ABSENT", ABSENT) < 0
-            || PyModule_AddIntConstant(m, "INCONCLUSIVE", INCONCLUSIVE) < 0)
+            || PyModule_AddStringConstant(m, "FOUND", status_names[FOUND]) < 0
+            || PyModule_AddStringConstant(m, "ABSENT",
+                                          status_names[ABSENT]) < 0
+            || PyModule_AddStringConstant(m, "INCONCLUSIVE",
+                                          status_names[INCONCLUSIVE]) < 0)
         return -1;
     return 0;
 }

@@ -9,13 +9,14 @@ included, only the root's bans carrying mirrors, the budget settled only
 at children that pass the counting bound, a child that the covered prefix
 rules out skipped before its popcount), so it returns the same tables
 (balls, coverers, max_ball) and, for every search, the same (status,
-witness, nodes); the parity tests pin the outputs.  This kernel builds
-only the balls up front: a coverer list is computed from a closed form
-when it is read (see ``KernelTable._column``), a vertex's one search
-record, its coverers with their ball sizes from it up and their mask, the
-first time a search expands a node at it, and the root's bans the first
-time a search gets past the root's counting bound, so a search pays for
-what it reads.
+witness, nodes), the status named "found", "absent" or "inconclusive" as
+the module constants FOUND, ABSENT and INCONCLUSIVE say; the parity tests
+pin the outputs.  This kernel builds only the balls up front: a coverer
+list is computed from a closed form when it is read (see
+``KernelTable._column``), a vertex's one search record, its coverers with
+their ball sizes from it up and their mask, the first time a search
+expands a node at it, and the root's bans the first time a search gets
+past the root's counting bound, so a search pays for what it reads.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ BACKEND = "pure"
 DEBRUIJN = 0
 KAUTZ = 1
 
-FOUND = 0
-ABSENT = 1
-INCONCLUSIVE = 2
+FOUND = "found"
+ABSENT = "absent"
+INCONCLUSIVE = "inconclusive"
 
 
 class KernelTable:

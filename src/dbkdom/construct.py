@@ -10,7 +10,8 @@ conceivable size exists:
   (d-1)*x == lower - h (mod n) is solvable for some small offset h.  The
   paper's gcd divisibility test and remainder window test are sufficient
   conditions; each implies that congruence, so they are reported but never
-  decide a value on their own (tests pin both implications).
+  decide a value on their own (tests pin both implications).  All three
+  read L and S = geometric_sum(d, k) from the one cached ``bounds``.
 * Kautz side: the prefix run {0..c-1} with c = ceil(n/(d**k + d**(k-1)))
   always dominates, and a layer-size test certifies when the prefix of
   length exactly lower suffices; at radius one it always does.
@@ -18,8 +19,10 @@ conceivable size exists:
 Where no such certificate fires, two scans look for runs that dominate
 anyway, up to the order COVER_SCAN_MAX_N: every run of length lower on the
 de Bruijn side, and a short prefix plus one more run on the Kautz side.
-They screen each candidate with the closed-form run images of
-``digraph.run_image`` and verify the first hit.
+They screen each candidate with a closed-form ball mask and verify the
+first hit: every arc multiplies by e = d (de Bruijn) or -d (Kautz), so the
+layers of the run from a are those of the run from 0 (``digraph.run_layers``)
+with layer j moved by e**j * a.
 
 Every constructed set is verified before it is returned; a verification
 failure raises ConstructionError because it would falsify an argument this
@@ -34,13 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet, run_layers
 from .domination import bounds, verify
-from .modular import (ceil_div, geometric_sum, run_mask,
-                      solve_linear_congruence)
+from .modular import ceil_div, run_mask, solve_linear_congruence
 from .oracle import (ABSENT, DEFAULT_LIMITS, FOUND, OracleLimits,
                      SearchResult, coverage_table, exists_dominating_of_size,
                      min_dominating)
@@ -183,30 +184,21 @@ def build_anchor_run(g: GeneralizedDigraph, k: int) -> VertexSet:
                           (find_anchor(g, k), bounds(g, k).lower + 1))
 
 
-# a de Bruijn row reads S = geometric_sum(d, k) and T = geometric_sum(d,
-# k-1) in three certificates, so the last (d, k) asked is kept
-@lru_cache(maxsize=1)
-def _ball_sums(d: int, k: int) -> tuple[int, int]:
-    """(S, T): the sums of d**j for j = 0..k and for j = 0..k-1."""
-    s = geometric_sum(d, k)
-    return s, (s - 1) // d  # S = 1 + d*T
-
-
 def congruence_witness(g: GeneralizedDigraph, k: int) -> VertexSet | None:
     """The verified dominating run {x, ..., x + L - 1} of length exactly the
     lower bound L, if any.
 
     (d-1)*x == L - h (mod n) is solvable exactly when gcd(d-1, n) divides
     L - h, so the smallest solvable offset is h = L mod gcd(d-1, n).  It is
-    admissible when h * geometric_sum(d, k-1) fits the slack S*L - n; a
-    larger offset needs more slack, so if this one does not fit none does
-    and the result is None.  The run starts at the smallest solution x, so
-    the witness is deterministic.
+    admissible when h*T fits the slack S*L - n, with T = (S-1)/d the sum of
+    d**j for j = 0..k-1; a larger offset needs more slack, so if this one
+    does not fit none does and the result is None.  The run starts at the
+    smallest solution x, so the witness is deterministic.
     """
-    lower, n, d = bounds(g, k).lower, g.n, g.d
+    b, n, d = bounds(g, k), g.n, g.d
+    lower, s = b.lower, b.ball_sum
     h = lower % math.gcd(d - 1, n)
-    s, t = _ball_sums(d, k)
-    if h * t > s * lower - n:
+    if h * ((s - 1) // d) > s * lower - n:
         return None
     x = solve_linear_congruence(d - 1, lower - h, n)[0]
     return _verified_runs(g, k, f"congruence run (h={h}, x={x})",
@@ -220,23 +212,23 @@ def gcd_divisibility(g: GeneralizedDigraph, k: int) -> bool:
     h = 0 is admissible and congruence_witness finds a run (the tests pin
     this implication).
     """
-    lower = bounds(g, k).lower
-    return (lower * _ball_sums(g.d, k)[0] == g.n
-            and lower % math.gcd(g.d - 1, g.n) == 0)
+    b = bounds(g, k)
+    return (b.lower * b.ball_sum == g.n
+            and b.lower % math.gcd(g.d - 1, g.n) == 0)
 
 
 def remainder_window(g: GeneralizedDigraph, k: int) -> bool:
     """True when n = p*S + q with p >= 1 and 1 <= q <= min(1 + 2*T, S - 1).
 
-    T is geometric_sum(d, k-1); S - 1 equals the sum of d**j for j = 1..k.
-    It reads p = L - 1 and q = n - p*S, which lies in 1..S and is S (q = 0
-    above) exactly when S divides n.  Inside this window the anchor run of
-    length exactly L dominates.
+    S - 1 is the sum of d**j for j = 1..k, and T = (S-1)/d that for j =
+    0..k-1.  It reads p = L - 1 and q = n - p*S, which lies in 1..S and is S
+    (q = 0 above) exactly when S divides n.  Inside this window the anchor
+    run of length exactly L dominates.
     """
-    lower = bounds(g, k).lower
-    s, t = _ball_sums(g.d, k)
-    q = g.n - (lower - 1) * s
-    return lower >= 2 and q <= min(1 + 2 * t, s - 1)
+    b = bounds(g, k)
+    s = b.ball_sum
+    q = g.n - (b.lower - 1) * s
+    return b.lower >= 2 and q <= min(1 + 2 * ((s - 1) // g.d), s - 1)
 
 
 def build_window_run(g: GeneralizedDigraph, k: int) -> VertexSet:
@@ -283,40 +275,30 @@ def build_lower_prefix(g: GeneralizedDigraph, k: int) -> VertexSet:
                           (0, bounds(g, k).lower))
 
 
-class _RunBalls:
-    """Radius-k ball masks of the runs of ``g``, read off ``run_layers``.
+def _run_ball(g: GeneralizedDigraph, k: int, length: int):
+    """The function a -> radius-k ball mask of the run of ``length`` > 0
+    vertices from a, and the sum of its layer lengths, which no such ball
+    exceeds.
 
-    The image of a run moves its start by d (de Bruijn) or -d (Kautz) times
-    any move of the run's start, whatever the run's length.  So layer j of
-    the run of m vertices from a starts at s_j + t_j*a (mod n), where s_j
-    is where it starts for the run from 0 and t_j is how far layer j of a
-    one-vertex run moves from vertex 0 to vertex 1; its length does not
-    depend on a.
+    Every arc multiplies by e = d (de Bruijn) or -d (Kautz), so moving the
+    run's start by a moves the start of its layer j by e**j * a (mod n);
+    the layer's length does not depend on a.
     """
+    n, full = g.n, (1 << g.n) - 1
+    e = g.d if g.family == DEBRUIJN else -g.d
+    spans, most, step = [], 0, 1
+    for start, m in run_layers(g, 0, length, k):
+        spans.append((start, step, (1 << m) - 1))
+        most += m
+        step = step * e % n
 
-    def __init__(self, g: GeneralizedDigraph, k: int):
-        self.g, self.k, self.full = g, k, (1 << g.n) - 1
-        self.steps = [s1 - s0 for (s0, _), (s1, _) in
-                      zip(run_layers(g, 0, 1, k), run_layers(g, 1, 1, k))]
-
-    def of_length(self, length: int):
-        """The function a -> ball mask of the run of ``length`` > 0
-        vertices from a, and the sum of its layer lengths, which no such
-        ball exceeds."""
-        n, full = self.g.n, self.full
-        spans, most = [], 0
-        for (start, m), step in zip(run_layers(self.g, 0, length, self.k),
-                                    self.steps):
-            spans.append((start, step, (1 << m) - 1))
-            most += m
-
-        def ball(a: int) -> int:
-            # each layer shifted into 2n bits, the wrapped part folded back
-            wide = 0
-            for start, step, mask in spans:
-                wide |= mask << (start + step * a) % n
-            return (wide | wide >> n) & full
-        return ball, most
+    def ball(a: int) -> int:
+        # each layer shifted into 2n bits, the wrapped part folded back
+        wide = 0
+        for start, step, mask in spans:
+            wide |= mask << (start + step * a) % n
+        return (wide | wide >> n) & full
+    return ball, most
 
 
 def run_scan(g: GeneralizedDigraph, k: int, size: int) -> VertexSet | None:
@@ -329,7 +311,7 @@ def run_scan(g: GeneralizedDigraph, k: int, size: int) -> VertexSet | None:
     finds the same first x as scanning every start.
     """
     n, full = g.n, (1 << g.n) - 1
-    ball = _RunBalls(g, k).of_length(size)[0]
+    ball = _run_ball(g, k, size)[0]
     starts = chain(range((n - size) // 2 + 1),
                    range(n - size + 1, (2 * n - size) // 2 + 1))
     for x in starts:
@@ -351,14 +333,13 @@ def two_run_cover(g: GeneralizedDigraph, k: int,
     the prefix alone is the candidate m1 = 0, R = {0..size-1}.
     """
     n, full = g.n, (1 << g.n) - 1
-    balls = _RunBalls(g, k)
-    vertex_ball = balls.of_length(1)[0]
+    vertex_ball = _run_ball(g, k, 1)[0]
     head = 0  # the ball of {0..m1-1}
     for m1 in range(min(size - 1, TWO_RUN_MAX_PREFIX) + 1):
         if m1:
             head |= vertex_ball(m1 - 1)
         m2 = size - m1
-        ball, most = balls.of_length(m2)
+        ball, most = _run_ball(g, k, m2)
         if n - head.bit_count() > most:
             continue  # no run of m2 vertices reaches all the head misses
         for c in range(2 * g.d + 5):

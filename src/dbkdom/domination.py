@@ -5,7 +5,9 @@ of the 0-th through k-th out-neighborhoods of D.  ``verify`` is the referee
 for every construction and oracle answer in this package: it recomputes the
 ball by plain set expansion and keeps it as the certificate's ``covered``
 set, so a valid certificate can always be rechecked independently of how
-the set was found.
+the set was found.  ``bounds`` carries S = geometric_sum(d, k), the most
+vertices a radius-k ball holds, beside the bounds it gives, so the
+certificates of ``construct`` read S and the lower bound from one place.
 """
 
 from __future__ import annotations
@@ -63,12 +65,14 @@ class DominationCertificate:
 class Bounds:
     """A priori bounds on the distance-k domination number.
 
-    ``lower`` is ceil(n / geometric_sum(d, k)); ``upper`` is the family's
+    ``ball_sum`` is S = geometric_sum(d, k), the most vertices a radius-k
+    ball holds; ``lower`` is ceil(n / S); ``upper`` is the family's
     constructive bound.
     """
 
     lower: int
     upper: int
+    ball_sum: int
 
 
 def verify(g: GeneralizedDigraph, dset: VertexSet,
@@ -84,9 +88,10 @@ def verify(g: GeneralizedDigraph, dset: VertexSet,
 
 
 def bounds(g: GeneralizedDigraph, k: int) -> Bounds:
-    """Lower and constructive upper bounds for the radius-k problem, k >= 1.
+    """Lower and constructive upper bounds for the radius-k problem, k >= 1,
+    and the ball sum S they rest on.
 
-    A radius-k ball has at most geometric_sum(d, k) vertices, giving the
+    A radius-k ball has at most S = geometric_sum(d, k) vertices, giving the
     lower bound.  On the de Bruijn side some run of lower+1 consecutive
     vertices always dominates; on the Kautz side the prefix run of length
     ceil(n / (d**k + d**(k-1))) always dominates.
@@ -103,10 +108,11 @@ def bounds(g: GeneralizedDigraph, k: int) -> Bounds:
 def _bounds(family: str, n: int, d: int, k: int) -> Bounds:
     if k < 1:
         raise ValueError(f"radius must be >= 1, got {k}")
-    lower = ceil_div(n, geometric_sum(d, k))
+    ball_sum = geometric_sum(d, k)
+    lower = ceil_div(n, ball_sum)
     upper = (lower + 1 if family == DEBRUIJN
              else ceil_div(n, d ** k + d ** (k - 1)))
-    return Bounds(lower, upper)
+    return Bounds(lower, upper, ball_sum)
 
 
 bounds.cache_clear = _bounds.cache_clear  # empties the one kept entry

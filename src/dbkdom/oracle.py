@@ -5,7 +5,8 @@ coverage mask of every vertex once, then runs an exhaustive branch and bound
 search for a dominating set of a given size.  Search answers are three
 valued: found (with a witness), absent (the whole tree was exhausted), or
 inconclusive (a configured node budget ran out first).  Absent is a proof;
-inconclusive never is.
+inconclusive never is.  The kernels return these statuses by name, and
+FOUND, ABSENT and INCONCLUSIVE here are the pure kernel's constants.
 
 The search kernel is the compiled extension when it imports and the pure
 Python one otherwise; ``kernel_backend()`` names the one in use.  The two
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _cover_py
+from ._cover_py import ABSENT, FOUND, INCONCLUSIVE
 from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet
 from .domination import bounds, verify
 
@@ -26,16 +28,6 @@ try:
     from . import _cover_ext as _kernel
 except ImportError:
     _kernel = _cover_py  # type: ignore[assignment]
-
-FOUND = "found"
-ABSENT = "absent"
-INCONCLUSIVE = "inconclusive"
-
-_STATUS = {
-    _cover_py.FOUND: FOUND,
-    _cover_py.ABSENT: ABSENT,
-    _cover_py.INCONCLUSIVE: INCONCLUSIVE,
-}
 
 DEFAULT_TABLE_CEILING = 5000
 
@@ -122,8 +114,7 @@ def exists_dominating_of_size(g: GeneralizedDigraph, k: int, size: int, *,
     elif ((table.family, table.n, table.d, table.k)
           != (_family_code(g), g.n, g.d, k)):
         raise ValueError("coverage table belongs to a different instance")
-    status_code, members, nodes = table.search(size, max_nodes)
-    status = _STATUS[status_code]
+    status, members, nodes = table.search(size, max_nodes)
     witness = None
     if status == FOUND:
         witness = VertexSet.from_members(g.n, members)
@@ -140,7 +131,8 @@ def min_dominating(g: GeneralizedDigraph, k: int, *,
                    start: int | None = None) -> SearchResult:
     """Exact minimum by searching sizes upward from ``start``, by default
     the a priori lower bound; a caller that gives a larger start has
-    proved every smaller size absent.
+    proved every smaller size absent.  A start above n is refused: the n
+    vertices dominate, so no minimum lies above n.
 
     Stops at the first size that admits a dominating set; its witness is a
     minimum one.  An inconclusive size aborts the whole computation as
@@ -148,15 +140,15 @@ def min_dominating(g: GeneralizedDigraph, k: int, *,
     every size searched.
     """
     size = bounds(g, k).lower if start is None else start
+    if size > g.n:
+        raise ValueError(f"start {size} exceeds the order {g.n}")
     if table is None:
         table = coverage_table(g, k)
     total_nodes = 0
-    while size <= g.n:
+    while True:  # the n vertices dominate, so size n ends it at the latest
         result = exists_dominating_of_size(
             g, k, size, table=table, max_nodes=max_nodes)
         total_nodes += result.nodes
         if result.status != ABSENT:
             return SearchResult(result.status, result.witness, total_nodes)
         size += 1
-    raise RuntimeError(
-        f"no dominating set of any size up to n for {g}; unreachable")

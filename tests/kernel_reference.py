@@ -30,9 +30,9 @@ import sys
 
 DEBRUIJN = 0
 
-FOUND = 0
-ABSENT = 1
-INCONCLUSIVE = 2
+FOUND = "found"
+ABSENT = "absent"
+INCONCLUSIVE = "inconclusive"
 
 
 class ReferenceTable:

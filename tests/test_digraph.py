@@ -524,6 +524,16 @@ class TestBall:
             assert covered == naive_ball("kautz", 11, 3, {4}, k)
             previous = covered
 
+    def test_other_ground_set_and_negative_radius_refused(self):
+        g = GeneralizedDigraph.debruijn(10, 2)
+        other = VertexSet.from_members(11, [0])
+        with pytest.raises(ValueError, match="ground set mismatch: 11 != 10"):
+            set_out_neighborhood(g, other)
+        with pytest.raises(ValueError, match="ground set mismatch: 11 != 10"):
+            ball(g, other, 1)
+        with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
+            ball(g, VertexSet.from_members(10, [0]), -1)
+
     def test_never_reads_the_closed_form(self, monkeypatch):
         # ball is the reference that run_image and run_layers are checked
         # against, on both sides of SMALL_ORDER

@@ -144,7 +144,8 @@ class TestBounds:
                     for k in (1, 2, 3, 6):
                         b = bounds(GeneralizedDigraph(
                             family=family, n=n, d=d), k)
-                        assert b.lower == ceil_div(n, geometric_sum(d, k))
+                        assert b.ball_sum == geometric_sum(d, k)
+                        assert b.lower == ceil_div(n, b.ball_sum)
                         assert b.lower <= ceil_div(n, d ** k)
                         assert b.lower <= b.upper
 
@@ -202,5 +203,5 @@ class TestBounds:
                     GeneralizedDigraph.kautz(40, 3))
         for graph in (g, g, GeneralizedDigraph.debruijn(40, 3), other, g):
             bounds(graph, 2)
-        assert made == [(4, 5), (4, 4), (4, 5)]
+        assert made == [(4, 5, 13), (4, 4, 13), (4, 5, 13)]
         bounds.cache_clear()

@@ -3,15 +3,17 @@
 import hashlib
 import json
 import os
+import sys
 from functools import reduce
 from operator import or_
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import (build_kernel, naive_ball, naive_gamma,
                       naive_is_dominating, naive_out_neighbors)
 from kernel_reference import ReferenceTable
-from dbkdom import _cover_py
+from dbkdom import _cover_py, oracle
 from dbkdom.cli import classify_row
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph
 from dbkdom.domination import bounds, verify
@@ -169,6 +171,16 @@ class TestExistsDominatingOfSize:
         # same search unbudgeted succeeds
         assert exists_dominating_of_size(g, 2, 2).status == FOUND
 
+    def test_non_dominating_witness_raises(self):
+        # a kernel's witness is verified before it is returned: one that
+        # misses a vertex is an error, never an answer
+        g = GeneralizedDigraph.debruijn(10, 2)
+        table = coverage_table(g, 1)
+        lying = SimpleNamespace(family=table.family, n=10, d=2, k=1,
+                                search=lambda size, budget: (FOUND, [0], 1))
+        with pytest.raises(RuntimeError, match="non-dominating witness"):
+            exists_dominating_of_size(g, 1, 1, table=lying)
+
     def test_table_instance_mismatch_rejected(self):
         g = GeneralizedDigraph.debruijn(10, 2)
         for other in (GeneralizedDigraph.debruijn(11, 2),
@@ -269,6 +281,22 @@ class TestMinDominating:
         with pytest.raises(ValueError):
             min_dominating(GeneralizedDigraph.debruijn(9, 2), 0)
 
+    def test_start_above_order_refused(self, monkeypatch):
+        # the n vertices dominate, so a start of n is searched and one
+        # above it is refused before any table is built
+        g = GeneralizedDigraph.debruijn(10, 2)
+        assert min_dominating(g, 1, start=10).status == FOUND
+        table = coverage_table(g, 1)
+
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(oracle, "coverage_table", refuse)
+        for given in (None, table):
+            with pytest.raises(ValueError, match="start 11 exceeds the "
+                                                 "order 10"):
+                min_dominating(g, 1, table=given, start=11)
+
 
 class TestKernelParity:
     """The pure and compiled kernels return identical tables and identical
@@ -352,7 +380,6 @@ class TestKernelParity:
     def test_classify_identical(self, compiled, monkeypatch):
         # tier-1 runs from a checkout with no built extension, where
         # classify would otherwise only ever see the pure kernel
-        from dbkdom import oracle
         from dbkdom.construct import classify
 
         def rows(module):
@@ -392,6 +419,32 @@ class TestKernelParity:
     def test_degree_above_order_rejected(self, kernel, args):
         with pytest.raises(ValueError, match="d <= n"):
             kernel.KernelTable(*args)
+
+    @pytest.mark.parametrize("family", [2, -1])
+    def test_unknown_family_code_rejected(self, kernel, family):
+        with pytest.raises(ValueError, match=f"unknown family code {family}"):
+            kernel.KernelTable(family, 10, 2, 1)
+
+    def test_negative_size_rejected(self, kernel):
+        with pytest.raises(ValueError, match="size must be >= 0, got -1"):
+            kernel.KernelTable(0, 10, 2, 1).search(-1)
+
+    def test_status_names(self, kernel):
+        assert (kernel.FOUND, kernel.ABSENT, kernel.INCONCLUSIVE) == (
+            FOUND, ABSENT, INCONCLUSIVE) == ("found", "absent", "inconclusive")
+
+    def test_search_deeper_than_the_recursion_limit(self, kernel):
+        # at radius 0 a ball is its vertex, so the one cover of 3,000
+        # vertices is a path of 3,001 nodes, deeper than Python's default
+        # recursion limit; the pure kernel raises the limit for the search
+        # and restores it
+        limit = sys.getrecursionlimit()
+        table = kernel.KernelTable(0, 3000, 2, 0)
+        status, witness, nodes = table.search(3000)
+        assert (status, list(witness), nodes) == (
+            FOUND, list(range(3000)), 3001)
+        assert table.search(2999) == (ABSENT, None, 1)
+        assert sys.getrecursionlimit() == limit
 
     def test_degree_one_rejected(self, kernel):
         # as GeneralizedDigraph: a d = 1 layer run never grows, so the walk
