@@ -2,7 +2,7 @@
  *
  * The same layer rule builds the balls (layer_runs) and the same search
  * walks the tree (expand at every node, the root and the last picks
- * included; the root's bans alone grow, with its children's mirrors, and
+ * included; only the root's bans carry orbits, the root orbit bans, and
  * the node count and the budget are settled only at children that pass
  * the counting bound and at a loop's end, which a last pick with no full
  * child never reaches), so the tables (balls, coverers, max_ball) and
@@ -16,7 +16,10 @@
  * one is covered.  Two things differ where they cost differently in C: a
  * ban is one bit, so it is tested before that skip and the bound's
  * popcount, and the children so far are counted in a register rather than
- * from a coverer mask.
+ * from a coverer mask.  The root's bans are written per search, not per
+ * table: search writes the root's banned set, and expand adds the earlier
+ * root children's orbits to child_ban only at a passing root child, so no
+ * orbit is written in the loop every node runs.
  *
  * Balls are bitsets of ceil(n / 64) 64-bit words, vertex v at bit v % 64 of
  * word v / 64; coverers are stored as one CSR array (cov_idx, cov_dat),
@@ -57,6 +60,7 @@ static const char *const status_names[] = {
 typedef struct {
     PyObject_HEAD
     int family, n, d, k, max_ball, words;
+    int step;  /* s = n / g: x -> x + s maps every ball onto a ball */
     uint64_t *balls;   /* n rows of `words` words */
     int32_t *sizes;    /* n ball sizes */
     Py_ssize_t *cov_idx;  /* n + 1 offsets into cov_dat and cov_high */
@@ -204,6 +208,11 @@ static PyObject *KernelTable_new(PyTypeObject *type, PyObject *args,
     self->d = d;
     self->k = k;
     self->words = (n + 63) >> 6;
+    /* g = gcd(d - 1, n) for de Bruijn, gcd(d + 1, n) for Kautz */
+    int a = family == KAUTZ ? d + 1 : d - 1;
+    for (int b = n, r; b != 0; a = b, b = r)
+        r = a % b;
+    self->step = n / a;
     Py_ssize_t *cursor = malloc((size_t)n * sizeof(Py_ssize_t));
     self->balls = calloc((size_t)n * self->words, sizeof(uint64_t));
     self->sizes = malloc((size_t)n * sizeof(int32_t));
@@ -292,6 +301,17 @@ static int lowest_uncovered(const uint64_t *covered)
     return (w << 6) + CTZ64(~covered[w]);
 }
 
+/* OR into bans the orbit of u under x -> x + step and x -> n - 1 - x,
+ * which both map every ball onto a ball: {u + j*step, n-1-u - j*step}. */
+static void ban_orbit(const KernelTable *t, uint64_t *bans, int u)
+{
+    for (int x = u % t->step; x < t->n; x += t->step) {
+        int m = t->n - 1 - x;
+        bans[x >> 6] |= BIT(x);
+        bans[m >> 6] |= BIT(m);
+    }
+}
+
 /* Whether the node count has passed the budget; a count settled past it
  * is cut back to budget + 1, the node at which a search that checks the
  * budget at every child stops. */
@@ -307,10 +327,11 @@ static int over_budget(Search *s)
  * and `count` covered vertices: branch on its lowest uncovered vertex v
  * over the coverers in ascending order.  A child's subtree also bans the
  * non-banned siblings before it, which child_ban gathers as the loop
- * passes them.  Below the root a sibling bans only itself, so the node's
- * banned set is fixed over the loop; at the root (depth 0, whose bans are
- * its own to write) a passed child also bans its mirror n - 1 - u in the
- * node and in child_ban (root reflection), so a later mirror is no child.
+ * passes them, and the node's banned set is fixed over the loop.  At the
+ * root (depth 0) that set holds the coverers of 0 in the orbit of an
+ * earlier child, which search wrote, and a passing child's subtree bans
+ * the orbits of the earlier children (root orbit bans), which child_ban,
+ * empty at the root's start, gathers at each passing child.
  * Every vertex below v is covered, so a child covers at most count plus
  * its cov_high, and one below the counting bound that way is a leaf with
  * no word read; otherwise its popcount of covered | ball is tested
@@ -325,7 +346,7 @@ static int expand(Search *s, int depth, int remaining, int count)
     const KernelTable *t = s->t;
     int words = t->words, left = remaining - 1;
     const uint64_t *covered = s->cov_stack + (size_t)depth * words;
-    uint64_t *banned = s->ban_stack + (size_t)depth * words;
+    const uint64_t *banned = s->ban_stack + (size_t)depth * words;
     uint64_t *child_cov = s->cov_stack + (size_t)(depth + 1) * words;
     uint64_t *child_ban = s->ban_stack + (size_t)(depth + 1) * words;
     int v = lowest_uncovered(covered);
@@ -336,8 +357,10 @@ static int expand(Search *s, int depth, int remaining, int count)
     int64_t need = t->n - (int64_t)left * t->max_ball;
     /* the nodes outside this loop's children, and the children so far */
     int64_t counted = s->nodes, at = 0;
+    /* at the root, the children whose orbits child_ban holds end here */
+    Py_ssize_t orbited = t->cov_idx[v];
     for (int w = 0; w < words; w++)
-        child_ban[w] = banned[w];
+        child_ban[w] = depth ? banned[w] : 0;
     for (Py_ssize_t i = t->cov_idx[v]; i < t->cov_idx[v + 1]; i++) {
         int u = t->cov_dat[i];
         if (banned[u >> 6] & BIT(u))
@@ -359,6 +382,11 @@ static int expand(Search *s, int depth, int remaining, int count)
                 }
                 for (int w = 0; w < words; w++)
                     child_cov[w] = covered[w] | row[w];
+                for (; depth == 0 && orbited < i; orbited++) {
+                    int e = t->cov_dat[orbited];
+                    if (!(banned[e >> 6] & BIT(e)))
+                        ban_orbit(t, child_ban, e);
+                }
                 int r = expand(s, depth + 1, left, cnt);
                 if (r != ABSENT)
                     return r;
@@ -366,11 +394,6 @@ static int expand(Search *s, int depth, int remaining, int count)
             }
         }
         child_ban[u >> 6] |= BIT(u);
-        if (depth == 0) {
-            int m = t->n - 1 - u;
-            banned[m >> 6] |= BIT(m);
-            child_ban[m >> 6] |= BIT(m);
-        }
     }
     if (left == 0)
         return ABSENT;  /* a last pick with no full child: a leaf */
@@ -416,6 +439,17 @@ static PyObject *KernelTable_search(KernelTable *self, PyObject *args,
     if (s.cov_stack == NULL || s.ban_stack == NULL || s.chosen == NULL) {
         PyErr_NoMemory();
     } else {
+        /* the root's banned set: each coverer of 0 in the orbit of an
+         * earlier one that is not banned; the orbits gather in the next
+         * level, which the root's expand overwrites */
+        uint64_t *orbits = s.ban_stack + self->words;
+        for (Py_ssize_t i = self->cov_idx[0]; i < self->cov_idx[1]; i++) {
+            int u = self->cov_dat[i];
+            if (orbits[u >> 6] & BIT(u))
+                s.ban_stack[u >> 6] |= BIT(u);
+            else
+                ban_orbit(self, orbits, u);
+        }
         int status = expand(&s, 0, size, 0);
         PyObject *witness = Py_NewRef(Py_None);
         if (status == FOUND) {

@@ -5,7 +5,7 @@ digraph and runs an exhaustive branch and bound search for a dominating set
 of a given size.  The compiled kernel in _cover_ext is this kernel written
 in C: the same layer rule for the balls (see ``KernelTable._balls``) and
 the same search (``expand`` at every node, the root and the last picks
-included, only the root's bans carrying mirrors, the budget settled only
+included, only the root's bans carrying orbits, the budget settled only
 at children that pass the counting bound, a child that the covered prefix
 rules out skipped before its popcount), so it returns the same tables
 (balls, coverers, max_ball) and, for every search, the same (status,
@@ -22,6 +22,7 @@ past the root's counting bound, so a search pays for what it reads.
 from __future__ import annotations
 
 import sys
+from math import gcd
 
 BACKEND = "pure"
 
@@ -102,14 +103,21 @@ class KernelTable:
         """Each vertex's bit 1 << u, the root's banned set, and each root
         child's subtree bans; cached.
 
-        Root reflection: x -> n-1-x maps every ball onto a ball, so the
-        subtree of a coverer of 0 bans the earlier children and their
-        mirrors, and a coverer that mirrors an earlier child is banned at
-        the root; a cover lost this way has its mirror in an earlier root
-        subtree.
+        Root orbit bans: the reflection x -> n-1-x and the translation
+        x -> x+s map every ball onto a ball, where s = n/g and g is
+        gcd(d-1, n) for de Bruijn or gcd(d+1, n) for Kautz (d*s = s, or
+        -d*s = s, mod n).  The orbit of u under both is
+        {u + j*s, n-1-u - j*s : j < g} mod n.  So the subtree of a coverer
+        of 0 bans the orbits of the earlier children, and a coverer in
+        such an orbit is banned at the root; a cover lost this way has an
+        image in an earlier root subtree.
         """
         n = self.n
+        step = n // gcd(self.d + (1 if self.family == KAUTZ else -1), n)
         bits = [1 << u for u in range(n)]
+        # the orbit of u, r = u % step, is the translates of r and of its
+        # mirror's residue step-1-r, each a shift of the translates of 0
+        translates = sum(bits[::step])
         skipped = banned = 0
         bans: dict[int, int] = {}
         for u in self._column(0):
@@ -117,7 +125,8 @@ class KernelTable:
                 skipped |= bits[u]
             else:
                 bans[u] = banned
-                banned |= bits[u] | bits[n - 1 - u]
+                r = u % step
+                banned |= translates << r | translates << step - 1 - r
         self._root = bits, skipped, bans
         return self._root
 
@@ -160,8 +169,8 @@ class KernelTable:
         passing child that covers everything ends the search; one with
         picks left is expanded.
 
-        Two exact prunings cut the tree: root reflection, whose bans are
-        cached per table (see ``_root_bans``), and last pick.  At a node
+        Two exact prunings cut the tree: root orbit bans, cached per
+        table (see ``_root_bans``), and last pick.  At a node
         with one pick left only a full child passes the bound, so the
         first full, non-banned child ends the search, and a node with
         none is a leaf whose children are not counted.  Neither removes

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,13 @@ def naive_out_neighbors(family: str, n: int, d: int, v: int) -> set[int]:
     if family == "kautz":
         return {(-d * v - i) % n for i in range(1, d + 1)}
     raise ValueError(family)
+
+
+def translation_order(family: str, n: int, d: int) -> int:
+    """g, the order of the translation group: x -> x + n/g maps the arcs
+    x -> d*x + i (de Bruijn) or x -> -d*x - i (Kautz) onto themselves
+    because d*(n/g) or -d*(n/g) is n/g mod n."""
+    return gcd(d - 1 if family == "debruijn" else d + 1, n)
 
 
 def naive_image(family: str, n: int, d: int, s: set[int]) -> set[int]:

@@ -20,13 +20,18 @@ the last-pick test: a node with one pick left and no full, non-banned
 child returns before it counts a child.
 
 ``pruned=False`` is the search without the kernel's two prunings (root
-reflection and the last-pick test): wherever it decides, the pruned
-search must return its (status, witness) with no more nodes.
+orbit bans and the last-pick test): wherever it decides, the pruned
+search must return its (status, witness) with no more nodes.  The root
+orbit of u is its images under the reflection x -> n-1-x and the
+translations by multiples of s = n/g, g = gcd(d-1, n) for de Bruijn and
+gcd(d+1, n) for Kautz; a root coverer in the orbit of an earlier one is
+skipped, and each root child's subtree bans the earlier ones' orbits.
 """
 
 from __future__ import annotations
 
 import sys
+from math import gcd
 
 DEBRUIJN = 0
 
@@ -38,6 +43,7 @@ INCONCLUSIVE = "inconclusive"
 class ReferenceTable:
     def __init__(self, family: int, n: int, d: int, k: int):
         self.n = n
+        self.step = n // gcd(d - 1 if family == DEBRUIJN else d + 1, n)
         self.balls = []
         coverers = self.coverers = [[] for _ in range(n)]
         one = ord("1")
@@ -104,7 +110,7 @@ class ReferenceTable:
             root = pruned and covered == 0
             for u in coverers[v]:
                 if (banned >> u) & 1:
-                    continue  # at the root also: a mirror of an earlier u
+                    continue  # at the root also: in an earlier u's orbit
                 chosen.append(u)
                 r = dfs(covered | balls[u], banned | (1 << u), remaining - 1,
                         here)
@@ -113,7 +119,8 @@ class ReferenceTable:
                 chosen.pop()
                 banned |= 1 << u
                 if root:
-                    banned |= 1 << (n - 1 - u)
+                    for x in range(u % self.step, n, self.step):
+                        banned |= 1 << x | 1 << (n - 1 - x)
             return ABSENT
 
         limit = sys.getrecursionlimit()

@@ -848,7 +848,7 @@ class TestOutputPins:
             del row["ms"]
         text = "".join(json.dumps(row) + "\n" for row in rows)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "99faf19478c93d871d90118c807e68df40ad1c6971bf56067dbce5ecab4420d4")
+            "736772ddd5cbcc5d1fa39207125cca67bf3839fcf16f9fa35b463fe1fe4044c7")
 
     def test_default_sweep_csv(self):
         # the same rows as CSV cells, header included, less the last

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_ball, naive_image, naive_out_neighbors
+from conftest import (naive_ball, naive_image, naive_out_neighbors,
+                      translation_order)
 from dbkdom import digraph
 from dbkdom.cli import classify_row
 from dbkdom.digraph import (DEBRUIJN, FAMILIES, INT_TABLE_CEILING, KAUTZ,
@@ -113,8 +114,8 @@ class TestOutNeighbors:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_reflection_maps_arcs_to_arcs(self, family):
         # x -> n-1-x maps the out-run of x onto the out-run of n-1-x, so it
-        # is an automorphism of both families; the oracle's root reflection
-        # rests on it
+        # is an automorphism of both families; the oracle's root orbit bans
+        # rest on it
         for d in range(2, 8):
             for n in range(d, 301):
                 g = GeneralizedDigraph(family=family, n=n, d=d)
@@ -123,6 +124,33 @@ class TestOutNeighbors:
                     assert length == d
                     assert run_image(g, n - 1 - x, 1) == \
                         ((n - start - d) % n, d), (n, d, x)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_translation_maps_arcs_to_arcs(self, family):
+        # x -> x+s, s = n/g, maps the out-run of x onto the out-run of x+s:
+        # d*s = s (de Bruijn) or -d*s = s (Kautz) mod n, with g = gcd(d-1, n)
+        # or gcd(d+1, n); the oracle's root orbit bans rest on it
+        for d in range(2, 8):
+            for n in range(d, 301):
+                g = GeneralizedDigraph(family=family, n=n, d=d)
+                s = n // translation_order(family, n, d)
+                for x in range(n):
+                    start, length = run_image(g, x, 1)
+                    assert run_image(g, (x + s) % n, 1) == \
+                        ((start + s) % n, length), (n, d, x)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_no_shorter_translation_maps_arcs_to_arcs(self, family):
+        # no translation by 0 < t < s maps the out-run of 0 onto the
+        # out-run of t, so the root orbit bans use the whole translation
+        # group and no more; at n = d every out-run is the whole ring
+        for d in range(2, 8):
+            for n in range(d + 1, 301):
+                g = GeneralizedDigraph(family=family, n=n, d=d)
+                start, length = run_image(g, 0, 1)
+                for t in range(1, n // translation_order(family, n, d)):
+                    assert run_image(g, t, 1) != \
+                        ((start + t) % n, length), (n, d, t)
 
     def test_saturates_only_at_n_equals_d(self):
         assert run_image(GeneralizedDigraph.debruijn(3, 3), 1, 1)[1] == 3

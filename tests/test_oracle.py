@@ -11,10 +11,12 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import (build_kernel, naive_ball, naive_gamma,
-                      naive_is_dominating, naive_out_neighbors)
+                      naive_is_dominating, naive_out_neighbors,
+                      translation_order)
 from kernel_reference import ReferenceTable
 from dbkdom import _cover_py, oracle
 from dbkdom.cli import classify_row
+from dbkdom.construct import classify
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph
 from dbkdom.domination import bounds, verify
 from dbkdom.modular import ceil_div, geometric_sum
@@ -380,8 +382,6 @@ class TestKernelParity:
     def test_classify_identical(self, compiled, monkeypatch):
         # tier-1 runs from a checkout with no built extension, where
         # classify would otherwise only ever see the pure kernel
-        from dbkdom.construct import classify
-
         def rows(module):
             monkeypatch.setattr(oracle, "_kernel", module)
             return [classify(GeneralizedDigraph(family=family, n=n, d=d), k,
@@ -633,18 +633,46 @@ class TestPureKernelReference:
 
 
 class TestPrunings:
-    """The search's two prunings, root reflection and the last-pick test,
+    """The search's two prunings, root orbit bans and the last-pick test,
     against what they rest on and what they must keep."""
 
     def test_mirror_ball_is_bit_reversal(self, kernel):
-        # x -> n-1-x maps ball(v) onto ball(n-1-v), which root reflection
-        # relies on
+        # x -> n-1-x maps ball(v) onto ball(n-1-v), which the root orbit
+        # bans rely on
         for f, n, d, k in TestKernelParity.GRID:
             table = kernel.KernelTable(f, n, d, k)
             for v in range(n):
                 reversed_bits = format(table.ball_mask(v), f"0{n}b")[::-1]
                 assert table.ball_mask(n - 1 - v) == int(reversed_bits, 2), \
                     (f, n, d, k, v)
+
+    def test_translated_ball_is_rotation(self, kernel):
+        # x -> x+s maps ball(v) onto ball(v+s), which the root orbit bans
+        # rely on; the grid holds tables with g > 1 of both families
+        translated = set()
+        for f, n, d, k in TestKernelParity.GRID:
+            table = kernel.KernelTable(f, n, d, k)
+            s = n // translation_order(("debruijn", "kautz")[f], n, d)
+            if s < n:
+                translated.add(f)
+            full = (1 << n) - 1
+            for v in range(n):
+                mask = table.ball_mask(v)
+                rotated = (mask << s | mask >> (n - s)) & full
+                assert table.ball_mask((v + s) % n) == rotated, \
+                    (f, n, d, k, v)
+        assert translated == {0, 1}
+
+    def test_orbit_bans_settle_a_capped_row(self, oracle_kernel):
+        # Kautz 185/4/2 has g = 5; with reflection alone its search at
+        # L = 9 takes 26,062 nodes, past the oracle-budget workload's
+        # budget, and with orbit bans it is absent within it, so the row
+        # is exact
+        table = oracle_kernel.KernelTable(1, 185, 4, 2)
+        assert table.search(9, 20_000) == (ABSENT, None, 15_833)
+        row = classify(GeneralizedDigraph.kautz(185, 4), 2,
+                       OracleLimits(max_nodes=20_000))
+        assert (row.method, row.gamma, row.nodes) == ("oracle", 10, 15_833)
 
     def test_decided_searches_keep_witness(self, kernel):
         # wherever the unpruned search decides, the pruned kernels return
