@@ -16,6 +16,9 @@ A table-only case reports the build, and the build plus one
 ``coverer_list`` of every vertex: the pure kernel computes a coverer list
 each time it is read, while the compiled kernel builds every list with
 the table, so only the second timing does the same work in both kernels.
+The proposer cases then time ``oracle.propose_cover`` of this checkout on
+each kernel's table: the steps it ran, steps per second, and the cover it
+found, which must be the same on every table.
 Each table is freed before the next build.  Statuses are compared by the
 name of the kernel constant that holds them, so a checkout whose kernels
 return int codes compares with one whose kernels return names.
@@ -40,6 +43,7 @@ import importlib.util
 import json
 import os
 import platform
+import sys
 import sysconfig
 import time
 from array import array
@@ -76,6 +80,17 @@ CASES = [
     ("kautz    n=5000 d=2 k=2 (table only)", 1, 5000, 2, 2, None, None),
     ("debruijn n=5000 d=5 k=4 (table only)", 0, 5000, 5, 4, None, None),
     ("kautz    n=5000 d=5 k=4 (table only)", 1, 5000, 5, 4, None, None),
+]
+
+# (label, family code, n, d, k, size, steps): local searches of
+# oracle.propose_cover at classify's steps for a 20,000-node budget (10) on
+# two rows that budget caps and the search settles, and on a capped row it
+# does not settle, there also at the 500 steps of a 10**6-node budget
+PROPOSER_CASES = [
+    ("kautz    n=145 d=3 k=2 size=12 (10 steps)", 1, 145, 3, 2, 12, 10),
+    ("kautz    n=149 d=3 k=2 size=12 (10 steps)", 1, 149, 3, 2, 12, 10),
+    ("kautz    n=189 d=2 k=2 size=27 (10 steps)", 1, 189, 2, 2, 27, 10),
+    ("kautz    n=189 d=2 k=2 size=27 (500 steps)", 1, 189, 2, 2, 27, 500),
 ]
 
 
@@ -153,6 +168,55 @@ def digest(table, n: int) -> str:
         h.update(array("i", table.coverer_list(v)).tobytes())
         h.update(b";")
     return h.hexdigest()
+
+
+def proposer_rows(runs: dict, repeat: int) -> list:
+    """Time this checkout's ``oracle.propose_cover`` on the table of each
+    kernel of each run, fastest and slowest of ``repeat``, and print it.
+
+    A search stops at its first cover, and a search of more steps repeats
+    the first ones, so the steps a found cover took are the fewest with
+    which it is found."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from dbkdom.digraph import GeneralizedDigraph
+    from dbkdom.oracle import propose_cover
+
+    header = (f"{'proposer case':42} {'run':>14} {'kernel':>8} "
+              f"{'time':>10} {'(max)':>10} {'steps':>6} {'steps/s':>9}  cover")
+    print(f"\n{header}\n{'-' * len(header)}")
+    rows = []
+    for label, code, n, d, k, size, steps in PROPOSER_CASES:
+        g = (GeneralizedDigraph.debruijn if code == 0
+             else GeneralizedDigraph.kautz)(n, d)
+        covers = []  # every table's cover, which must all be the first
+        for run, modules in runs.items():
+            for module in modules:
+                table = module.KernelTable(code, n, d, k)
+                times = []
+                for _ in range(repeat):
+                    started = time.perf_counter()
+                    cover = propose_cover(g, k, size, table=table,
+                                          steps=steps)
+                    times.append(time.perf_counter() - started)
+                cover = cover and cover.members()
+                covers.append(cover)
+                if cover != covers[0]:
+                    raise SystemExit(f"{run} {module.BACKEND} proposes "
+                                     f"another cover on {label}")
+                ran = steps if cover is None else next(
+                    s for s in range(steps + 1)
+                    if propose_cover(g, k, size, table=table, steps=s))
+                rate = ran / min(times)
+                rows.append({
+                    "case": label, "run": run, "kernel": module.BACKEND,
+                    "ms": round(min(times) * 1000, 3),
+                    "max_ms": round(max(times) * 1000, 3),
+                    "steps": ran, "steps_per_s": round(rate),
+                    "cover": cover})
+                print(f"{label:42} {run:>14} {module.BACKEND:>8} "
+                      f"{min(times) * 1000:8.2f}ms {max(times) * 1000:8.2f}ms "
+                      f"{ran:>6} {rate:>9,.0f}  {cover}", flush=True)
+    return rows
 
 
 def main() -> None:
@@ -245,6 +309,7 @@ def main() -> None:
         "nproc": os.cpu_count(),
         "repeat": args.repeat,
         "runs": rows,
+        "proposer": proposer_rows(runs, args.repeat),
     }, indent=1) + "\n")
     print(f"\nwrote {OUT.name}")
 

@@ -25,7 +25,7 @@ from .domination import Bounds, DominationCertificate, bounds, verify
 from .modular import ceil_div, geometric_sum, solve_linear_congruence
 from .oracle import (ABSENT, FOUND, INCONCLUSIVE, OracleLimits, SearchResult,
                      coverage_table, exists_dominating_of_size,
-                     kernel_backend, min_dominating)
+                     kernel_backend, min_dominating, propose_cover)
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,6 @@ __all__ = [
     "ceil_div", "classify", "congruence_witness", "coverage_table",
     "exists_dominating_of_size", "find_anchor", "gcd_divisibility",
     "geometric_sum", "kernel_backend", "min_dominating", "prefix_condition",
-    "remainder_window", "run_image", "run_layers", "set_out_neighborhood",
-    "solve_linear_congruence", "verify",
+    "propose_cover", "remainder_window", "run_image", "run_layers",
+    "set_out_neighborhood", "solve_linear_congruence", "verify",
 ]

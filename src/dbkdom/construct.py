@@ -42,9 +42,9 @@ from itertools import chain
 from .digraph import DEBRUIJN, GeneralizedDigraph, VertexSet, run_layers
 from .domination import bounds, verify
 from .modular import ceil_div, run_mask, solve_linear_congruence
-from .oracle import (ABSENT, DEFAULT_LIMITS, FOUND, OracleLimits,
-                     SearchResult, coverage_table, exists_dominating_of_size,
-                     min_dominating)
+from .oracle import (ABSENT, DEFAULT_LIMITS, FOUND, NODES_PER_STEP,
+                     OracleLimits, SearchResult, coverage_table,
+                     exists_dominating_of_size, min_dominating, propose_cover)
 
 METHOD_CONGRUENCE = "congruence"
 METHOD_PREFIX_COVER = "prefix_cover"
@@ -52,13 +52,14 @@ METHOD_RADIUS_ONE = "radius_one"
 METHOD_RUN_SCAN = "run_scan"
 METHOD_TWO_RUN = "two_run"
 METHOD_ORACLE = "oracle"
+METHOD_LOCAL_SEARCH = "local_search"
 METHOD_BRACKET = "bracket"
 METHOD_INCONCLUSIVE = "inconclusive"
 
 METHODS = frozenset({
     METHOD_CONGRUENCE, METHOD_PREFIX_COVER, METHOD_RADIUS_ONE,
-    METHOD_RUN_SCAN, METHOD_TWO_RUN, METHOD_ORACLE, METHOD_BRACKET,
-    METHOD_INCONCLUSIVE,
+    METHOD_RUN_SCAN, METHOD_TWO_RUN, METHOD_ORACLE, METHOD_LOCAL_SEARCH,
+    METHOD_BRACKET, METHOD_INCONCLUSIVE,
 })
 
 # the largest order the run scan and the two-run scan try; a de Bruijn row
@@ -368,8 +369,11 @@ def classify(g: GeneralizedDigraph, k: int,
     rows take the prefix condition (always true at radius one, where the
     method reads ``radius_one``) and two-run covers of both sizes.  The
     scans run up to COVER_SCAN_MAX_N and the oracle only inside
-    ``limits``; a budget abort degrades the answer to a bracket tagged
-    inconclusive.
+    ``limits``.  Where the budget cuts the search, a local search of one
+    step per NODES_PER_STEP nodes of budget looks for a cover of the size
+    the search stopped at, lower (method ``local_search``) or lower+1
+    after an absence at lower (method ``oracle``); without one the answer
+    degrades to a bracket tagged inconclusive.
 
     From radius n.bit_length() + 1 on, d**k > n and every value equals its
     value at that radius, so the work is done there and only the reported
@@ -413,6 +417,7 @@ def classify(g: GeneralizedDigraph, k: int,
     table = coverage_table(g, radius)
     search = exists_dominating_of_size(g, radius, b.lower, table=table,
                                        max_nodes=limits.max_nodes)
+    size, method = b.lower, METHOD_LOCAL_SEARCH
     if search.status == ABSENT:
         # a verified cover of size lower+1 is now a minimum one; here
         # n <= DEFAULT_TABLE_CEILING <= COVER_SCAN_MAX_N, so Kautz scans
@@ -424,6 +429,13 @@ def classify(g: GeneralizedDigraph, k: int,
                               max_nodes=limits.max_nodes, start=b.lower + 1)
         search = SearchResult(rest.status, rest.witness,
                               search.nodes + rest.nodes)
+        size, method = b.lower + 1, METHOD_ORACLE
     if search.status == FOUND:
         return result(METHOD_ORACLE, search.witness, search.nodes)
+    # the budget cut the search at `size` or, past a proven size, above it;
+    # a verified cover of `size` is then a minimum one
+    steps = (limits.max_nodes or 0) // NODES_PER_STEP
+    if steps and (cover := propose_cover(g, radius, size, table=table,
+                                         steps=steps)) is not None:
+        return result(method, cover, search.nodes)
     return result(METHOD_INCONCLUSIVE, nodes=search.nodes)

@@ -304,9 +304,14 @@ class TestIndentedJson:
                             rows.setdefault(row["method"], row)
         rows["bracket"] = cli.classify_row("debruijn", 40, 3, 3,
                                            OracleLimits(max_nodes=0))
+        # the local search runs only where a budget of 2,000 nodes or more
+        # cuts a search
+        rows["local_search"] = cli.classify_row(
+            "kautz", 145, 3, 2, OracleLimits(max_nodes=20_000))
         rows["error"] = cli.classify_row("debruijn", 2, 3, 1, DEFAULT_LIMITS)
         assert set(rows) == METHODS | {"error"}
-        for row in rows.values():
+        for method, row in rows.items():
+            assert row["method"] == method
             assert cli._indented_json(row) == json.dumps(row, indent=2)
 
     def test_certificates(self):

@@ -14,16 +14,16 @@ from conftest import (build_kernel, naive_ball, naive_gamma,
                       naive_is_dominating, naive_out_neighbors,
                       translation_order)
 from kernel_reference import ReferenceTable
-from dbkdom import _cover_py, oracle
+from dbkdom import _cover_py, construct, oracle
 from dbkdom.cli import classify_row
 from dbkdom.construct import classify
 from dbkdom.digraph import FAMILIES, GeneralizedDigraph
 from dbkdom.domination import bounds, verify
 from dbkdom.modular import ceil_div, geometric_sum
 from dbkdom.oracle import (ABSENT, DEFAULT_TABLE_CEILING, FOUND,
-                           INCONCLUSIVE, OracleLimits, coverage_table,
-                           exists_dominating_of_size, kernel_backend,
-                           min_dominating)
+                           INCONCLUSIVE, NODES_PER_STEP, OracleLimits,
+                           coverage_table, exists_dominating_of_size,
+                           kernel_backend, min_dominating, propose_cover)
 
 
 def reference_coverers(f: int, n: int, d: int, radii: int):
@@ -695,6 +695,111 @@ class TestPrunings:
                     assert (status, witness) == want[:2], case
                     assert nodes <= want[2], case
         assert newly_decided > 0
+
+
+class TestProposeCover:
+    # the instances of perfbench's oracle-budget workload, which caps its
+    # searches at BUDGET nodes
+    BUDGET_GRID = [(family, n, d, k) for family in sorted(FAMILIES)
+                   for n in range(61, 201, 4) for d in range(2, 6)
+                   for k in range(1, 5)]
+    BUDGET = 20_000
+    # the covers of size L the local search proposes where that budget
+    # cuts the search at L
+    SETTLED = {145: [5, 6, 7, 8, 9, 42, 43, 44, 95, 96, 131, 132],
+               149: [3, 4, 5, 6, 7, 8, 9, 93, 94, 95, 118, 148]}
+
+    def test_settles_capped_rows(self, oracle_kernel):
+        for n, witness in self.SETTLED.items():
+            row = classify(GeneralizedDigraph.kautz(n, 3), 2,
+                           OracleLimits(max_nodes=self.BUDGET)).to_dict()
+            assert (row["method"], row["gamma"], row["nodes"]) == (
+                "local_search", row["lower"], self.BUDGET + 1)
+            assert row["witness"] == witness
+            assert naive_is_dominating("kautz", n, 3, witness, 2)
+
+    def test_runs_only_where_a_budget_cuts_the_search(self, monkeypatch):
+        # with every proposal failing, classify's rows are those it gave
+        # without the stage, and the stage runs exactly on the inconclusive
+        # ones; without a budget of NODES_PER_STEP nodes it never runs
+        calls = []
+
+        def failing(g, k, size, *, table, steps):
+            calls.append((g.family, g.n, g.d, k))
+
+        monkeypatch.setattr(construct, "propose_cover", failing)
+        rows = [classify(GeneralizedDigraph(family=family, n=n, d=d), k,
+                         OracleLimits(max_nodes=self.BUDGET))
+                for family, n, d, k in self.BUDGET_GRID]
+        capped = [(row.graph.family, row.graph.n, row.graph.d, row.k)
+                  for row in rows if row.method == "inconclusive"]
+        assert calls == capped and len(capped) == 59
+        calls.clear()
+        for budget in (0, NODES_PER_STEP - 1):
+            for family, n, d, k in self.BUDGET_GRID:
+                classify(GeneralizedDigraph(family=family, n=n, d=d), k,
+                         OracleLimits(max_nodes=budget))
+        for family in sorted(FAMILIES):
+            for n in range(2, 41):
+                for d in (2, 3):
+                    if n >= d:
+                        classify(GeneralizedDigraph(family=family, n=n, d=d),
+                                 2, OracleLimits())
+        assert calls == []
+
+    def test_changes_only_capped_rows(self, monkeypatch):
+        def rows():
+            return [classify(GeneralizedDigraph(family=family, n=n, d=d), k,
+                             OracleLimits(max_nodes=self.BUDGET)).to_dict()
+                    for family, n, d, k in self.BUDGET_GRID]
+
+        staged = rows()
+        monkeypatch.setattr(construct, "propose_cover",
+                            lambda *args, **kwargs: None)
+        changed = {(row["n"], row["d"], row["k"]): row["method"]
+                   for row, before in zip(staged, rows()) if row != before}
+        assert changed == {(145, 3, 2): "local_search",
+                           (149, 3, 2): "local_search"}
+
+    def test_same_cover_every_call(self, kernel):
+        g = GeneralizedDigraph.kautz(145, 3)
+        covers = [propose_cover(g, 2, 12, steps=10,
+                                table=kernel.KernelTable(1, 145, 3, 2))
+                  for _ in range(2)]
+        assert covers[0].members() == covers[1].members() == self.SETTLED[145]
+
+    def test_covers_verify_or_none(self):
+        # no cover exists below the minimum; from it up, each cover the
+        # search returns dominates, and it finds all but two of them here
+        found = 0
+        for family in sorted(FAMILIES):
+            for n in range(2, 41):
+                g = GeneralizedDigraph(family=family, n=n, d=2)
+                table = coverage_table(g, 2)
+                gamma = min_dominating(g, 2, table=table).gamma
+                for size in range(gamma - 1, gamma + 2):
+                    cover = propose_cover(g, 2, size, table=table, steps=50)
+                    if cover is not None:
+                        assert gamma <= len(cover) <= size
+                        assert naive_is_dominating(family, n, 2,
+                                                   cover.members(), 2)
+                        found += 1
+        assert found == 154
+        g = GeneralizedDigraph.kautz(7, 2)
+        assert propose_cover(g, 2, 0, table=coverage_table(g, 2),
+                             steps=10) is None
+        with pytest.raises(ValueError, match="different instance"):
+            propose_cover(g, 2, 2, table=coverage_table(g, 1), steps=10)
+
+    def test_non_dominating_cover_raises(self):
+        # a table whose balls claim every vertex gets the one-member cover
+        # {0}, which verify rejects: an error, never an answer
+        g = GeneralizedDigraph.debruijn(10, 2)
+        lying = SimpleNamespace(family=coverage_table(g, 1).family, n=10,
+                                d=2, k=1, ball_mask=lambda v: (1 << 10) - 1,
+                                coverer_list=lambda y: list(range(10)))
+        with pytest.raises(RuntimeError, match="non-dominating cover"):
+            propose_cover(g, 1, 1, table=lying, steps=10)
 
 
 class TestBackendSelection:
